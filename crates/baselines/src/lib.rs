@@ -26,7 +26,7 @@ mod rl;
 mod simple;
 
 pub use crate::ga::{genetic_algorithm, genetic_algorithm_controlled, GaConfig};
-pub use crate::method::Method;
+pub use crate::method::{Method, RunSpec};
 pub use crate::rl::{
     reinforcement_learning, reinforcement_learning_controlled, RlAlgorithm, RlConfig, RlFeatures,
     RolloutCircuit,

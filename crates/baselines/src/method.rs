@@ -10,6 +10,52 @@ use boils_core::{
 };
 use boils_gp::TrainConfig;
 
+/// The shape of one optimisation run, shared by every [`Method`].
+///
+/// Knobs a method has no use for are ignored by it: only the BO methods
+/// batch acquisitions, window their surrogate or scalarise a cost vector,
+/// and only BOiLS warm-starts.
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// The sequence space searched.
+    pub space: SequenceSpace,
+    /// Black-box evaluation budget.
+    pub budget: usize,
+    /// RNG seed.
+    pub seed: u64,
+    /// Evaluation worker threads; trajectories are thread-count invariant.
+    pub threads: usize,
+    /// q-EI acquisition batch size for the BO methods (constant liar; `1`
+    /// is the paper's sequential protocol).
+    pub batch_size: usize,
+    /// Bounded-history surrogate window for the BO methods (see
+    /// [`BoilsConfig::surrogate_window`]).
+    pub surrogate_window: Option<usize>,
+    /// ParEGO over the objective's cost vector for the BO methods (see
+    /// [`BoilsConfig::multi_objective`]). Other methods still report their
+    /// [`OptimizationResult::pareto_front`] archive.
+    pub multi_objective: bool,
+    /// Cross-circuit warm start for BOiLS (see [`BoilsConfig::warm_start`]).
+    pub warm_start: Option<WarmStart>,
+}
+
+impl RunSpec {
+    /// A single-threaded, sequential, unbounded, scalar run with no warm
+    /// start.
+    pub fn new(space: SequenceSpace, budget: usize, seed: u64) -> RunSpec {
+        RunSpec {
+            space,
+            budget,
+            seed,
+            threads: 1,
+            batch_size: 1,
+            surrogate_window: None,
+            multi_objective: false,
+            warm_start: None,
+        }
+    }
+}
+
 /// Every method of the paper's evaluation (Figure 3 top row columns).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Method {
@@ -100,164 +146,55 @@ impl Method {
         matches!(self, Method::Sbo | Method::Boils)
     }
 
-    /// Runs the method against an objective with a single worker thread.
+    /// Runs the method under `spec` against an objective, spending
+    /// black-box evaluations through the shared engine.
+    ///
+    /// Every method uses the same [`SequenceObjective`] and produces the
+    /// same trace format, and each trajectory is thread-count invariant. A
+    /// cancel or deadline on `control` stops the method at the next
+    /// evaluation boundary and returns best-so-far (an exact prefix of the
+    /// uncancelled trajectory); `None` only when the control fired before
+    /// a single evaluation completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a BO method's surrogate cannot be fitted.
     pub fn run<O: SequenceObjective + RolloutCircuit>(
         self,
+        spec: &RunSpec,
         objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-    ) -> OptimizationResult {
-        self.run_threaded(objective, space, budget, seed, 1)
-    }
-
-    /// Runs the method against an objective, spending black-box
-    /// evaluations through the shared engine with `threads` workers.
-    ///
-    /// Budgets are spent as whole black-box evaluations; every method uses
-    /// the same [`SequenceObjective`] and produces the same trace format,
-    /// and each trajectory is thread-count invariant.
-    pub fn run_threaded<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-    ) -> OptimizationResult {
-        self.run_batched(objective, space, budget, seed, threads, 1)
-    }
-
-    /// [`Method::run_threaded`] with a q-EI acquisition batch size for the
-    /// BO methods: BOiLS and SBO propose `batch_size` candidates per
-    /// iteration (constant liar) and evaluate them as one prefix-aware
-    /// parallel batch. The other methods have no acquisition loop to batch
-    /// and ignore the knob (their existing batching — GA generations,
-    /// greedy sweeps, RS designs — already saturates the engine).
-    pub fn run_batched<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-    ) -> OptimizationResult {
-        self.run_configured(objective, space, budget, seed, threads, batch_size, None)
-    }
-
-    /// [`Method::run_batched`] with a bounded-history surrogate window for
-    /// the BO methods: `Some(w)` caps the GP training set at `w`
-    /// observations with incumbent-pinned sliding-window eviction (see
-    /// [`BoilsConfig::surrogate_window`]). The non-BO methods have no
-    /// surrogate and ignore the knob.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_configured<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-    ) -> OptimizationResult {
-        self.run_controlled(
-            objective,
+        control: &RunControl,
+    ) -> Option<OptimizationResult> {
+        let RunSpec {
             space,
             budget,
             seed,
             threads,
-            batch_size,
-            surrogate_window,
-            &RunControl::new(),
-        )
-        .expect("uncontrolled run cannot be interrupted")
-    }
-
-    /// [`Method::run_configured`] under a [`RunControl`]: a cancel or
-    /// deadline stops the method at the next evaluation boundary and
-    /// returns best-so-far (an exact prefix of the uncancelled
-    /// trajectory); `None` only when the control fired before a single
-    /// evaluation completed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_controlled<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-        control: &RunControl,
-    ) -> Option<OptimizationResult> {
-        self.run_mo_controlled(
-            objective,
-            space,
-            budget,
-            seed,
-            threads,
-            batch_size,
-            surrogate_window,
-            false,
-            control,
-        )
-    }
-
-    /// [`Method::run_controlled`] with an opt-in multi-objective mode for
-    /// the BO methods: BOiLS and SBO switch to the ParEGO random-weight
-    /// Chebyshev acquisition over the objective's cost *vector* (see
-    /// [`BoilsConfig::multi_objective`]). The non-BO methods have no
-    /// acquisition to steer and ignore the flag — their
-    /// [`OptimizationResult::pareto_front`] archive is still maintained.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mo_controlled<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-        multi_objective: bool,
-        control: &RunControl,
-    ) -> Option<OptimizationResult> {
-        self.run_warm_mo_controlled(
-            objective,
-            space,
-            budget,
-            seed,
-            threads,
-            batch_size,
-            surrogate_window,
-            multi_objective,
-            None,
-            control,
-        )
-    }
-
-    /// [`Method::run_mo_controlled`] with an opt-in cross-circuit
-    /// [`WarmStart`] for BOiLS: donor sequences from a similar circuit's
-    /// recorded history seed the initial design and the surrogate (see
-    /// [`BoilsConfig::warm_start`]). The other methods have no surrogate
-    /// to seed and ignore it; `None` is bit-identical to
-    /// [`Method::run_mo_controlled`] for every method.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_warm_mo_controlled<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-        multi_objective: bool,
-        warm_start: Option<WarmStart>,
-        control: &RunControl,
-    ) -> Option<OptimizationResult> {
+            ..
+        } = *spec;
+        let rl = |algorithm, features| {
+            reinforcement_learning_controlled(
+                objective,
+                space,
+                budget,
+                &RlConfig {
+                    algorithm,
+                    features,
+                    seed,
+                    ..RlConfig::default()
+                },
+                control,
+            )
+        };
+        let bo = |outcome: Result<OptimizationResult, RunBoilsError>| match outcome {
+            Ok(result) => Some(result),
+            Err(RunBoilsError::Interrupted(_)) => None,
+            Err(err) => panic!("{self} run failed: {err}"),
+        };
+        let train = TrainConfig {
+            steps: 10,
+            ..TrainConfig::default()
+        };
         match self {
             Method::Rs => {
                 random_search_controlled(objective, space, budget, seed, threads, control)
@@ -274,87 +211,36 @@ impl Method {
                 },
                 control,
             ),
-            Method::DrillsPpo => reinforcement_learning_controlled(
-                objective,
+            Method::DrillsPpo => rl(RlAlgorithm::Ppo, RlFeatures::Stats),
+            Method::DrillsA2c => rl(RlAlgorithm::A2c, RlFeatures::Stats),
+            Method::GraphRl => rl(RlAlgorithm::A2c, RlFeatures::Graph),
+            Method::Sbo => bo(Sbo::new(SboConfig {
+                max_evaluations: budget,
+                initial_samples: initial_design(budget),
                 space,
-                budget,
-                &RlConfig {
-                    algorithm: RlAlgorithm::Ppo,
-                    features: RlFeatures::Stats,
-                    seed,
-                    ..RlConfig::default()
-                },
-                control,
-            ),
-            Method::DrillsA2c => reinforcement_learning_controlled(
-                objective,
+                seed,
+                threads,
+                batch_size: spec.batch_size,
+                surrogate_window: spec.surrogate_window,
+                multi_objective: spec.multi_objective,
+                train,
+                ..SboConfig::default()
+            })
+            .run_with_control(objective, control)),
+            Method::Boils => bo(Boils::new(BoilsConfig {
+                max_evaluations: budget,
+                initial_samples: initial_design(budget),
                 space,
-                budget,
-                &RlConfig {
-                    algorithm: RlAlgorithm::A2c,
-                    features: RlFeatures::Stats,
-                    seed,
-                    ..RlConfig::default()
-                },
-                control,
-            ),
-            Method::GraphRl => reinforcement_learning_controlled(
-                objective,
-                space,
-                budget,
-                &RlConfig {
-                    algorithm: RlAlgorithm::A2c,
-                    features: RlFeatures::Graph,
-                    seed,
-                    ..RlConfig::default()
-                },
-                control,
-            ),
-            Method::Sbo => {
-                let mut sbo = Sbo::new(SboConfig {
-                    max_evaluations: budget,
-                    initial_samples: initial_design(budget),
-                    space,
-                    seed,
-                    threads,
-                    batch_size,
-                    surrogate_window,
-                    multi_objective,
-                    train: TrainConfig {
-                        steps: 10,
-                        ..TrainConfig::default()
-                    },
-                    ..SboConfig::default()
-                });
-                match sbo.run_with_control(objective, control) {
-                    Ok(result) => Some(result),
-                    Err(RunBoilsError::Interrupted(_)) => None,
-                    Err(err) => panic!("SBO run failed: {err}"),
-                }
-            }
-            Method::Boils => {
-                let mut boils = Boils::new(BoilsConfig {
-                    max_evaluations: budget,
-                    initial_samples: initial_design(budget),
-                    space,
-                    seed,
-                    threads,
-                    batch_size,
-                    surrogate_window,
-                    multi_objective,
-                    warm_start,
-                    train: TrainConfig {
-                        steps: 10,
-                        ..TrainConfig::default()
-                    },
-                    ..BoilsConfig::default()
-                });
-                match boils.run_with_control(objective, control) {
-                    Ok(result) => Some(result),
-                    Err(RunBoilsError::Interrupted(_)) => None,
-                    Err(err) => panic!("BOiLS run failed: {err}"),
-                }
-            }
+                seed,
+                threads,
+                batch_size: spec.batch_size,
+                surrogate_window: spec.surrogate_window,
+                multi_objective: spec.multi_objective,
+                warm_start: spec.warm_start.clone(),
+                train,
+                ..BoilsConfig::default()
+            })
+            .run_with_control(objective, control)),
         }
     }
 }
@@ -375,6 +261,11 @@ mod tests {
     use super::*;
     use boils_aig::random_aig;
 
+    fn run(m: Method, spec: &RunSpec, evaluator: &boils_core::QorEvaluator) -> OptimizationResult {
+        m.run(spec, evaluator, &RunControl::new())
+            .expect("uncontrolled run completes")
+    }
+
     #[test]
     fn ids_round_trip() {
         for m in Method::ALL {
@@ -389,7 +280,7 @@ mod tests {
         let space = SequenceSpace::new(4, 11);
         for m in Method::ALL {
             let budget = if m == Method::Greedy { 22 } else { 12 };
-            let r = m.run(&evaluator, space, budget, 0);
+            let r = run(m, &RunSpec::new(space, budget, 0), &evaluator);
             assert_eq!(r.num_evaluations(), budget, "{m}");
         }
     }
@@ -399,7 +290,12 @@ mod tests {
         let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
         let space = SequenceSpace::new(4, 11);
         for m in [Method::Sbo, Method::Boils] {
-            let r = m.run_batched(&evaluator, space, 13, 0, 2, 4);
+            let spec = RunSpec {
+                threads: 2,
+                batch_size: 4,
+                ..RunSpec::new(space, 13, 0)
+            };
+            let r = run(m, &spec, &evaluator);
             assert_eq!(r.num_evaluations(), 13, "{m}");
         }
     }
@@ -409,36 +305,12 @@ mod tests {
         let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
         let space = SequenceSpace::new(4, 11);
         for m in [Method::Sbo, Method::Boils] {
-            let r = m.run_configured(&evaluator, space, 14, 0, 1, 1, Some(5));
+            let spec = RunSpec {
+                surrogate_window: Some(5),
+                ..RunSpec::new(space, 14, 0)
+            };
+            let r = run(m, &spec, &evaluator);
             assert_eq!(r.num_evaluations(), 14, "{m}");
-        }
-    }
-
-    #[test]
-    fn no_window_matches_run_batched() {
-        let aig = random_aig(61, 8, 250, 3);
-        let space = SequenceSpace::new(4, 11);
-        for m in [Method::Sbo, Method::Boils] {
-            let a_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let b_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let a = m.run_batched(&a_eval, space, 12, 1, 1, 1);
-            let b = m.run_configured(&b_eval, space, 12, 1, 1, 1, None);
-            assert_eq!(a.best_tokens, b.best_tokens, "{m}");
-            assert_eq!(a.best_qor, b.best_qor, "{m}");
-        }
-    }
-
-    #[test]
-    fn batch_size_one_matches_run_threaded() {
-        let aig = random_aig(61, 8, 250, 3);
-        let space = SequenceSpace::new(4, 11);
-        for m in [Method::Sbo, Method::Boils] {
-            let a_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let b_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let a = m.run_threaded(&a_eval, space, 12, 1, 1);
-            let b = m.run_batched(&b_eval, space, 12, 1, 1, 1);
-            assert_eq!(a.best_tokens, b.best_tokens, "{m}");
-            assert_eq!(a.best_qor, b.best_qor, "{m}");
         }
     }
 
@@ -450,8 +322,9 @@ mod tests {
             let budget = if m == Method::Greedy { 22 } else { 12 };
             let serial = boils_core::QorEvaluator::new(&aig).expect("ok");
             let parallel = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let a = m.run_threaded(&serial, space, budget, 1, 1);
-            let b = m.run_threaded(&parallel, space, budget, 1, 8);
+            let spec = RunSpec::new(space, budget, 1);
+            let a = run(m, &spec, &serial);
+            let b = run(m, &RunSpec { threads: 8, ..spec }, &parallel);
             assert_eq!(a.best_tokens, b.best_tokens, "{m}");
             assert_eq!(a.best_qor, b.best_qor, "{m}");
             assert_eq!(

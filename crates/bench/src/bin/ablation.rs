@@ -7,10 +7,11 @@
 //!     [--budget 25] [--seeds 2] [--circuits adder,max] [--k 20]
 //! ```
 
+use boils_baselines::{Method, RunSpec};
 use boils_bench::cli::{self, BenchArgs};
 use boils_bench::figures::improvement_percent;
 use boils_circuits::{Benchmark, CircuitSpec};
-use boils_core::{Boils, BoilsConfig, QorEvaluator, Sbo, SboConfig, SequenceSpace};
+use boils_core::{Boils, BoilsConfig, QorEvaluator, RunControl, SequenceSpace};
 use boils_gp::TrainConfig;
 
 struct Variant {
@@ -102,26 +103,21 @@ fn main() {
         }
         println!();
     }
-    // The kernel ablation end-point: one-hot SE (== SBO).
+    // The kernel ablation end-point: one-hot SE (== SBO, run with the
+    // same settings as every other SBO run).
     print!("{:<18}", "one-hot SE (SBO)");
     for &c in &circuits {
         let aig = CircuitSpec::new(c).build();
         let evaluator = QorEvaluator::new(&aig).expect("non-degenerate");
         let mut sum = 0.0;
         for seed in 0..cfg.seeds as u64 {
-            let mut sbo = Sbo::new(SboConfig {
-                max_evaluations: budget,
-                initial_samples: init,
-                space,
-                seed,
+            let spec = RunSpec {
                 threads: cfg.threads,
-                train: TrainConfig {
-                    steps: 10,
-                    ..TrainConfig::default()
-                },
-                ..SboConfig::default()
-            });
-            let r = sbo.run(&evaluator).expect("run");
+                ..RunSpec::new(space, budget, seed)
+            };
+            let r = Method::Sbo
+                .run(&spec, &evaluator, &RunControl::new())
+                .expect("uncontrolled run completes");
             sum += improvement_percent(r.best_qor);
         }
         print!(" {:>12.2}", sum / cfg.seeds as f64);

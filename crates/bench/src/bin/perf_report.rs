@@ -990,7 +990,7 @@ fn gp_fit_section(smoke: bool) -> String {
 /// isolated counterpart — multi-tenancy changes *who pays* for a
 /// synthesis result, never what any tenant observes.
 fn daemon_section(circuit: Benchmark, threads: usize, smoke: bool) -> String {
-    use boils_baselines::Method;
+    use boils_baselines::{Method, RunSpec};
     use boils_daemon::{Daemon, DaemonConfig, Event};
 
     let k = if smoke { 6 } else { 12 };
@@ -1056,15 +1056,9 @@ fn daemon_section(circuit: Benchmark, threads: usize, smoke: bool) -> String {
             .expect("ok")
             .with_objective(Objective::parse(name).expect("built-in objective"));
         let solo = Method::Rs
-            .run_mo_controlled(
+            .run(
+                &RunSpec::new(space, budget, seed),
                 &evaluator,
-                space,
-                budget,
-                seed,
-                1,
-                1,
-                None,
-                false,
                 &RunControl::new(),
             )
             .expect("uncontrolled run completes");

@@ -4,8 +4,8 @@
 
 use boils_circuits::Benchmark;
 
-use crate::method::Method;
 use crate::suite::SweepConfig;
+use boils_baselines::Method;
 
 /// A parsed command line: `--flag value` / `--flag=value` pairs and bare
 /// boolean flags.

@@ -11,8 +11,8 @@ use boils_gp::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::method::Method;
 use crate::suite::Sweep;
+use boils_baselines::Method;
 
 /// Converts a QoR value into the paper's improvement-vs-resyn2 percentage.
 pub fn improvement_percent(qor: f64) -> f64 {

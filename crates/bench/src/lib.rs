@@ -20,8 +20,7 @@
 
 pub mod cli;
 pub mod figures;
-pub mod method;
 pub mod suite;
 
-pub use crate::method::Method;
 pub use crate::suite::{RunRecord, Sweep, SweepConfig};
+pub use boils_baselines::Method;

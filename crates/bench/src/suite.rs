@@ -13,7 +13,7 @@ use boils_core::{
     FaultInjector, FaultPlan, Objective, QorEvaluator, RunControl, SequenceSpace, Termination,
 };
 
-use crate::method::Method;
+use boils_baselines::{Method, RunSpec};
 
 /// Sweep configuration.
 #[derive(Clone, Debug)]
@@ -268,17 +268,14 @@ impl Sweep {
                         Some(secs) => RunControl::with_deadline(Duration::from_secs_f64(secs)),
                         None => RunControl::new(),
                     };
-                    let Some(result) = method.run_mo_controlled(
-                        &evaluator,
-                        space,
-                        budget,
-                        seed,
-                        config.threads,
-                        config.batch_size,
-                        config.surrogate_window,
-                        config.multi_objective,
-                        &control,
-                    ) else {
+                    let spec = RunSpec {
+                        threads: config.threads,
+                        batch_size: config.batch_size,
+                        surrogate_window: config.surrogate_window,
+                        multi_objective: config.multi_objective,
+                        ..RunSpec::new(space, budget, seed)
+                    };
+                    let Some(result) = method.run(&spec, &evaluator, &control) else {
                         eprintln!(
                             "[sweep] {:<10} {:<12} seed {}  interrupted before first evaluation",
                             circuit.name(),

@@ -4,15 +4,14 @@
 //! centred on the incumbent.
 
 use boils_gp::{
-    expected_improvement, hypervolume_improvement_2d, ConstantLiar, Gp, NotPositiveDefiniteError,
-    Scalarisation, SskKernel, Surrogate, SurrogateConfig, SurrogateDiagnostics, TrainConfig,
+    NotPositiveDefiniteError, SskKernel, SurrogateConfig, SurrogateDiagnostics, TrainConfig,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
+use crate::bo::{BoLoop, Scalariser, Tokens, TrustRegion};
 use crate::control::{RunControl, StopReason};
-use crate::eval::{BatchEvaluator, SequenceObjective, QUARANTINE_QOR};
-use crate::result::{EvalRecord, OptimizationResult, Termination};
+use crate::eval::SequenceObjective;
+use crate::result::{OptimizationResult, Termination};
 use crate::space::SequenceSpace;
 
 /// Random resamples the freshness guard tries before falling back to the
@@ -49,8 +48,10 @@ pub enum Acquisition {
 ///   **re-evaluated on the target circuit** (its recorded donor cost is
 ///   never trusted as a value).
 /// * [`observations`](WarmStart::observations) are donor `(tokens, QoR)`
-///   pairs injected into the GP via [`Surrogate::seed`] — prior shape
-///   only, never entering the history, the incumbent, or the result.
+///   pairs injected into the GP via
+///   [`Surrogate::seed`](boils_gp::Surrogate::seed) — prior shape only,
+///   never entering the history, the incumbent, or the result. Only the
+///   scalar loop reads them: they carry no cost vector for ParEGO.
 ///
 /// `warm_start: None` (the default) is bit-identical to a build without
 /// the feature.
@@ -104,7 +105,8 @@ pub struct BoilsConfig {
     /// Whether the SSK is normalised (ablation knob).
     pub normalize_kernel: bool,
     /// Whether the trust region is active (ablation knob: `false` recovers
-    /// unconstrained local search).
+    /// unconstrained local search, with no radius schedule and no restart
+    /// evaluations).
     pub use_trust_region: bool,
     /// Consecutive improvements before the radius grows (paper: 3).
     pub success_tolerance: usize,
@@ -130,9 +132,10 @@ pub struct BoilsConfig {
     /// incumbent on a scratch copy of the GP, EI is re-maximised against
     /// the lied model, and the lies are discarded before the surrogate sees
     /// real data) and evaluate them as a single prefix-aware parallel batch
-    /// ([`BatchEvaluator::evaluate_grouped`]). The budget is still spent as
-    /// whole evaluations — the final batch shrinks to the remaining budget
-    /// — and each batch advances the trust-region schedule by one step.
+    /// ([`BatchEvaluator::evaluate_grouped`](crate::BatchEvaluator::evaluate_grouped)).
+    /// The budget is still spent as whole evaluations — the final batch
+    /// shrinks to the remaining budget — and each batch advances the
+    /// trust-region schedule by one step.
     pub batch_size: usize,
     /// Hyperparameters are retrained once this many evaluations accumulate
     /// since the previous retrain (restart and batch evaluations count),
@@ -306,51 +309,6 @@ pub struct RunDiagnostics {
     pub objective: String,
 }
 
-/// The multi-objective cost vector of one evaluated record: the
-/// objective's own vector when it can produce one, otherwise the raw
-/// `(area, delay)` pair; quarantined sentinels map to a worst-case vector
-/// so they can never join (or distort) the nondominated archive.
-pub(crate) fn mo_vector<O: SequenceObjective + ?Sized>(
-    objective: &O,
-    record: &EvalRecord,
-) -> Vec<f64> {
-    if record.point.is_quarantined() {
-        return vec![QUARANTINE_QOR; 2];
-    }
-    objective
-        .vector_of(&record.tokens)
-        .unwrap_or_else(|| vec![record.point.area as f64, record.point.delay as f64])
-}
-
-/// A fixed hypervolume reference for a run: componentwise 1.1× the worst
-/// non-quarantined cost of the initial design. Fixed after the design so
-/// hypervolume gains are comparable across the whole run.
-pub(crate) fn mo_reference(vectors: &[Vec<f64>]) -> (f64, f64) {
-    let mut reference = (0.0f64, 0.0f64);
-    let mut seen = false;
-    for v in vectors {
-        if v.len() != 2 || v[0] >= QUARANTINE_QOR {
-            continue;
-        }
-        reference.0 = reference.0.max(v[0]);
-        reference.1 = reference.1.max(v[1]);
-        seen = true;
-    }
-    if !seen {
-        return (QUARANTINE_QOR, QUARANTINE_QOR);
-    }
-    (reference.0 * 1.1 + 1e-9, reference.1 * 1.1 + 1e-9)
-}
-
-/// The 2-D projections of the non-quarantined cost vectors in `vectors`.
-pub(crate) fn mo_points(vectors: &[Vec<f64>]) -> Vec<(f64, f64)> {
-    vectors
-        .iter()
-        .filter(|v| v.len() == 2 && v[0] < QUARANTINE_QOR)
-        .map(|v| (v[0], v[1]))
-        .collect()
-}
-
 /// Outcome of the freshness guard around one proposed candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum FreshOutcome {
@@ -496,508 +454,54 @@ impl Boils {
         objective: &O,
         control: &RunControl,
     ) -> Result<OptimizationResult, RunBoilsError> {
-        if self.config.multi_objective {
-            // A separate loop: the scalar path below stays bit-identical
-            // to the frozen pre-refactor trajectories.
-            return self.run_multi_objective(objective, control);
-        }
         let cfg = &self.config;
-        self.diagnostics = RunDiagnostics::default();
-        self.diagnostics.objective = objective.cost_name();
-        if cfg.max_evaluations < cfg.initial_samples.max(2) {
-            return Err(RunBoilsError::BudgetTooSmall {
-                budget: cfg.max_evaluations,
-                initial: cfg.initial_samples,
-            });
-        }
-        let space = cfg.space;
-        let engine = BatchEvaluator::new(cfg.threads);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(cfg.max_evaluations);
-
-        // -- Initial design (line 3): Latin hypercube over categories,
-        // deduplicated, then evaluated as one prefix-aware parallel batch.
-        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
-        for tokens in space.latin_hypercube(cfg.initial_samples, &mut rng) {
-            if initial.len() >= cfg.max_evaluations {
-                break;
-            }
-            if initial.contains(&tokens) {
-                continue;
-            }
-            initial.push(tokens);
-        }
-        // -- Warm start (opt-in): donor sequences overwrite the leading
-        // design rows *after* the hypercube is drawn, so the RNG consumes
-        // exactly the draws an unseeded run would — `warm_start: None`
-        // stays bit-identical — and each seed is re-evaluated exactly on
-        // this circuit by the very same batch below.
-        if let Some(warm) = &cfg.warm_start {
-            let valid = |tokens: &[u8]| {
-                tokens.len() == space.length()
-                    && tokens.iter().all(|&t| usize::from(t) < space.alphabet())
-            };
-            let cap = initial.len().div_ceil(2);
-            let mut slot = 0usize;
-            for seed in &warm.seeds {
-                if slot >= cap {
-                    break;
-                }
-                if !valid(seed) || initial.contains(seed) {
-                    continue;
-                }
-                initial[slot] = seed.clone();
-                slot += 1;
-            }
-        }
-        let outcome = engine.evaluate_grouped_controlled(objective, &initial, control);
-        self.diagnostics
-            .quarantined
-            .extend(outcome.quarantined.iter().cloned());
-        let mut stop = outcome.stopped;
-        for (tokens, point) in outcome.resolved_prefix(&initial) {
-            history.push(EvalRecord { tokens, point });
-        }
-        if history.is_empty() {
-            return Err(RunBoilsError::Interrupted(
-                stop.unwrap_or(StopReason::Cancelled),
-            ));
-        }
-
-        // -- Trust-region state (line 4): radius starts at K.
-        let mut radius = space.length();
-        let mut successes = 0usize;
-        let mut failures = 0usize;
-        // The TR centre is the best point since the last restart; the global
-        // best is tracked through `history`.
-        let mut center = best_of(&history).clone();
-        // The surrogate subsystem owns the whole fit → extend → retrain →
-        // forget lifecycle: the evals-since-retrain cadence, the carried
-        // kernel hyperparameters, the O(n²) factor extensions between
-        // retrains, and (with `surrogate_window`) sliding-window eviction
-        // with incumbent pinning. Retraining is paced by observations
-        // since the last retrain, not by `history.len() % retrain_every`:
-        // a modulo test silently skips retraining whenever an iteration
-        // appends more than one record (a trust-region restart, or any
-        // `batch_size > 1` batch).
-        let kernel_template = {
-            let k = SskKernel::new(cfg.ssk_order);
-            let k = if cfg.normalize_kernel {
-                k
-            } else {
-                k.without_normalization()
-            };
-            if cfg.incremental_surrogate {
-                k.with_match_caching()
-            } else {
-                // Benchmarking baseline: reproduce the seed's cost model
-                // (self-similarities recomputed inside every pair
-                // evaluation, no match-structure cache). Bit-identical
-                // values either way.
-                k.without_info_caching()
-            }
+        let kernel = SskKernel::new(cfg.ssk_order);
+        let kernel = if cfg.normalize_kernel {
+            kernel
+        } else {
+            kernel.without_normalization()
         };
-        let mut surrogate: Surrogate<SskKernel, Vec<u8>> = Surrogate::new(
-            kernel_template,
-            SurrogateConfig {
+        let kernel = if cfg.incremental_surrogate {
+            kernel.with_match_caching()
+        } else {
+            // Benchmarking baseline: the seed's cost model (self-similarities
+            // recomputed inside every pair evaluation, no match-structure
+            // cache). Bit-identical values either way.
+            kernel.without_info_caching()
+        };
+        BoLoop {
+            kernel,
+            embedding: Tokens,
+            region: cfg.use_trust_region.then_some(TrustRegion {
+                success_tolerance: cfg.success_tolerance,
+                fail_tolerance: cfg.fail_tolerance,
+            }),
+            scalariser: if cfg.multi_objective {
+                Scalariser::ParEgo
+            } else {
+                Scalariser::Identity
+            },
+            surrogate: SurrogateConfig {
                 noise: cfg.noise,
                 retrain_every: cfg.retrain_every,
                 incremental: cfg.incremental_surrogate,
                 window: cfg.surrogate_window,
                 train: cfg.train.clone(),
             },
-        );
-        // Donor observations enter the GP first (prior shape only — they
-        // never join the history or the incumbent). A sequence the design
-        // already evaluated on *this* circuit is skipped: the exact
-        // target value is in the history, and a conflicting donor value
-        // would only smear it.
-        if let Some(warm) = &cfg.warm_start {
-            for (tokens, qor) in &warm.observations {
-                if tokens.is_empty()
-                    || !qor.is_finite()
-                    || history.iter().any(|r| &r.tokens == tokens)
-                {
-                    continue;
-                }
-                surrogate.seed(tokens.clone(), -qor);
-            }
+            acquisition: cfg.acquisition,
+            space: cfg.space,
+            budget: cfg.max_evaluations,
+            initial_samples: cfg.initial_samples,
+            acq_restarts: cfg.acq_restarts,
+            acq_steps: cfg.acq_steps,
+            acq_neighbors: cfg.acq_neighbors,
+            batch_size: cfg.batch_size,
+            warm_start: cfg.warm_start.as_ref(),
+            threads: cfg.threads,
+            seed: cfg.seed,
         }
-        for record in &history {
-            surrogate.observe(record.tokens.clone(), -record.point.qor);
-        }
-
-        // -- Optimisation loop (lines 6-11).
-        while stop.is_none() && history.len() < cfg.max_evaluations {
-            if let Some(reason) = control.stop_reason() {
-                stop = Some(reason);
-                break;
-            }
-            let incumbent = history
-                .iter()
-                .map(|r| -r.point.qor)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let tr = if cfg.use_trust_region {
-                Some((center.tokens.as_slice(), radius))
-            } else {
-                None
-            };
-            let acquisition = cfg.acquisition;
-            let q = cfg
-                .batch_size
-                .max(1)
-                .min(cfg.max_evaluations - history.len());
-
-            // -- Acquisition maximisation (line 8): q candidates via the
-            // constant-liar heuristic against the freshly-synchronised
-            // surrogate. For `q == 1` no lie is ever told (the liar never
-            // clones the GP) and the loop below reduces exactly to the
-            // sequential algorithm.
-            let gp = surrogate.maybe_retrain()?;
-            let mut liar = ConstantLiar::new(gp, incumbent);
-            let mut batch: Vec<Vec<u8>> = Vec::with_capacity(q);
-            for proposed in 0..q {
-                let model = liar.model();
-                let ei = |tokens: &Vec<u8>| {
-                    let (mean, var) = model.predict(tokens);
-                    match acquisition {
-                        Acquisition::ExpectedImprovement => {
-                            expected_improvement(mean, var, incumbent)
-                        }
-                        Acquisition::UpperConfidenceBound { beta } => {
-                            mean + beta * var.max(0.0).sqrt()
-                        }
-                    }
-                };
-                let candidate = hill_climb(
-                    &space,
-                    tr,
-                    &ei,
-                    cfg.acq_restarts,
-                    cfg.acq_steps,
-                    cfg.acq_neighbors,
-                    &mut rng,
-                );
-                // Never waste budget on an already-evaluated sequence (or a
-                // within-batch duplicate).
-                let (candidate, outcome) =
-                    fresh_candidate(objective, &space, tr, &batch, candidate, &mut rng);
-                match outcome {
-                    FreshOutcome::Swept => self.diagnostics.sweep_rescues += 1,
-                    FreshOutcome::Exhausted => self.diagnostics.duplicate_evals += 1,
-                    FreshOutcome::Direct | FreshOutcome::Resampled => {}
-                }
-                if proposed + 1 < q {
-                    // A failed lie leaves the scratch model at the base GP;
-                    // the freshness guard still keeps proposals distinct.
-                    let _ = liar.accept(candidate.clone());
-                }
-                batch.push(candidate);
-            }
-            drop(liar);
-            self.diagnostics.batches += 1;
-
-            // -- Evaluate and update data (line 9): the whole batch goes
-            // through the engine as one prefix-aware parallel evaluation;
-            // the constant-liar fantasies above are discarded (`liar` held
-            // them, the surrogate's GP was never touched).
-            let outcome = engine.evaluate_grouped_controlled(objective, &batch, control);
-            self.diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
-            let batch_start = history.len();
-            for (tokens, point) in outcome.resolved_prefix(&batch) {
-                surrogate.observe(tokens.clone(), -point.qor);
-                history.push(EvalRecord { tokens, point });
-            }
-            if outcome.stopped.is_some() {
-                // The run is ending: the (possibly partial) resolved prefix
-                // is already in the history; the trust-region state below
-                // would never be read again.
-                stop = outcome.stopped;
-                break;
-            }
-
-            // -- Trust-region schedule (line 10): the batch is one
-            // acquisition decision, so it advances the success/failure
-            // schedule by one step, judged on its best point.
-            let best_new = history[batch_start..]
-                .iter()
-                .min_by(|a, b| a.point.qor.partial_cmp(&b.point.qor).expect("finite QoR"))
-                .expect("non-empty batch")
-                .clone();
-            let improved = best_new.point.qor < center.point.qor;
-            if improved {
-                center = best_new;
-                successes += 1;
-                failures = 0;
-                if successes >= cfg.success_tolerance {
-                    radius = (radius + 1).min(space.length());
-                    successes = 0;
-                }
-            } else {
-                successes = 0;
-                failures += 1;
-                if failures >= cfg.fail_tolerance {
-                    radius = radius.saturating_sub(1);
-                    failures = 0;
-                }
-            }
-            if radius == 0 {
-                // Restart: fresh region around a random point (evaluated,
-                // so it counts against the budget — and routed through the
-                // engine like every other evaluation, so accounting and
-                // instrumentation see it).
-                radius = space.length();
-                successes = 0;
-                failures = 0;
-                if history.len() < cfg.max_evaluations {
-                    let tokens = space.sample(&mut rng);
-                    if !objective.is_cached(&tokens) {
-                        let outcome = engine.evaluate_controlled(
-                            objective,
-                            std::slice::from_ref(&tokens),
-                            control,
-                        );
-                        self.diagnostics
-                            .quarantined
-                            .extend(outcome.quarantined.iter().cloned());
-                        match outcome.points[0] {
-                            Some(point) => {
-                                surrogate.observe(tokens.clone(), -point.qor);
-                                history.push(EvalRecord { tokens, point });
-                                center = history.last().expect("just pushed").clone();
-                            }
-                            None => stop = outcome.stopped,
-                        }
-                    }
-                }
-            }
-        }
-        self.diagnostics.retrains_at = surrogate.diagnostics().retrains_at.clone();
-        self.diagnostics.surrogate = surrogate.diagnostics().clone();
-        let termination = stop.map(Termination::from).unwrap_or_default();
-        self.diagnostics.termination = termination;
-        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-        result.quarantined = self.diagnostics.quarantined.clone();
-        result.objective = self.diagnostics.objective.clone();
-        Ok(result)
+        .run(objective, control, &mut self.diagnostics)
     }
-
-    /// The multi-objective BOiLS loop (ParEGO-style): each iteration draws
-    /// a fresh random-weight augmented-Chebyshev [`Scalarisation`] of the
-    /// cost vectors, fits a GP on the scalarised history, and proposes a
-    /// constant-liar q-EI batch against it — across iterations the weight
-    /// ensemble sweeps the whole Pareto front, including its non-convex
-    /// regions. Trust-region progress is judged by 2-D hypervolume
-    /// improvement of the evaluated front; the result's
-    /// [`pareto_front`](OptimizationResult::pareto_front) is the
-    /// nondominated archive over every evaluation.
-    fn run_multi_objective<O: SequenceObjective>(
-        &mut self,
-        objective: &O,
-        control: &RunControl,
-    ) -> Result<OptimizationResult, RunBoilsError> {
-        let cfg = &self.config;
-        self.diagnostics = RunDiagnostics::default();
-        self.diagnostics.objective = objective.cost_name();
-        if cfg.max_evaluations < cfg.initial_samples.max(2) {
-            return Err(RunBoilsError::BudgetTooSmall {
-                budget: cfg.max_evaluations,
-                initial: cfg.initial_samples,
-            });
-        }
-        let space = cfg.space;
-        let engine = BatchEvaluator::new(cfg.threads);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(cfg.max_evaluations);
-
-        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
-        for tokens in space.latin_hypercube(cfg.initial_samples, &mut rng) {
-            if initial.len() >= cfg.max_evaluations {
-                break;
-            }
-            if initial.contains(&tokens) {
-                continue;
-            }
-            initial.push(tokens);
-        }
-        let outcome = engine.evaluate_grouped_controlled(objective, &initial, control);
-        self.diagnostics
-            .quarantined
-            .extend(outcome.quarantined.iter().cloned());
-        let mut stop = outcome.stopped;
-        for (tokens, point) in outcome.resolved_prefix(&initial) {
-            history.push(EvalRecord { tokens, point });
-        }
-        if history.is_empty() {
-            return Err(RunBoilsError::Interrupted(
-                stop.unwrap_or(StopReason::Cancelled),
-            ));
-        }
-        let mut vectors: Vec<Vec<f64>> = history
-            .iter()
-            .map(|record| mo_vector(objective, record))
-            .collect();
-        let dim = vectors
-            .iter()
-            .find(|v| v.first().copied().unwrap_or(QUARANTINE_QOR) < QUARANTINE_QOR)
-            .map_or(2, Vec::len);
-        let reference = mo_reference(&vectors);
-
-        let kernel_template = {
-            let k = SskKernel::new(cfg.ssk_order);
-            let k = if cfg.normalize_kernel {
-                k
-            } else {
-                k.without_normalization()
-            };
-            // Scalarised targets change every iteration, so the GP is
-            // refitted per iteration rather than extended; the shared
-            // match-structure cache keeps each refit's Gram fill warm.
-            if cfg.incremental_surrogate {
-                k.with_match_caching()
-            } else {
-                k.without_info_caching()
-            }
-        };
-
-        let mut radius = space.length();
-        let mut successes = 0usize;
-        let mut failures = 0usize;
-        while stop.is_none() && history.len() < cfg.max_evaluations {
-            if let Some(reason) = control.stop_reason() {
-                stop = Some(reason);
-                break;
-            }
-            // One random scalarisation per acquisition decision (ParEGO).
-            let scalarisation = Scalarisation::sample(dim, &mut rng);
-            let ys: Vec<f64> = vectors
-                .iter()
-                .map(|v| -scalarisation.scalarise(v))
-                .collect();
-            let xs: Vec<Vec<u8>> = history.iter().map(|r| r.tokens.clone()).collect();
-            let gp: Gp<SskKernel, Vec<u8>> =
-                Gp::fit(kernel_template.clone(), xs, ys.clone(), cfg.noise)?;
-            let incumbent = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            // The trust region re-centres on the current scalarisation's
-            // best point: each weight draw explores around a different
-            // part of the front.
-            let center_tokens = ys
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scalarised cost"))
-                .map(|(i, _)| history[i].tokens.clone())
-                .expect("non-empty history");
-            let tr = if cfg.use_trust_region {
-                Some((center_tokens.as_slice(), radius))
-            } else {
-                None
-            };
-            let acquisition = cfg.acquisition;
-            let q = cfg
-                .batch_size
-                .max(1)
-                .min(cfg.max_evaluations - history.len());
-            let mut liar = ConstantLiar::new(&gp, incumbent);
-            let mut batch: Vec<Vec<u8>> = Vec::with_capacity(q);
-            for proposed in 0..q {
-                let model = liar.model();
-                let ei = |tokens: &Vec<u8>| {
-                    let (mean, var) = model.predict(tokens);
-                    match acquisition {
-                        Acquisition::ExpectedImprovement => {
-                            expected_improvement(mean, var, incumbent)
-                        }
-                        Acquisition::UpperConfidenceBound { beta } => {
-                            mean + beta * var.max(0.0).sqrt()
-                        }
-                    }
-                };
-                let candidate = hill_climb(
-                    &space,
-                    tr,
-                    &ei,
-                    cfg.acq_restarts,
-                    cfg.acq_steps,
-                    cfg.acq_neighbors,
-                    &mut rng,
-                );
-                let (candidate, outcome) =
-                    fresh_candidate(objective, &space, tr, &batch, candidate, &mut rng);
-                match outcome {
-                    FreshOutcome::Swept => self.diagnostics.sweep_rescues += 1,
-                    FreshOutcome::Exhausted => self.diagnostics.duplicate_evals += 1,
-                    FreshOutcome::Direct | FreshOutcome::Resampled => {}
-                }
-                if proposed + 1 < q {
-                    let _ = liar.accept(candidate.clone());
-                }
-                batch.push(candidate);
-            }
-            drop(liar);
-            drop(gp);
-            self.diagnostics.batches += 1;
-
-            let outcome = engine.evaluate_grouped_controlled(objective, &batch, control);
-            self.diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
-            let batch_start = history.len();
-            for (tokens, point) in outcome.resolved_prefix(&batch) {
-                history.push(EvalRecord { tokens, point });
-            }
-            for record in &history[batch_start..] {
-                vectors.push(mo_vector(objective, record));
-            }
-            if outcome.stopped.is_some() {
-                stop = outcome.stopped;
-                break;
-            }
-
-            // The batch counts as one acquisition decision; it succeeds if
-            // any of its points grows the dominated hypervolume of the
-            // pre-batch front.
-            let front_before = mo_points(&vectors[..batch_start]);
-            let improved = dim == 2
-                && mo_points(&vectors[batch_start..])
-                    .into_iter()
-                    .any(|p| hypervolume_improvement_2d(&front_before, p, reference) > 0.0);
-            if improved {
-                successes += 1;
-                failures = 0;
-                if successes >= cfg.success_tolerance {
-                    radius = (radius + 1).min(space.length());
-                    successes = 0;
-                }
-            } else {
-                successes = 0;
-                failures += 1;
-                if failures >= cfg.fail_tolerance {
-                    radius = radius.saturating_sub(1);
-                    failures = 0;
-                }
-            }
-            if radius == 0 {
-                radius = space.length();
-                successes = 0;
-                failures = 0;
-            }
-        }
-        let termination = stop.map(Termination::from).unwrap_or_default();
-        self.diagnostics.termination = termination;
-        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-        result.quarantined = self.diagnostics.quarantined.clone();
-        result.objective = self.diagnostics.objective.clone();
-        Ok(result)
-    }
-}
-
-fn best_of(history: &[EvalRecord]) -> &EvalRecord {
-    history
-        .iter()
-        .min_by(|a, b| a.point.qor.partial_cmp(&b.point.qor).expect("finite QoR"))
-        .expect("non-empty history")
 }
 
 /// First-improvement hill climbing on an acquisition function, optionally
@@ -1055,6 +559,8 @@ mod tests {
     use super::*;
     use crate::qor::QorEvaluator;
     use boils_aig::random_aig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn small_config(budget: usize) -> BoilsConfig {
         BoilsConfig {
@@ -1176,6 +682,46 @@ mod tests {
         let t1: Vec<&[u8]> = r1.history.iter().map(|r| r.tokens.as_slice()).collect();
         let t2: Vec<&[u8]> = r2.history.iter().map(|r| r.tokens.as_slice()).collect();
         assert_eq!(t1, t2);
+    }
+
+    #[test]
+    fn multi_objective_run_applies_warm_start_seeds() {
+        let aig = random_aig(71, 8, 300, 3);
+        let evaluator = QorEvaluator::new(&aig).expect("ok");
+        let seeds = vec![vec![9, 3, 0, 9, 1, 2], vec![3, 0, 9, 2, 1, 4]];
+        let mut boils = Boils::new(BoilsConfig {
+            multi_objective: true,
+            warm_start: Some(WarmStart {
+                seeds: seeds.clone(),
+                observations: vec![(vec![2; 6], 1.5)],
+            }),
+            ..small_config(10)
+        });
+        let result = boils.run(&evaluator).expect("mo run");
+        assert_eq!(result.history[0].tokens, seeds[0]);
+        assert_eq!(result.history[1].tokens, seeds[1]);
+        // Donor observations carry no cost vector: ParEGO leaves them out.
+        assert_eq!(boils.diagnostics().surrogate.seeded, 0);
+    }
+
+    #[test]
+    fn without_a_trust_region_no_restart_spends_budget() {
+        // A 1-failure tolerance on a length-3 space would collapse a region
+        // every three iterations; with the region off, every evaluation
+        // after the design comes from an acquisition batch.
+        let aig = random_aig(71, 8, 300, 3);
+        let evaluator = QorEvaluator::new(&aig).expect("ok");
+        let mut boils = Boils::new(BoilsConfig {
+            space: SequenceSpace::new(3, 11),
+            use_trust_region: false,
+            fail_tolerance: 1,
+            success_tolerance: 1,
+            seed: 2,
+            ..small_config(30)
+        });
+        let result = boils.run(&evaluator).expect("run");
+        assert_eq!(result.history.len(), 30);
+        assert_eq!(result.history.len(), 6 + boils.diagnostics().batches);
     }
 
     #[test]

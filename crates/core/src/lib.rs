@@ -34,6 +34,7 @@
 //! # }
 //! ```
 
+mod bo;
 mod boils;
 pub mod control;
 pub mod cost;

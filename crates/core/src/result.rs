@@ -1,5 +1,7 @@
 //! Optimisation traces shared by BOiLS, SBO and every baseline.
 
+use boils_gp::SurrogateDiagnostics;
+
 use crate::control::StopReason;
 use crate::qor::QorPoint;
 use crate::space::SequenceSpace;
@@ -73,6 +75,10 @@ pub struct OptimizationResult {
     pub pareto_front: Vec<EvalRecord>,
     /// The active cost function's name (`"qor"` unless reconfigured).
     pub objective: String,
+    /// The BO loop's surrogate lifecycle counters (mirrors
+    /// [`RunDiagnostics::surrogate`](crate::RunDiagnostics)); `None` for
+    /// methods without a surrogate.
+    pub surrogate: Option<SurrogateDiagnostics>,
 }
 
 /// Whether point `a` Pareto-dominates point `b` on `(area, delay)`:
@@ -145,6 +151,7 @@ impl OptimizationResult {
             termination,
             quarantined: Vec::new(),
             objective: String::from("qor"),
+            surrogate: None,
         }
     }
 

@@ -3,16 +3,13 @@
 //! exponential kernel instead of the SSK, and no trust region — isolating
 //! the contribution of the sequence-aware machinery.
 
-use boils_gp::{
-    expected_improvement, ConstantLiar, Gp, Scalarisation, Surrogate, SurrogateConfig, TrainConfig,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use boils_gp::{SurrogateConfig, TrainConfig};
 
-use crate::boils::{fresh_candidate, hill_climb, mo_vector, FreshOutcome, RunDiagnostics};
-use crate::control::{RunControl, StopReason};
-use crate::eval::{BatchEvaluator, SequenceObjective, QUARANTINE_QOR};
-use crate::result::{EvalRecord, OptimizationResult, Termination};
+use crate::bo::{BoLoop, OneHot, Scalariser};
+use crate::boils::{Acquisition, RunBoilsError, RunDiagnostics};
+use crate::control::RunControl;
+use crate::eval::SequenceObjective;
+use crate::result::OptimizationResult;
 use crate::space::SequenceSpace;
 
 /// Configuration of the SBO baseline.
@@ -126,14 +123,14 @@ impl Sbo {
     pub fn run<O: SequenceObjective>(
         &mut self,
         objective: &O,
-    ) -> Result<OptimizationResult, crate::boils::RunBoilsError> {
+    ) -> Result<OptimizationResult, RunBoilsError> {
         self.run_with_control(objective, &RunControl::new())
     }
 
     /// [`Sbo::run`] under a [`RunControl`] — same contract as
     /// [`Boils::run_with_control`](crate::Boils::run_with_control): an
     /// interrupted run returns best-so-far (an exact prefix of the
-    /// uncancelled trajectory) with the matching [`Termination`].
+    /// uncancelled trajectory) with the matching [`Termination`](crate::Termination).
     ///
     /// # Errors
     ///
@@ -144,271 +141,37 @@ impl Sbo {
         &mut self,
         objective: &O,
         control: &RunControl,
-    ) -> Result<OptimizationResult, crate::boils::RunBoilsError> {
-        if self.config.multi_objective {
-            return self.run_multi_objective(objective, control);
-        }
+    ) -> Result<OptimizationResult, RunBoilsError> {
         let cfg = &self.config;
-        self.diagnostics = RunDiagnostics::default();
-        self.diagnostics.objective = objective.cost_name();
-        if cfg.max_evaluations < cfg.initial_samples.max(2) {
-            return Err(crate::boils::RunBoilsError::BudgetTooSmall {
-                budget: cfg.max_evaluations,
-                initial: cfg.initial_samples,
-            });
-        }
-        let space = cfg.space;
-        let engine = BatchEvaluator::new(cfg.threads);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(cfg.max_evaluations);
-        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
-        for tokens in space.latin_hypercube(cfg.initial_samples, &mut rng) {
-            if initial.len() >= cfg.max_evaluations {
-                break;
-            }
-            if initial.contains(&tokens) {
-                continue;
-            }
-            initial.push(tokens);
-        }
-        let outcome = engine.evaluate_grouped_controlled(objective, &initial, control);
-        self.diagnostics
-            .quarantined
-            .extend(outcome.quarantined.iter().cloned());
-        let mut stop = outcome.stopped;
-        for (tokens, point) in outcome.resolved_prefix(&initial) {
-            history.push(EvalRecord { tokens, point });
-        }
-        if history.is_empty() {
-            return Err(crate::boils::RunBoilsError::Interrupted(
-                stop.unwrap_or(StopReason::Cancelled),
-            ));
-        }
-
-        // The shared surrogate subsystem (see `Boils::run`): it owns the
-        // evals-since-retrain cadence, the carried hyperparameters, the
-        // O(n²) factor extensions between retrains, and the optional
-        // sliding window — here over the one-hot embeddings the SE kernel
-        // actually sees.
-        let mut surrogate: Surrogate<IsotropicSe, Vec<f64>> = Surrogate::new(
-            isotropic_kernel(),
-            SurrogateConfig {
+        BoLoop {
+            kernel: isotropic_kernel(),
+            embedding: OneHot(cfg.space.alphabet()),
+            region: None,
+            scalariser: if cfg.multi_objective {
+                Scalariser::ParEgo
+            } else {
+                Scalariser::Identity
+            },
+            surrogate: SurrogateConfig {
                 noise: cfg.noise,
                 retrain_every: cfg.retrain_every,
                 incremental: cfg.incremental_surrogate,
                 window: cfg.surrogate_window,
                 train: cfg.train.clone(),
             },
-        );
-        for record in &history {
-            surrogate.observe(one_hot(&record.tokens, space.alphabet()), -record.point.qor);
+            acquisition: Acquisition::ExpectedImprovement,
+            space: cfg.space,
+            budget: cfg.max_evaluations,
+            initial_samples: cfg.initial_samples,
+            acq_restarts: cfg.acq_restarts,
+            acq_steps: cfg.acq_steps,
+            acq_neighbors: cfg.acq_neighbors,
+            batch_size: cfg.batch_size,
+            warm_start: None,
+            threads: cfg.threads,
+            seed: cfg.seed,
         }
-        while stop.is_none() && history.len() < cfg.max_evaluations {
-            if let Some(reason) = control.stop_reason() {
-                stop = Some(reason);
-                break;
-            }
-            let incumbent = history
-                .iter()
-                .map(|r| -r.point.qor)
-                .fold(f64::NEG_INFINITY, f64::max);
-            // Constant-liar batch proposal (no lie is told for `q == 1`;
-            // the lies live on the one-hot embeddings, matching the
-            // surrogate's input space, and are discarded with `liar`).
-            let q = cfg
-                .batch_size
-                .max(1)
-                .min(cfg.max_evaluations - history.len());
-            let gp = surrogate.maybe_retrain()?;
-            let mut liar = ConstantLiar::new(gp, incumbent);
-            let mut batch: Vec<Vec<u8>> = Vec::with_capacity(q);
-            for proposed in 0..q {
-                let model = liar.model();
-                let ei = |tokens: &Vec<u8>| {
-                    let x = one_hot(tokens, space.alphabet());
-                    let (mean, var) = model.predict(&x);
-                    expected_improvement(mean, var, incumbent)
-                };
-                let candidate = hill_climb(
-                    &space,
-                    None,
-                    &ei,
-                    cfg.acq_restarts,
-                    cfg.acq_steps,
-                    cfg.acq_neighbors,
-                    &mut rng,
-                );
-                let (candidate, outcome) =
-                    fresh_candidate(objective, &space, None, &batch, candidate, &mut rng);
-                match outcome {
-                    FreshOutcome::Swept => self.diagnostics.sweep_rescues += 1,
-                    FreshOutcome::Exhausted => self.diagnostics.duplicate_evals += 1,
-                    FreshOutcome::Direct | FreshOutcome::Resampled => {}
-                }
-                if proposed + 1 < q {
-                    let _ = liar.accept(one_hot(&candidate, space.alphabet()));
-                }
-                batch.push(candidate);
-            }
-            drop(liar);
-            self.diagnostics.batches += 1;
-            let outcome = engine.evaluate_grouped_controlled(objective, &batch, control);
-            self.diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
-            for (tokens, point) in outcome.resolved_prefix(&batch) {
-                surrogate.observe(one_hot(&tokens, space.alphabet()), -point.qor);
-                history.push(EvalRecord { tokens, point });
-            }
-            if outcome.stopped.is_some() {
-                stop = outcome.stopped;
-                break;
-            }
-        }
-        self.diagnostics.retrains_at = surrogate.diagnostics().retrains_at.clone();
-        self.diagnostics.surrogate = surrogate.diagnostics().clone();
-        let termination = stop.map(Termination::from).unwrap_or_default();
-        self.diagnostics.termination = termination;
-        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-        result.quarantined = self.diagnostics.quarantined.clone();
-        result.objective = self.diagnostics.objective.clone();
-        Ok(result)
-    }
-
-    /// The multi-objective SBO loop: the ParEGO scheme of
-    /// [`Boils`](crate::Boils) (a fresh random-weight augmented-Chebyshev
-    /// [`Scalarisation`] per iteration, constant-liar q-EI against a GP on
-    /// the scalarised history) over the one-hot embedding and
-    /// squared-exponential kernel, with no trust region — the same
-    /// ablation relationship the scalar baselines have.
-    fn run_multi_objective<O: SequenceObjective>(
-        &mut self,
-        objective: &O,
-        control: &RunControl,
-    ) -> Result<OptimizationResult, crate::boils::RunBoilsError> {
-        let cfg = &self.config;
-        self.diagnostics = RunDiagnostics::default();
-        self.diagnostics.objective = objective.cost_name();
-        if cfg.max_evaluations < cfg.initial_samples.max(2) {
-            return Err(crate::boils::RunBoilsError::BudgetTooSmall {
-                budget: cfg.max_evaluations,
-                initial: cfg.initial_samples,
-            });
-        }
-        let space = cfg.space;
-        let engine = BatchEvaluator::new(cfg.threads);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(cfg.max_evaluations);
-        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
-        for tokens in space.latin_hypercube(cfg.initial_samples, &mut rng) {
-            if initial.len() >= cfg.max_evaluations {
-                break;
-            }
-            if initial.contains(&tokens) {
-                continue;
-            }
-            initial.push(tokens);
-        }
-        let outcome = engine.evaluate_grouped_controlled(objective, &initial, control);
-        self.diagnostics
-            .quarantined
-            .extend(outcome.quarantined.iter().cloned());
-        let mut stop = outcome.stopped;
-        for (tokens, point) in outcome.resolved_prefix(&initial) {
-            history.push(EvalRecord { tokens, point });
-        }
-        if history.is_empty() {
-            return Err(crate::boils::RunBoilsError::Interrupted(
-                stop.unwrap_or(StopReason::Cancelled),
-            ));
-        }
-        let mut vectors: Vec<Vec<f64>> = history
-            .iter()
-            .map(|record| mo_vector(objective, record))
-            .collect();
-        let dim = vectors
-            .iter()
-            .find(|v| v.first().copied().unwrap_or(QUARANTINE_QOR) < QUARANTINE_QOR)
-            .map_or(2, Vec::len);
-        while stop.is_none() && history.len() < cfg.max_evaluations {
-            if let Some(reason) = control.stop_reason() {
-                stop = Some(reason);
-                break;
-            }
-            // One random scalarisation per acquisition decision (ParEGO);
-            // scalarised targets change every draw, so the GP is refitted
-            // from scratch each iteration.
-            let scalarisation = Scalarisation::sample(dim, &mut rng);
-            let ys: Vec<f64> = vectors
-                .iter()
-                .map(|v| -scalarisation.scalarise(v))
-                .collect();
-            let xs: Vec<Vec<f64>> = history
-                .iter()
-                .map(|r| one_hot(&r.tokens, space.alphabet()))
-                .collect();
-            let gp: Gp<IsotropicSe, Vec<f64>> =
-                Gp::fit(isotropic_kernel(), xs, ys.clone(), cfg.noise)?;
-            let incumbent = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let q = cfg
-                .batch_size
-                .max(1)
-                .min(cfg.max_evaluations - history.len());
-            let mut liar = ConstantLiar::new(&gp, incumbent);
-            let mut batch: Vec<Vec<u8>> = Vec::with_capacity(q);
-            for proposed in 0..q {
-                let model = liar.model();
-                let ei = |tokens: &Vec<u8>| {
-                    let x = one_hot(tokens, space.alphabet());
-                    let (mean, var) = model.predict(&x);
-                    expected_improvement(mean, var, incumbent)
-                };
-                let candidate = hill_climb(
-                    &space,
-                    None,
-                    &ei,
-                    cfg.acq_restarts,
-                    cfg.acq_steps,
-                    cfg.acq_neighbors,
-                    &mut rng,
-                );
-                let (candidate, outcome) =
-                    fresh_candidate(objective, &space, None, &batch, candidate, &mut rng);
-                match outcome {
-                    FreshOutcome::Swept => self.diagnostics.sweep_rescues += 1,
-                    FreshOutcome::Exhausted => self.diagnostics.duplicate_evals += 1,
-                    FreshOutcome::Direct | FreshOutcome::Resampled => {}
-                }
-                if proposed + 1 < q {
-                    let _ = liar.accept(one_hot(&candidate, space.alphabet()));
-                }
-                batch.push(candidate);
-            }
-            drop(liar);
-            drop(gp);
-            self.diagnostics.batches += 1;
-            let outcome = engine.evaluate_grouped_controlled(objective, &batch, control);
-            self.diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
-            let batch_start = history.len();
-            for (tokens, point) in outcome.resolved_prefix(&batch) {
-                history.push(EvalRecord { tokens, point });
-            }
-            for record in &history[batch_start..] {
-                vectors.push(mo_vector(objective, record));
-            }
-            if outcome.stopped.is_some() {
-                stop = outcome.stopped;
-                break;
-            }
-        }
-        let termination = stop.map(Termination::from).unwrap_or_default();
-        self.diagnostics.termination = termination;
-        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-        result.quarantined = self.diagnostics.quarantined.clone();
-        result.objective = self.diagnostics.objective.clone();
-        Ok(result)
+        .run(objective, control, &mut self.diagnostics)
     }
 }
 

@@ -29,6 +29,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use boils_baselines::RunSpec;
 use boils_circuits::CircuitSpec;
 use boils_core::{EvaluatorPool, JobId, OptimizationResult, RunControl, SequenceSpace, WorkerPool};
 
@@ -252,18 +253,12 @@ fn execute(
     // Jobs are single-threaded internally: concurrency comes from the
     // pool, and a sequential run keeps each job's trajectory
     // bit-identical to the same run performed solo.
-    let result = request.method.run_warm_mo_controlled(
-        &evaluator,
-        space,
-        request.budget,
-        request.seed,
-        1,
-        1,
-        None,
-        request.multi_objective,
+    let spec = RunSpec {
+        multi_objective: request.multi_objective,
         warm_start,
-        control,
-    );
+        ..RunSpec::new(space, request.budget, request.seed)
+    };
+    let result = request.method.run(&spec, &evaluator, control);
     let Some(result) = result else {
         return Ok(None);
     };

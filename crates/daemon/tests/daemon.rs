@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
 use std::time::Duration;
 
-use boils_baselines::Method;
+use boils_baselines::{Method, RunSpec};
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
     JobId, Objective, OptimizationResult, Priority, QorEvaluator, RunControl, SequenceSpace,
@@ -74,18 +74,16 @@ fn solo_run(req: &JobRequest) -> OptimizationResult {
     let evaluator = QorEvaluator::new(&aig)
         .expect("benchmark circuit")
         .with_objective(req.objective);
-    req.method
-        .run_mo_controlled(
-            &evaluator,
+    let spec = RunSpec {
+        multi_objective: req.multi_objective,
+        ..RunSpec::new(
             SequenceSpace::new(req.sequence_length, 11),
             req.budget,
             req.seed,
-            1,
-            1,
-            None,
-            req.multi_objective,
-            &RunControl::new(),
         )
+    };
+    req.method
+        .run(&spec, &evaluator, &RunControl::new())
         .expect("uncontrolled run completes")
 }
 

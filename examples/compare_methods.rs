@@ -6,70 +6,46 @@
 //! cargo run --release --example compare_methods
 //! ```
 
-use boils::baselines::{genetic_algorithm, greedy, random_search, GaConfig};
+use boils::baselines::{Method, RunSpec};
 use boils::circuits::{Benchmark, CircuitSpec};
-use boils::core::{Boils, BoilsConfig, QorEvaluator, Sbo, SboConfig, SequenceSpace};
+use boils::core::{QorEvaluator, RunControl, SequenceSpace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let aig = CircuitSpec::new(Benchmark::Max).build();
     let evaluator = QorEvaluator::new(&aig)?;
-    let space = SequenceSpace::paper();
     let budget = 25;
     // All methods share the evaluator's memo cache AND the parallel batch
     // engine; the search trajectories are identical at any thread count.
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let spec = RunSpec {
+        threads,
+        ..RunSpec::new(SequenceSpace::paper(), budget, 0)
+    };
     println!("circuit {aig}");
     println!("budget  {budget} evaluations per method, {threads} evaluation threads\n");
     println!(
         "{:<10} {:>9} {:>12} {:>7} {:>7}",
         "method", "best QoR", "improvement", "area", "delay"
     );
-
-    let report = |name: &str, result: &boils::core::OptimizationResult| {
+    for method in [
+        Method::Rs,
+        Method::Greedy,
+        Method::Ga,
+        Method::Sbo,
+        Method::Boils,
+    ] {
+        let result = method
+            .run(&spec, &evaluator, &RunControl::new())
+            .expect("an uncontrolled run completes");
         println!(
             "{:<10} {:>9.4} {:>11.2}% {:>7} {:>7}",
-            name,
+            method.name(),
             result.best_qor,
             result.best_point.improvement_percent(),
             result.best_point.area,
             result.best_point.delay
         );
-    };
-
-    let rs = random_search(&evaluator, space, budget, 0, threads);
-    report("RS", &rs);
-
-    let gr = greedy(&evaluator, space, budget, threads);
-    report("Greedy", &gr);
-
-    let ga = genetic_algorithm(
-        &evaluator,
-        space,
-        budget,
-        &GaConfig {
-            threads,
-            ..GaConfig::default()
-        },
-    );
-    report("GA", &ga);
-
-    let mut sbo = Sbo::new(SboConfig {
-        max_evaluations: budget,
-        initial_samples: 6,
-        space,
-        threads,
-        ..SboConfig::default()
-    });
-    report("SBO", &sbo.run(&evaluator)?);
-
-    let mut boils = Boils::new(BoilsConfig {
-        max_evaluations: budget,
-        initial_samples: 6,
-        space,
-        threads,
-        ..BoilsConfig::default()
-    });
-    report("BOiLS", &boils.run(&evaluator)?);
+    }
 
     println!(
         "\n(unique black-box evaluations across all methods: {}, served {} \

@@ -17,15 +17,13 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use boils::aig::Aig;
-use boils::baselines::{
-    genetic_algorithm_controlled, greedy_controlled, random_search_controlled,
-    reinforcement_learning_controlled, GaConfig, RlAlgorithm, RlConfig, RlFeatures,
-};
+use boils::baselines::{Method, RunSpec};
 use boils::circuits::{Benchmark, CircuitSpec};
 use boils::core::{
-    Boils, BoilsConfig, FaultInjector, FaultPlan, Objective, QorEvaluator, RunControl, Sbo,
-    SboConfig, SequenceSpace, Termination, WarmStart,
+    FaultInjector, FaultPlan, Objective, QorEvaluator, RunControl, SequenceSpace, Termination,
+    WarmStart,
 };
+use boils::gp::SurrogateDiagnostics;
 use boils::mapper::{map_stats, MapperConfig};
 use boils::sat::{check_equivalence, EquivResult};
 use boils::synth::{apply_sequence, Transform};
@@ -128,7 +126,8 @@ fn print_help() {
          \x20 map       --input <file> [--lut-size K]\n\
          \x20 check     --golden <file> --revised <file>\n\
          \x20 optimize  --input <file> | --circuit <name> [--bits N]\n\
-         \x20           [--method boils|sbo|ga|rs|greedy|rl] [--budget N] [--k N] [--seed N]\n\
+         \x20           [--method boils|sbo|ga|rs|greedy|ppo|a2c|rl|graphrl] [--budget N]\n\
+         \x20           [--k N] [--seed N]\n\
          \x20           [--threads N] [--batch-size Q] [--surrogate-window W] [--cache-dir DIR]\n\
          \x20           [--deadline-secs S] [--fault-plan PLAN] [--transfer]\n\
          \x20           [--objective qor|area|delay|levels|lut|weighted:W] [--mo]\n\n\
@@ -396,8 +395,7 @@ fn submit(args: &Args) -> Result<(), String> {
 }
 
 /// One human-readable line summarising a BO run's surrogate lifecycle.
-fn describe_surrogate(diagnostics: &boils::core::RunDiagnostics, window: Option<usize>) -> String {
-    let s = &diagnostics.surrogate;
+fn describe_surrogate(s: &SurrogateDiagnostics, window: Option<usize>) -> String {
     let window = match window {
         Some(w) => format!("window {w}"),
         None => String::from("unbounded"),
@@ -439,7 +437,12 @@ fn optimize(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    let method = args.get("method").unwrap_or("boils");
+    let method_id = args.get("method").unwrap_or("boils");
+    // `rl` is an alias of `a2c`: DRiLLS with A2C updates.
+    let method = match method_id {
+        "rl" => Method::DrillsA2c,
+        id => Method::parse(id)?,
+    };
     let multi_objective: bool = args.parse_or("mo", false)?;
     let transfer: bool = args.parse_or("transfer", false)?;
     if transfer && args.get("cache-dir").is_none() {
@@ -492,94 +495,29 @@ fn optimize(args: &Args) -> Result<(), String> {
     let transfer_seeds = warm_start.as_ref().map(|warm| warm.seeds.len());
     println!("{aig}");
     println!("reference (resyn2 + if -K 6): {}", evaluator.reference());
-    let init = (budget / 5).clamp(4, budget.saturating_sub(1).max(1));
-    // Surrogate-lifecycle counters of the BO methods, surfaced below:
-    // extends/downdates say how the model was updated, and a non-zero
-    // fallback count flags numerically-degenerate incremental updates
-    // that silently fell back to full refits.
-    let mut surrogate_line: Option<String> = None;
-    let interrupted = || String::from("run interrupted before any evaluation completed");
-    let result = match method {
-        "boils" => {
-            let mut boils = Boils::new(BoilsConfig {
-                max_evaluations: budget,
-                initial_samples: init,
-                space,
-                threads,
-                batch_size,
-                surrogate_window,
-                multi_objective,
-                warm_start,
-                seed,
-                ..BoilsConfig::default()
-            });
-            let result = boils
-                .run_with_control(&evaluator, &control)
-                .map_err(|e| e.to_string())?;
-            surrogate_line = Some(describe_surrogate(boils.diagnostics(), surrogate_window));
-            result
-        }
-        "sbo" => {
-            let mut sbo = Sbo::new(SboConfig {
-                max_evaluations: budget,
-                initial_samples: init,
-                space,
-                threads,
-                batch_size,
-                surrogate_window,
-                multi_objective,
-                seed,
-                ..SboConfig::default()
-            });
-            let result = sbo
-                .run_with_control(&evaluator, &control)
-                .map_err(|e| e.to_string())?;
-            surrogate_line = Some(describe_surrogate(sbo.diagnostics(), surrogate_window));
-            result
-        }
-        "ga" => genetic_algorithm_controlled(
-            &evaluator,
-            space,
-            budget,
-            &GaConfig {
-                seed,
-                threads,
-                ..GaConfig::default()
-            },
-            &control,
-        )
-        .ok_or_else(interrupted)?,
-        "rs" => random_search_controlled(&evaluator, space, budget, seed, threads, &control)
-            .ok_or_else(interrupted)?,
-        "greedy" => greedy_controlled(&evaluator, space, budget, threads, &control)
-            .ok_or_else(interrupted)?,
-        "rl" => reinforcement_learning_controlled(
-            &evaluator,
-            space,
-            budget,
-            &RlConfig {
-                algorithm: RlAlgorithm::A2c,
-                features: RlFeatures::Stats,
-                seed,
-                ..RlConfig::default()
-            },
-            &control,
-        )
-        .ok_or_else(interrupted)?,
-        other => return Err(format!("unknown method {other:?}")),
+    let spec = RunSpec {
+        threads,
+        batch_size,
+        surrogate_window,
+        multi_objective,
+        warm_start,
+        ..RunSpec::new(space, budget, seed)
     };
-    if multi_objective && !matches!(method, "boils" | "sbo") {
-        eprintln!("note: --mo only steers the BO methods; {method} ran unchanged");
+    let result = method
+        .run(&spec, &evaluator, &control)
+        .ok_or("run interrupted before any evaluation completed")?;
+    if multi_objective && !method.is_bayesian() {
+        eprintln!("note: --mo only steers the BO methods; {method_id} ran unchanged");
     }
     if transfer {
-        if method != "boils" {
-            eprintln!("note: --transfer only steers the boils method; {method} ran unchanged");
+        if method != Method::Boils {
+            eprintln!("note: --transfer only steers the boils method; {method_id} ran unchanged");
         }
         // Record unconditionally so even a cold first run becomes a donor
         // for the next similar circuit.
         evaluator.record_transfer_history(&result.history);
     }
-    println!("method        : {method}");
+    println!("method        : {method_id}");
     println!(
         "objective     : {}{}",
         result.objective,
@@ -601,10 +539,17 @@ fn optimize(args: &Args) -> Result<(), String> {
             result.quarantined.len()
         );
     }
-    if let Some(line) = surrogate_line {
-        println!("surrogate     : {line}");
+    // Surrogate-lifecycle counters of the BO methods: extends/downdates
+    // say how the model was updated, and a non-zero fallback count flags
+    // numerically-degenerate incremental updates that silently fell back
+    // to full refits.
+    if let Some(surrogate) = &result.surrogate {
+        println!(
+            "surrogate     : {}",
+            describe_surrogate(surrogate, surrogate_window)
+        );
     }
-    if transfer && method == "boils" {
+    if transfer && method == Method::Boils {
         match transfer_seeds {
             Some(n) => println!(
                 "transfer      : warm-started with {n} seed(s) from the most similar \

@@ -301,6 +301,59 @@ fn multi_objective_mode_prints_the_pareto_front() {
 }
 
 #[test]
+fn optimize_and_a_daemon_job_give_the_same_bo_answer() {
+    use boils::daemon::Value;
+    use std::io::BufRead;
+    // Both front ends run the job through one `Method::run`, so the BO
+    // settings they use cannot drift apart.
+    let job = "--circuit div --bits 6 --method boils --budget 30 --k 10 --seed 0";
+    let out = boils()
+        .arg("optimize")
+        .args(job.split(' '))
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    let field = |prefix: &str| {
+        let line = text.lines().find_map(|l| l.strip_prefix(prefix));
+        line.and_then(|l| l.split_whitespace().next())
+            .unwrap_or_else(|| panic!("{prefix} in {text}"))
+            .to_string()
+    };
+
+    let mut server = boils()
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut banner = String::new();
+    std::io::BufReader::new(server.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("read listen banner");
+    let addr = banner.trim().strip_prefix("listening on ").expect("banner");
+    let out = boils()
+        .args(["submit", "--addr", addr, "--shutdown"])
+        .args(job.split(' '))
+        .output()
+        .expect("spawn submit");
+    assert!(out.status.success());
+    let events = String::from_utf8_lossy(&out.stdout);
+    let finished = events
+        .lines()
+        .map(|l| Value::parse(l).expect("event JSON"))
+        .find(|e| e.get("event").and_then(Value::as_str) == Some("finished"))
+        .unwrap_or_else(|| panic!("no finished event in {events}"));
+    let sequence = finished.get("best_sequence").and_then(Value::as_str);
+    assert_eq!(sequence, Some(field("best sequence : ").as_str()));
+    let cost = finished
+        .get("best_qor")
+        .and_then(Value::as_f64)
+        .expect("qor");
+    assert_eq!(format!("{cost:.4}"), field("best cost     : "));
+    assert!(server.wait().expect("server exits").success());
+}
+
+#[test]
 fn serve_and_submit_run_a_mixed_batch_end_to_end() {
     use std::io::BufRead;
     // Port 0 lets the OS pick; the daemon prints the resolved address.
