@@ -596,21 +596,24 @@ fn mask(lit: Lit) -> u64 {
     }
 }
 
+/// The canonical exhaustive-simulation patterns of inputs `0..6` within
+/// one 64-bit word: bit `p` of `INPUT_MASKS[i]` is bit `i` of `p`.
+pub const INPUT_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 /// The canonical exhaustive-simulation pattern of input `index`, packed into
 /// `words` 64-bit words (bit `p` of the pattern is bit `index` of `p`).
 pub fn input_pattern(index: usize, words: usize) -> Vec<u64> {
-    const MASKS: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
     (0..words)
         .map(|w| {
             if index < 6 {
-                MASKS[index]
+                INPUT_MASKS[index]
             } else if w >> (index - 6) & 1 == 1 {
                 !0u64
             } else {

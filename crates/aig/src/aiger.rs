@@ -55,6 +55,11 @@ impl Aig {
     /// fewer gates than the file if the file contained structural duplicates.
     /// A `&mut` reference can be passed as the reader.
     ///
+    /// The header is validated before anything is allocated from it (see
+    /// [`AIGER_MAX_VARS`]), and every table grows only as the lines it
+    /// holds are read, so no input can make the reader panic or allocate
+    /// without bound.
+    ///
     /// # Errors
     ///
     /// Returns a [`ParseAagError`] describing the first syntactic or
@@ -65,30 +70,9 @@ impl Aig {
         let (_, header) = lines
             .next()
             .ok_or_else(|| ParseAagError::BadHeader(String::from("<empty stream>")))?;
-        let header = header?;
-        let fields: Vec<&str> = header.split_whitespace().collect();
-        if fields.len() != 6 || fields[0] != "aag" {
-            return Err(ParseAagError::BadHeader(header));
-        }
-        let parse = |s: &str| -> Result<usize, ParseAagError> {
-            s.parse()
-                .map_err(|_| ParseAagError::BadHeader(header.clone()))
-        };
-        let (_m, i, l, o, a) = (
-            parse(fields[1])?,
-            parse(fields[2])?,
-            parse(fields[3])?,
-            parse(fields[4])?,
-            parse(fields[5])?,
-        );
-        if l != 0 {
-            return Err(ParseAagError::LatchesUnsupported);
-        }
-
-        let mut aig = Aig::new(i);
-        // Map from file variable index to our literal.
-        let mut map: Vec<Option<Lit>> = vec![None; 1 + i + a];
-        map[0] = Some(Lit::FALSE);
+        let Header { i, o, a, .. } = Header::parse(&header?, "aag")?;
+        // Variables are numbered 1..=i + a (the header guarantees it fits).
+        let max_var = i + a;
 
         let next_line = |lines: &mut dyn Iterator<Item = (usize, std::io::Result<String>)>|
          -> Result<(usize, String), ParseAagError> {
@@ -99,7 +83,9 @@ impl Aig {
             Ok((n + 1, line?))
         };
 
-        let mut input_vars = Vec::with_capacity(i);
+        // Map from file variable index to our literal, grown as variables
+        // are defined.
+        let mut map: Vec<Option<Lit>> = vec![Some(Lit::FALSE)];
         for k in 0..i {
             let (n, line) = next_line(&mut lines)?;
             let raw: u32 = line.trim().parse().map_err(|_| ParseAagError::BadLine {
@@ -107,17 +93,18 @@ impl Aig {
                 message: format!("bad input literal {line:?}"),
             })?;
             let var = (raw >> 1) as usize;
-            if raw & 1 == 1 || var == 0 || var >= map.len() {
+            if raw & 1 == 1 || var == 0 || var > max_var {
                 return Err(ParseAagError::BadLine {
                     line_number: n,
                     message: format!("invalid input literal {raw}"),
                 });
             }
-            map[var] = Some(aig.pi(k));
-            input_vars.push(var);
+            define(&mut map, var, Lit::from_var(1 + k, false));
         }
+        // Every input line has been read: the arena may now be sized.
+        let mut aig = Aig::new(i);
 
-        let mut output_raws = Vec::with_capacity(o);
+        let mut output_raws = Vec::new();
         for _ in 0..o {
             let (n, line) = next_line(&mut lines)?;
             let raw: u32 = line.trim().parse().map_err(|_| ParseAagError::BadLine {
@@ -147,7 +134,7 @@ impl Aig {
                 });
             }
             let lv = (lhs >> 1) as usize;
-            if lv >= map.len() || map[lv].is_some() {
+            if lv > max_var || map.get(lv).copied().flatten().is_some() {
                 return Err(ParseAagError::BadLine {
                     line_number: n,
                     message: format!("and-gate redefines variable {lv}"),
@@ -163,7 +150,8 @@ impl Aig {
                 Ok(base.xor_complement(raw & 1 == 1))
             };
             let (f0, f1) = (fan(rhs0)?, fan(rhs1)?);
-            map[lv] = Some(aig.and(f0, f1));
+            let gate = aig.and(f0, f1);
+            define(&mut map, lv, gate);
         }
 
         for raw in output_raws {
@@ -189,6 +177,61 @@ impl Aig {
             }
         }
         Ok(aig)
+    }
+}
+
+/// Sets `map[var]`, growing the map to reach it.
+fn define(map: &mut Vec<Option<Lit>>, var: usize, lit: Lit) {
+    if map.len() <= var {
+        map.resize(var + 1, None);
+    }
+    map[var] = Some(lit);
+}
+
+/// The largest maximum variable index `M` the AIGER readers accept.
+///
+/// Both readers reject a larger `M` with [`ParseAagError::BadHeader`]
+/// before allocating anything. 2^24 is about 78 times the largest EPFL
+/// benchmark (`hyp`, with about 214k AND gates); an AIG that wide needs a
+/// 128 MiB node arena.
+pub const AIGER_MAX_VARS: usize = 1 << 24;
+
+/// The validated fields of an AIGER header line `magic M I L O A`.
+pub(crate) struct Header {
+    pub(crate) m: usize,
+    pub(crate) i: usize,
+    pub(crate) o: usize,
+    pub(crate) a: usize,
+}
+
+impl Header {
+    /// Parses the header line with the given magic (`aag` or `aig`).
+    ///
+    /// Rejects latches, `M` above [`AIGER_MAX_VARS`], and `I + A > M`
+    /// (every input and gate defines its own variable), so `I`, `A` and
+    /// `I + A` are all bounded once this returns. `O` is not: outputs may
+    /// repeat literals, so callers read them one line at a time.
+    pub(crate) fn parse(line: &str, magic: &str) -> Result<Header, ParseAagError> {
+        let bad = || ParseAagError::BadHeader(line.to_string());
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        if fields.len() != 6 || fields[0] != magic {
+            return Err(bad());
+        }
+        let parse = |s: &str| -> Result<usize, ParseAagError> { s.parse().map_err(|_| bad()) };
+        let (m, i, l, o, a) = (
+            parse(fields[1])?,
+            parse(fields[2])?,
+            parse(fields[3])?,
+            parse(fields[4])?,
+            parse(fields[5])?,
+        );
+        if l != 0 {
+            return Err(ParseAagError::LatchesUnsupported);
+        }
+        if m > AIGER_MAX_VARS || i.checked_add(a).is_none_or(|n| n > m) {
+            return Err(bad());
+        }
+        Ok(Header { m, i, o, a })
     }
 }
 
@@ -245,6 +288,40 @@ mod tests {
             Aig::read_aag("not an aag".as_bytes()),
             Err(ParseAagError::BadHeader(_))
         ));
+    }
+
+    #[test]
+    fn rejects_hostile_headers_without_allocating() {
+        for header in [
+            "aag 0 0 0 0 18446744073709551615\n",
+            "aag 0 18446744073709551615 0 0 0\n",
+            "aag 18446744073709551615 1 0 0 18446744073709551614\n",
+            "aag 16777217 0 0 0 0\n",
+            "aag 2 3 0 0 0\n",
+        ] {
+            assert!(
+                matches!(
+                    Aig::read_aag(header.as_bytes()),
+                    Err(ParseAagError::BadHeader(_))
+                ),
+                "{header:?}"
+            );
+        }
+        // A huge output count is read line by line and fails at the end of
+        // the stream.
+        assert!(matches!(
+            Aig::read_aag("aag 0 0 0 1000000000000000 0\n".as_bytes()),
+            Err(ParseAagError::BadLine { .. })
+        ));
+    }
+
+    #[test]
+    fn accepts_sparse_variable_numbering() {
+        // ASCII AIGER need not define variables in index order.
+        let text = "aag 3 2 0 1 1\n6\n2\n4\n4 6 2\n";
+        let aig = Aig::read_aag(text.as_bytes()).expect("valid aag");
+        assert_eq!(aig.num_ands(), 1);
+        assert_eq!(aig.simulate_exhaustive()[0][0], 0b1000);
     }
 
     #[test]

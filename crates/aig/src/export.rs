@@ -3,6 +3,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
+use crate::aiger::Header;
 use crate::error::ParseAagError;
 use crate::{Aig, Lit};
 
@@ -49,6 +50,11 @@ impl Aig {
 
     /// Parses a binary AIGER (`.aig`) stream.
     ///
+    /// The header is validated before anything is allocated from it (see
+    /// [`AIGER_MAX_VARS`](crate::AIGER_MAX_VARS)). Inputs are implicit in this format, so the
+    /// node arena is sized from `I`, which that bound caps; outputs and
+    /// gates are stored only as their lines and bytes are read.
+    ///
     /// # Errors
     ///
     /// Returns a [`ParseAagError`] for syntactic problems; latches are
@@ -57,28 +63,11 @@ impl Aig {
         let mut reader = BufReader::new(r);
         let mut header = String::new();
         reader.read_line(&mut header)?;
-        let fields: Vec<&str> = header.split_whitespace().collect();
-        if fields.len() != 6 || fields[0] != "aig" {
-            return Err(ParseAagError::BadHeader(header));
-        }
-        let parse = |s: &str| -> Result<usize, ParseAagError> {
-            s.parse()
-                .map_err(|_| ParseAagError::BadHeader(header.clone()))
-        };
-        let (m, i, l, o, a) = (
-            parse(fields[1])?,
-            parse(fields[2])?,
-            parse(fields[3])?,
-            parse(fields[4])?,
-            parse(fields[5])?,
-        );
-        if l != 0 {
-            return Err(ParseAagError::LatchesUnsupported);
-        }
+        let Header { m, i, o, a } = Header::parse(&header, "aig")?;
         if m != i + a {
             return Err(ParseAagError::BadHeader(header));
         }
-        let mut output_raws = Vec::with_capacity(o);
+        let mut output_raws = Vec::new();
         for _ in 0..o {
             let mut line = String::new();
             reader.read_line(&mut line)?;
@@ -89,9 +78,20 @@ impl Aig {
             output_raws.push(raw);
         }
         let mut aig = Aig::new(i);
-        let mut map: Vec<Lit> = (0..=i).map(|v| Lit::from_var(v, false)).collect();
+        // Variables 0..=i are the constant and the inputs, mapped to
+        // themselves; `gates[k]` is the literal of variable i + 1 + k.
+        let mut gates: Vec<Lit> = Vec::new();
+        let resolve = |gates: &[Lit], raw: u32| -> Option<Lit> {
+            let v = (raw >> 1) as usize;
+            let base = if v <= i {
+                Lit::from_var(v, false)
+            } else {
+                *gates.get(v - i - 1)?
+            };
+            Some(base.xor_complement(raw & 1 == 1))
+        };
         for k in 0..a {
-            let lhs = ((i + 1 + k) << 1) as u32;
+            let lhs = Lit::from_var(i + 1 + k, false).raw();
             let d0 = read_delta(&mut reader)?;
             let d1 = read_delta(&mut reader)?;
             let f0 = lhs
@@ -100,23 +100,15 @@ impl Aig {
             let f1 = f0
                 .checked_sub(d1)
                 .ok_or(ParseAagError::UndefinedLiteral(lhs))?;
-            let fan = |raw: u32| -> Result<Lit, ParseAagError> {
-                let v = (raw >> 1) as usize;
-                if v >= map.len() {
-                    return Err(ParseAagError::NotTopological { gate_literal: lhs });
-                }
-                Ok(map[v].xor_complement(raw & 1 == 1))
+            let fan = |raw: u32| {
+                resolve(&gates, raw).ok_or(ParseAagError::NotTopological { gate_literal: lhs })
             };
             let (a_lit, b_lit) = (fan(f0)?, fan(f1)?);
-            map.push(aig.and(a_lit, b_lit));
+            gates.push(aig.and(a_lit, b_lit));
         }
         for raw in output_raws {
-            let v = (raw >> 1) as usize;
-            let base = map
-                .get(v)
-                .copied()
-                .ok_or(ParseAagError::UndefinedLiteral(raw))?;
-            aig.add_po(base.xor_complement(raw & 1 == 1));
+            let lit = resolve(&gates, raw).ok_or(ParseAagError::UndefinedLiteral(raw))?;
+            aig.add_po(lit);
         }
         // Optional name from the comment section.
         let mut rest = String::new();
@@ -278,6 +270,29 @@ mod tests {
             from_bin.simulate_exhaustive(),
             from_asc.simulate_exhaustive()
         );
+    }
+
+    #[test]
+    fn rejects_hostile_headers_without_allocating() {
+        for header in [
+            "aig 5 18446744073709551615 0 0 6\n",
+            "aig 18446744073709551615 1 0 0 18446744073709551614\n",
+            "aig 16777217 16777217 0 0 0\n",
+            "aig 3 1 0 0 1\n",
+        ] {
+            assert!(
+                matches!(
+                    Aig::read_aig_binary(header.as_bytes()),
+                    Err(ParseAagError::BadHeader(_))
+                ),
+                "{header:?}"
+            );
+        }
+        // A huge output count is read line by line and fails at the end of
+        // the stream instead of reserving memory up front.
+        assert!(Aig::read_aig_binary("aig 0 0 0 1000000000000000 0\n".as_bytes()).is_err());
+        // Gates whose bytes are missing fail the same way.
+        assert!(Aig::read_aig_binary("aig 16777216 0 0 0 16777216\n".as_bytes()).is_err());
     }
 
     #[test]

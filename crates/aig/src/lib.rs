@@ -39,7 +39,8 @@ mod lit;
 mod random;
 mod sim;
 
-pub use crate::aig::{input_pattern, Aig};
+pub use crate::aig::{input_pattern, Aig, INPUT_MASKS};
+pub use crate::aiger::AIGER_MAX_VARS;
 pub use crate::error::{CheckAigError, ParseAagError};
 pub use crate::features::{CircuitFeatures, CIRCUIT_FEATURE_DIM};
 pub use crate::hash::{fnv1a64, splitmix64};

@@ -299,3 +299,105 @@ fn binary_header_declares_no_latches() {
     assert_eq!(fields[0], "aig");
     assert_eq!(fields[3], "0", "latch count must be zero: {header}");
 }
+
+// Hostile AIGER input: whatever follows the magic, both readers return
+// `Ok` or `Err` and never panic (or abort on an unbounded allocation), and
+// whatever they accept is a valid AIG.
+
+/// Header counts a fuzzer should hit: small values that lead into the body,
+/// and the overflow and size-bound edges.
+const EDGE_COUNTS: [&str; 6] = [
+    "4294967295",
+    "16777216",
+    "16777217",
+    "1000000000000000",
+    "18446744073709551615",
+    "-1",
+];
+
+fn header_count(pick: u8, small: usize) -> String {
+    match pick {
+        0..=9 => small.to_string(),
+        _ => EDGE_COUNTS[usize::from(pick) % EDGE_COUNTS.len()].to_string(),
+    }
+}
+
+/// Runs the reader for `magic` on `bytes`, failing the case on a panic or
+/// on an accepted AIG that breaks the structural invariants.
+fn read_without_panic(magic: &str, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let parsed = std::panic::catch_unwind(|| match magic {
+        "aag" => Aig::read_aag(bytes),
+        _ => Aig::read_aig_binary(bytes),
+    });
+    match parsed {
+        Err(_) => Err(TestCaseError::fail(format!(
+            "{magic} reader panicked on {:?}",
+            String::from_utf8_lossy(bytes)
+        ))),
+        Ok(Ok(aig)) => {
+            prop_assert!(aig.check().is_ok(), "accepted an invalid AIG");
+            Ok(())
+        }
+        Ok(Err(_)) => Ok(()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn aiger_readers_never_panic_on_arbitrary_bytes(
+        binary in any::<bool>(),
+        body in prop::collection::vec(0u8..=255, 0..256),
+    ) {
+        let magic = if binary { "aig" } else { "aag" };
+        let mut bytes = format!("{magic} ").into_bytes();
+        bytes.extend(&body);
+        read_without_panic(magic, &bytes)?;
+    }
+
+    #[test]
+    fn aiger_readers_never_panic_behind_plausible_headers(
+        binary in any::<bool>(),
+        picks in prop::collection::vec(0u8..16, 4),
+        counts in prop::collection::vec(0usize..8, 4),
+        numbers in prop::collection::vec(0u32..40, 0..40),
+        body in prop::collection::vec(0u8..=255, 0..64),
+    ) {
+        // `M I 0 O A` from small values and edge cases (latches are
+        // rejected outright, so `L` stays 0), then lines of small literals
+        // (the ASCII body) followed by raw bytes (binary deltas, or
+        // garbage).
+        let magic = if binary { "aig" } else { "aag" };
+        let f: Vec<String> = picks
+            .iter()
+            .zip(&counts)
+            .map(|(&pick, &small)| header_count(pick, small))
+            .collect();
+        let mut text = format!("{magic} {} {} 0 {} {}\n", f[0], f[1], f[2], f[3]);
+        for chunk in numbers.chunks(3) {
+            let line: Vec<String> = chunk.iter().map(u32::to_string).collect();
+            text.push_str(&line.join(" "));
+            text.push('\n');
+        }
+        let mut bytes = text.into_bytes();
+        bytes.extend(&body);
+        read_without_panic(magic, &bytes)?;
+    }
+}
+
+#[test]
+fn aiger_readers_reject_the_reported_hostile_headers() {
+    for (magic, header) in [
+        ("aag", "aag 0 0 0 0 18446744073709551615\n"),
+        ("aag", "aag 0 18446744073709551615 0 0 0\n"),
+        ("aig", "aig 5 18446744073709551615 0 0 6\n"),
+        ("aig", "aig 0 0 0 1000000000000000 0\n"),
+    ] {
+        let result = match magic {
+            "aag" => Aig::read_aag(header.as_bytes()),
+            _ => Aig::read_aig_binary(header.as_bytes()),
+        };
+        assert!(result.is_err(), "{header:?} was accepted");
+    }
+}

@@ -1,15 +1,17 @@
 //! Cuts: small sets of nodes whose functions cover a cone of logic.
 
-use boils_aig::Aig;
+use boils_aig::{Aig, INPUT_MASKS};
 
-/// A cut of an AIG node: a set of at most `K` leaf nodes such that every
-/// path from the inputs to the node passes through a leaf.
+/// A cut of an AIG node: a set of at most [`Cut::MAX_LEAVES`] leaf nodes
+/// such that every path from the inputs to the node passes through a leaf.
 ///
-/// Leaves are kept sorted; `signature` is a 64-bit Bloom-style summary used
-/// to cheaply pre-filter dominance checks.
-#[derive(Clone, Debug, PartialEq)]
+/// Leaves are kept sorted and inline (unused slots are zero), so a cut is a
+/// plain `Copy` value; `signature` is a 64-bit Bloom-style summary used to
+/// cheaply pre-filter dominance checks.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Cut {
-    pub(crate) leaves: Vec<u32>,
+    leaves: [u32; Cut::MAX_LEAVES],
+    num_leaves: u8,
     pub(crate) signature: u64,
     /// Arrival time of the cut (1 + max leaf arrival).
     pub(crate) delay: u32,
@@ -18,72 +20,103 @@ pub struct Cut {
 }
 
 impl Cut {
+    /// The most leaves a cut holds: the widest LUT the mapper targets.
+    pub const MAX_LEAVES: usize = 6;
+
+    /// The empty cut: the constant node's only cut.
+    pub(crate) const EMPTY: Cut = Cut {
+        leaves: [0; Cut::MAX_LEAVES],
+        num_leaves: 0,
+        signature: 0,
+        delay: 0,
+        area_flow: 0.0,
+    };
+
+    /// The cut with the given sorted leaves and zero delay and area flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`Cut::MAX_LEAVES`] leaves.
+    pub(crate) fn from_leaves(leaves: &[u32]) -> Cut {
+        let mut cut = Cut::EMPTY;
+        cut.leaves[..leaves.len()].copy_from_slice(leaves);
+        cut.num_leaves = leaves.len() as u8;
+        cut.signature = sig_of_leaves(leaves);
+        cut
+    }
+
     /// The trivial cut `{node}`.
     pub(crate) fn trivial(node: u32, arrival: u32) -> Cut {
         Cut {
-            leaves: vec![node],
-            signature: sig_of(node),
             delay: arrival,
-            area_flow: 0.0,
+            ..Cut::from_leaves(&[node])
         }
     }
 
     /// The cut's leaf nodes, sorted ascending.
     pub fn leaves(&self) -> &[u32] {
-        &self.leaves
+        &self.leaves[..usize::from(self.num_leaves)]
     }
 
-    /// Merges two cuts; `None` if the union exceeds `k` leaves.
-    pub(crate) fn merge(&self, other: &Cut, k: usize) -> Option<Vec<u32>> {
-        let mut out = Vec::with_capacity(k);
+    /// Merges two cuts' leaf sets into a cut with zero delay and area flow;
+    /// `None` if the union exceeds `k` leaves.
+    pub(crate) fn merge(&self, other: &Cut, k: usize) -> Option<Cut> {
+        debug_assert!(k <= Cut::MAX_LEAVES);
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut out = Cut::EMPTY;
+        let mut len = 0;
         let (mut i, mut j) = (0, 0);
-        while i < self.leaves.len() || j < other.leaves.len() {
-            let next = match (self.leaves.get(i), other.leaves.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
                     i += 1;
                     j += 1;
-                    a
+                    x
                 }
-                (Some(&a), Some(&b)) if a < b => {
+                (Some(&x), Some(&y)) if x < y => {
                     i += 1;
-                    a
+                    x
                 }
-                (Some(_), Some(&b)) => {
+                (Some(_), Some(&y)) => {
                     j += 1;
-                    b
+                    y
                 }
-                (Some(&a), None) => {
+                (Some(&x), None) => {
                     i += 1;
-                    a
+                    x
                 }
-                (None, Some(&b)) => {
+                (None, Some(&y)) => {
                     j += 1;
-                    b
+                    y
                 }
                 (None, None) => unreachable!(),
             };
-            if out.len() == k {
+            if len == k {
                 return None;
             }
-            out.push(next);
+            out.leaves[len] = next;
+            len += 1;
         }
+        out.num_leaves = len as u8;
+        out.signature = self.signature | other.signature;
         Some(out)
     }
 
     /// Whether `self`'s leaves are a subset of `other`'s (dominance).
     pub(crate) fn dominates(&self, other: &Cut) -> bool {
-        if self.leaves.len() > other.leaves.len() {
+        let (mine, theirs) = (self.leaves(), other.leaves());
+        if mine.len() > theirs.len() {
             return false;
         }
         if self.signature & !other.signature != 0 {
             return false;
         }
         let mut j = 0;
-        for &l in &self.leaves {
-            while j < other.leaves.len() && other.leaves[j] < l {
+        for &l in mine {
+            while j < theirs.len() && theirs[j] < l {
                 j += 1;
             }
-            if j == other.leaves.len() || other.leaves[j] != l {
+            if j == theirs.len() || theirs[j] != l {
                 return false;
             }
         }
@@ -110,27 +143,30 @@ pub(crate) fn sig_of_leaves(leaves: &[u32]) -> u64 {
 /// Panics if `leaves.len() > 6` or if the cone reaches a non-leaf terminal
 /// (which means `leaves` was not a valid cut of `root`).
 pub fn cut_function(aig: &Aig, root: u32, leaves: &[u32]) -> u64 {
+    cut_function_in(aig, root, leaves, &mut Vec::new())
+}
+
+/// [`cut_function`] memoising the cone's nodes in caller-owned storage,
+/// which the mapper reuses across LUTs.
+pub(crate) fn cut_function_in(
+    aig: &Aig,
+    root: u32,
+    leaves: &[u32],
+    memo: &mut Vec<(u32, u64)>,
+) -> u64 {
     assert!(leaves.len() <= 6, "cut function limited to 6 leaves");
-    let masks: Vec<u64> = (0..leaves.len())
-        .map(|i| boils_aig::input_pattern(i, 1)[0])
-        .collect();
     let width = 1usize << leaves.len();
     let full: u64 = if width == 64 { !0 } else { (1u64 << width) - 1 };
-    // Local DFS evaluation with memoisation on the cone.
-    fn eval(
-        aig: &Aig,
-        node: u32,
-        leaves: &[u32],
-        masks: &[u64],
-        memo: &mut std::collections::HashMap<u32, u64>,
-    ) -> u64 {
+    // Local DFS evaluation with memoisation on the cone (a handful of
+    // nodes, so a linear scan beats hashing).
+    fn eval(aig: &Aig, node: u32, leaves: &[u32], memo: &mut Vec<(u32, u64)>) -> u64 {
         if let Some(pos) = leaves.iter().position(|&l| l == node) {
-            return masks[pos];
+            return INPUT_MASKS[pos];
         }
         if node == 0 {
             return 0;
         }
-        if let Some(&v) = memo.get(&node) {
+        if let Some(&(_, v)) = memo.iter().find(|&&(n, _)| n == node) {
             return v;
         }
         assert!(
@@ -139,20 +175,20 @@ pub fn cut_function(aig: &Aig, root: u32, leaves: &[u32]) -> u64 {
         );
         let f0 = aig.fanin0(node as usize);
         let f1 = aig.fanin1(node as usize);
-        let mut w0 = eval(aig, f0.var() as u32, leaves, masks, memo);
+        let mut w0 = eval(aig, f0.var() as u32, leaves, memo);
         if f0.is_complement() {
             w0 = !w0;
         }
-        let mut w1 = eval(aig, f1.var() as u32, leaves, masks, memo);
+        let mut w1 = eval(aig, f1.var() as u32, leaves, memo);
         if f1.is_complement() {
             w1 = !w1;
         }
         let v = w0 & w1;
-        memo.insert(node, v);
+        memo.push((node, v));
         v
     }
-    let mut memo = std::collections::HashMap::new();
-    eval(aig, root, leaves, &masks, &mut memo) & full
+    memo.clear();
+    eval(aig, root, leaves, memo) & full
 }
 
 #[cfg(test)]
@@ -161,39 +197,23 @@ mod tests {
 
     #[test]
     fn merge_respects_limit() {
-        let a = Cut {
-            leaves: vec![1, 2, 3],
-            signature: sig_of_leaves(&[1, 2, 3]),
-            delay: 0,
-            area_flow: 0.0,
-        };
-        let b = Cut {
-            leaves: vec![3, 4, 5],
-            signature: sig_of_leaves(&[3, 4, 5]),
-            delay: 0,
-            area_flow: 0.0,
-        };
-        assert_eq!(a.merge(&b, 6), Some(vec![1, 2, 3, 4, 5]));
+        let a = Cut::from_leaves(&[1, 2, 3]);
+        let b = Cut::from_leaves(&[3, 4, 5]);
+        assert_eq!(a.merge(&b, 6), Some(Cut::from_leaves(&[1, 2, 3, 4, 5])));
         assert_eq!(a.merge(&b, 4), None);
+        let wide = Cut::from_leaves(&[1, 2, 3, 4, 5, 6]);
+        assert_eq!(wide.merge(&a, 6), Some(wide));
+        assert_eq!(wide.merge(&Cut::from_leaves(&[2, 7]), 6), None);
     }
 
     #[test]
     fn dominance_is_subset() {
-        let small = Cut {
-            leaves: vec![1, 3],
-            signature: sig_of_leaves(&[1, 3]),
-            delay: 0,
-            area_flow: 0.0,
-        };
-        let big = Cut {
-            leaves: vec![1, 2, 3],
-            signature: sig_of_leaves(&[1, 2, 3]),
-            delay: 0,
-            area_flow: 0.0,
-        };
+        let small = Cut::from_leaves(&[1, 3]);
+        let big = Cut::from_leaves(&[1, 2, 3]);
         assert!(small.dominates(&big));
         assert!(!big.dominates(&small));
-        assert!(small.dominates(&small.clone()));
+        assert!(small.dominates(&small));
+        assert_eq!(big.leaves(), &[1, 2, 3]);
     }
 
     #[test]

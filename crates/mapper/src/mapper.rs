@@ -7,7 +7,7 @@
 
 use boils_aig::Aig;
 
-use crate::cut::{cut_function, sig_of_leaves, Cut};
+use crate::cut::{cut_function_in, sig_of_leaves, Cut};
 
 /// Configuration of the LUT mapper.
 ///
@@ -199,6 +199,11 @@ struct Mapper<'a> {
 
 impl<'a> Mapper<'a> {
     fn new(aig: &'a Aig, config: &'a MapperConfig) -> Mapper<'a> {
+        assert!(
+            config.lut_size <= Cut::MAX_LEAVES,
+            "lut size must be at most {}",
+            Cut::MAX_LEAVES
+        );
         let n = aig.num_nodes();
         let est_refs = aig
             .fanout_counts()
@@ -208,12 +213,7 @@ impl<'a> Mapper<'a> {
         // Terminals seed the enumeration: the constant node contributes an
         // empty-leaf cut, every PI its trivial cut.
         let mut cuts = vec![Vec::new(); n];
-        cuts[0] = vec![Cut {
-            leaves: Vec::new(),
-            signature: 0,
-            delay: 0,
-            area_flow: 0.0,
-        }];
+        cuts[0] = vec![Cut::EMPTY];
         for (var, cut) in cuts.iter_mut().enumerate().take(aig.num_pis() + 1).skip(1) {
             *cut = vec![Cut::trivial(var as u32, 0)];
         }
@@ -274,33 +274,36 @@ impl<'a> Mapper<'a> {
 
     fn pass(&mut self, mode: Mode) {
         let k = self.config.lut_size;
+        let mut candidates: Vec<Cut> = Vec::new();
         for var in self.aig.ands() {
             let f0 = self.aig.fanin0(var).var();
             let f1 = self.aig.fanin1(var).var();
-            let mut candidates: Vec<Cut> = Vec::new();
+            candidates.clear();
             // Keep the previously selected cut as a candidate: for nodes in
             // the current cover it is guaranteed (inductively) to meet the
             // required time, which makes area recovery delay-safe.
+            let selected = self.cuts[var].get(self.best[var]).copied();
             let mut prev_cut: Option<Cut> = None;
-            if !self.cuts[var].is_empty() {
-                let prev = self.cuts[var][self.best[var]].clone();
-                if prev.leaves.len() > 1 || prev.leaves[0] != var as u32 {
-                    let rescored = self.rescore(prev);
-                    prev_cut = Some(rescored.clone());
+            if let Some(prev) = selected {
+                if prev.leaves().len() > 1 || prev.leaves()[0] != var as u32 {
+                    let rescored = self.score(prev);
+                    prev_cut = Some(rescored);
                     candidates.push(rescored);
                 }
             }
             for c0 in &self.cuts[f0] {
                 for c1 in &self.cuts[f1] {
-                    if let Some(leaves) = c0.merge(c1, k) {
-                        let cut = self.score(leaves);
-                        candidates.push(cut);
+                    if let Some(merged) = c0.merge(c1, k) {
+                        candidates.push(self.score(merged));
                     }
                 }
             }
-            // Dominance filtering: drop any cut dominated by another.
-            let mut kept: Vec<Cut> = Vec::new();
-            'outer: for c in candidates {
+            // Dominance filtering: drop any cut dominated by another. The
+            // node's new list reuses its previous list's storage; nothing
+            // below reads this node's cuts until the list is stored back.
+            let mut kept = std::mem::take(&mut self.cuts[var]);
+            kept.clear();
+            'outer: for &c in &candidates {
                 let mut i = 0;
                 while i < kept.len() {
                     if kept[i].dominates(&c) && kept[i].delay <= c.delay {
@@ -353,14 +356,15 @@ impl<'a> Mapper<'a> {
                 // the new choice, then re-ref it.
                 let was_mapped = self.map_refs[var] > 0;
                 if was_mapped {
-                    self.deref_cut(var);
+                    let old = selected.expect("a mapped node has a selected cut");
+                    self.deref_leaves(old.leaves());
                 }
                 let mut best_cost = u32::MAX;
                 for (i, c) in kept.iter().enumerate() {
                     if c.delay > required {
                         continue;
                     }
-                    let cost = self.probe_cut_area(&c.leaves);
+                    let cost = self.probe_cut_area(c.leaves());
                     if cost < best_cost {
                         best_cost = cost;
                         best = i;
@@ -383,7 +387,9 @@ impl<'a> Mapper<'a> {
         }
     }
 
-    fn score(&self, leaves: Vec<u32>) -> Cut {
+    /// The cut with its delay and area flow under the current selection.
+    fn score(&self, mut cut: Cut) -> Cut {
+        let leaves = cut.leaves();
         let delay = 1 + leaves
             .iter()
             .map(|&l| self.arrival[l as usize])
@@ -394,16 +400,10 @@ impl<'a> Mapper<'a> {
                 .iter()
                 .map(|&l| self.leaf_flow(l as usize))
                 .sum::<f64>();
-        Cut {
-            signature: sig_of_leaves(&leaves),
-            leaves,
-            delay,
-            area_flow,
-        }
-    }
-
-    fn rescore(&self, cut: Cut) -> Cut {
-        self.score(cut.leaves)
+        cut.signature = sig_of_leaves(leaves);
+        cut.delay = delay;
+        cut.area_flow = area_flow;
+        cut
     }
 
     fn leaf_flow(&self, leaf: usize) -> f64 {
@@ -420,14 +420,14 @@ impl<'a> Mapper<'a> {
                 a.delay
                     .cmp(&b.delay)
                     .then(a.area_flow.partial_cmp(&b.area_flow).expect("finite flow"))
-                    .then(a.leaves.len().cmp(&b.leaves.len()))
+                    .then(a.leaves().len().cmp(&b.leaves().len()))
             }),
             Mode::AreaFlow | Mode::ExactArea => cuts.sort_by(|a, b| {
                 a.area_flow
                     .partial_cmp(&b.area_flow)
                     .expect("finite flow")
                     .then(a.delay.cmp(&b.delay))
-                    .then(a.leaves.len().cmp(&b.leaves.len()))
+                    .then(a.leaves().len().cmp(&b.leaves().len()))
             }),
         }
     }
@@ -476,13 +476,13 @@ impl<'a> Mapper<'a> {
     }
 
     fn ref_cut(&mut self, var: usize) -> u32 {
-        let leaves = self.cuts[var][self.best[var]].leaves.clone();
-        self.ref_leaves(&leaves)
+        let cut = self.cuts[var][self.best[var]];
+        self.ref_leaves(cut.leaves())
     }
 
     fn deref_cut(&mut self, var: usize) {
-        let leaves = self.cuts[var][self.best[var]].leaves.clone();
-        self.deref_leaves(&leaves);
+        let cut = self.cuts[var][self.best[var]];
+        self.deref_leaves(cut.leaves());
     }
 
     /// Derives the cover from the current best cuts, then recomputes mapping
@@ -496,7 +496,7 @@ impl<'a> Mapper<'a> {
             }
         }
         for &var in &cover {
-            for &l in self.cuts[var][self.best[var]].leaves.iter() {
+            for &l in self.cuts[var][self.best[var]].leaves().iter() {
                 if self.aig.is_and(l as usize) {
                     self.map_refs[l as usize] += 1;
                 }
@@ -517,7 +517,7 @@ impl<'a> Mapper<'a> {
         for &var in cover.iter().rev() {
             let r = self.required[var];
             debug_assert_ne!(r, u32::MAX);
-            for &l in self.cuts[var][self.best[var]].leaves.iter() {
+            for &l in self.cuts[var][self.best[var]].leaves().iter() {
                 let l = l as usize;
                 if self.aig.is_and(l) && r > 0 {
                     self.required[l] = self.required[l].min(r - 1);
@@ -541,7 +541,7 @@ impl<'a> Mapper<'a> {
                 continue;
             }
             used[var] = true;
-            for &l in self.cuts[var][self.best[var]].leaves.iter() {
+            for &l in self.cuts[var][self.best[var]].leaves().iter() {
                 if self.aig.is_and(l as usize) && !used[l as usize] {
                     stack.push(l as usize);
                 }
@@ -552,14 +552,15 @@ impl<'a> Mapper<'a> {
 
     fn derive(self) -> Mapping {
         let cover = self.cover_nodes();
+        let mut memo = Vec::new();
         let luts: Vec<MappedLut> = cover
             .iter()
             .map(|&var| {
-                let leaves = self.cuts[var][self.best[var]].leaves.clone();
-                let function = cut_function(self.aig, var as u32, &leaves);
+                let leaves = self.cuts[var][self.best[var]].leaves();
+                let function = cut_function_in(self.aig, var as u32, leaves, &mut memo);
                 MappedLut {
                     root: var as u32,
-                    leaves,
+                    leaves: leaves.to_vec(),
                     function,
                 }
             })

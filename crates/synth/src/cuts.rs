@@ -2,20 +2,66 @@
 //! enumeration (rewriting) and reconvergence-driven cuts (refactoring,
 //! resubstitution windows).
 
+use std::ops::Deref;
+
 use boils_aig::Aig;
+
+/// A cut's leaf set, sorted ascending and held inline (unused slots are
+/// zero, so equality compares the sets).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct CutLeaves {
+    ids: [usize; CutLeaves::MAX],
+    len: usize,
+}
+
+impl CutLeaves {
+    /// The most leaves an enumerated cut holds (rewriting's 4-cuts).
+    pub(crate) const MAX: usize = 4;
+
+    const EMPTY: CutLeaves = CutLeaves {
+        ids: [0; CutLeaves::MAX],
+        len: 0,
+    };
+
+    fn single(node: usize) -> CutLeaves {
+        let mut cut = CutLeaves::EMPTY;
+        cut.ids[0] = node;
+        cut.len = 1;
+        cut
+    }
+}
+
+impl Deref for CutLeaves {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.ids[..self.len]
+    }
+}
 
 /// Enumerates up to `max_cuts` k-feasible cuts per node (leaf sets only,
 /// sorted ascending; the trivial cut `{node}` is always the first entry).
-pub(crate) fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Vec<usize>>> {
-    let mut cuts: Vec<Vec<Vec<usize>>> = vec![Vec::new(); aig.num_nodes()];
+///
+/// # Panics
+///
+/// Panics if `k > CutLeaves::MAX`.
+pub(crate) fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<CutLeaves>> {
+    assert!(
+        k <= CutLeaves::MAX,
+        "cuts limited to {} leaves",
+        CutLeaves::MAX
+    );
+    let mut cuts: Vec<Vec<CutLeaves>> = vec![Vec::new(); aig.num_nodes()];
     for (var, cut) in cuts.iter_mut().enumerate().take(aig.num_pis() + 1).skip(1) {
-        *cut = vec![vec![var]];
+        *cut = vec![CutLeaves::single(var)];
     }
-    cuts[0] = vec![vec![]];
+    cuts[0] = vec![CutLeaves::EMPTY];
+    let mut list: Vec<CutLeaves> = Vec::new();
     for var in aig.ands() {
         let f0 = aig.fanin0(var).var();
         let f1 = aig.fanin1(var).var();
-        let mut list: Vec<Vec<usize>> = vec![vec![var]];
+        list.clear();
+        list.push(CutLeaves::single(var));
         for c0 in &cuts[f0] {
             for c1 in &cuts[f1] {
                 if let Some(merged) = merge_leaves(c0, c1, k) {
@@ -27,8 +73,9 @@ pub(crate) fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Ve
         }
         // Prefer small cuts; drop dominated ones (supersets of kept cuts).
         list[1..].sort_by_key(|c| c.len());
-        let mut kept: Vec<Vec<usize>> = vec![list[0].clone()];
-        'outer: for c in list.into_iter().skip(1) {
+        let mut kept: Vec<CutLeaves> = Vec::with_capacity(max_cuts + 1);
+        kept.push(list[0]);
+        'outer: for &c in &list[1..] {
             for prev in kept.iter().skip(1) {
                 if is_subset(prev, &c) {
                     continue 'outer;
@@ -44,8 +91,8 @@ pub(crate) fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Ve
     cuts
 }
 
-fn merge_leaves(a: &[usize], b: &[usize], k: usize) -> Option<Vec<usize>> {
-    let mut out = Vec::with_capacity(k);
+fn merge_leaves(a: &[usize], b: &[usize], k: usize) -> Option<CutLeaves> {
+    let mut out = CutLeaves::EMPTY;
     let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
         let next = match (a.get(i), b.get(j)) {
@@ -72,10 +119,11 @@ fn merge_leaves(a: &[usize], b: &[usize], k: usize) -> Option<Vec<usize>> {
             }
             (None, None) => unreachable!(),
         };
-        if out.len() == k {
+        if out.len == k {
             return None;
         }
-        out.push(next);
+        out.ids[out.len] = next;
+        out.len += 1;
     }
     Some(out)
 }
@@ -186,7 +234,7 @@ mod tests {
         let cuts = enumerate_cuts(&aig, 4, 8);
         for var in aig.ands() {
             assert!(!cuts[var].is_empty());
-            assert_eq!(cuts[var][0], vec![var], "first cut must be trivial");
+            assert_eq!(&cuts[var][0][..], &[var], "first cut must be trivial");
             for cut in &cuts[var][1..] {
                 assert!(cut.len() <= 4);
                 assert!(cut.windows(2).all(|w| w[0] < w[1]), "unsorted cut");
@@ -213,7 +261,8 @@ mod tests {
 
     #[test]
     fn merge_and_subset_helpers() {
-        assert_eq!(merge_leaves(&[1, 3], &[2, 3], 4), Some(vec![1, 2, 3]));
+        let merged = merge_leaves(&[1, 3], &[2, 3], 4).expect("fits");
+        assert_eq!(&merged[..], &[1, 2, 3]);
         assert_eq!(merge_leaves(&[1, 3], &[2, 4], 3), None);
         assert!(is_subset(&[2, 4], &[1, 2, 3, 4]));
         assert!(!is_subset(&[2, 5], &[1, 2, 3, 4]));

@@ -140,13 +140,8 @@ fn shannon_rec(aig: &mut Aig, f: &Tt) -> Lit {
     if let Some(lit) = trivial_function(aig, f) {
         return lit;
     }
-    let support = f.support();
     // Choose the variable whose cofactors have the smallest joint support.
-    let x = support
-        .iter()
-        .copied()
-        .min_by_key(|&v| f.cofactor0(v).support().len() + f.cofactor1(v).support().len())
-        .expect("non-trivial function has support");
+    let x = split_var(f);
     let f0 = shannon_rec(aig, &f.cofactor0(x));
     let f1 = shannon_rec(aig, &f.cofactor1(x));
     let sel = aig.pi(x);
@@ -170,7 +165,7 @@ fn dsd_rec(aig: &mut Aig, f: &Tt) -> Lit {
     if let Some(lit) = trivial_function(aig, f) {
         return lit;
     }
-    for v in f.support() {
+    for v in f.support_vars() {
         let (c0, c1) = (f.cofactor0(v), f.cofactor1(v));
         let x = aig.pi(v);
         // f = x ∧ g  ⇔  f|x=0 ≡ 0
@@ -200,16 +195,21 @@ fn dsd_rec(aig: &mut Aig, f: &Tt) -> Lit {
         }
     }
     // Prime function: Shannon-expand one level and keep peeling below.
-    let support = f.support();
-    let x = support
-        .iter()
-        .copied()
-        .min_by_key(|&v| f.cofactor0(v).support().len() + f.cofactor1(v).support().len())
-        .expect("non-trivial function has support");
+    let x = split_var(f);
     let f0 = dsd_rec(aig, &f.cofactor0(x));
     let f1 = dsd_rec(aig, &f.cofactor1(x));
     let sel = aig.pi(x);
     aig.mux(sel, f1, f0)
+}
+
+/// The support variable whose cofactors have the smallest joint support
+/// (the first such in ascending order).
+fn split_var(f: &Tt) -> usize {
+    f.support_vars()
+        .min_by_key(|&v| {
+            f.cofactor0(v).support_vars().count() + f.cofactor1(v).support_vars().count()
+        })
+        .expect("non-trivial function has support")
 }
 
 fn trivial_function(aig: &mut Aig, f: &Tt) -> Option<Lit> {
@@ -219,9 +219,8 @@ fn trivial_function(aig: &mut Aig, f: &Tt) -> Option<Lit> {
     if f.is_one() {
         return Some(Lit::TRUE);
     }
-    let support = f.support();
-    if support.len() == 1 {
-        let v = support[0];
+    let mut support = f.support_vars();
+    if let (Some(v), None) = (support.next(), support.next()) {
         let lit = aig.pi(v);
         return if *f == Tt::var(f.num_vars(), v) {
             Some(lit)

@@ -6,11 +6,13 @@
 //! peeling decomposition (`dsdb`). The different decompositions produce
 //! different structures, giving downstream transforms new opportunities.
 
+use std::collections::HashMap;
+
 use boils_aig::{Aig, Lit};
 use boils_mapper::{map_aig, MapperConfig};
 
 use crate::factor::{tt_to_dsd_template, tt_to_shannon_template, tt_to_sop_template};
-use crate::rebuild::{instantiate, Replacement};
+use crate::rebuild::instantiate;
 use crate::tt::Tt;
 
 /// SOP balancing: rebuild every mapped 6-LUT as a balanced two-level
@@ -83,16 +85,16 @@ fn rebuild_unguarded(aig: &Aig, builder: fn(&Tt) -> Aig) -> Aig {
     for i in 0..aig.num_pis() {
         map[1 + i] = out.pi(i);
     }
+    // LUT functions repeat across the cover: build each template once.
+    let mut templates: HashMap<Tt, Aig> = HashMap::new();
+    let mut local = Vec::new();
     // LUT roots come out of the mapper in topological order, so leaves are
     // always mapped before their root.
     for lut in &mapping.luts {
         let tt = Tt::from_u64(lut.leaves.len(), lut.function);
-        let template = builder(&tt);
-        let repl = Replacement {
-            leaves: lut.leaves.iter().map(|&l| l as usize).collect(),
-            template,
-        };
-        map[lut.root as usize] = instantiate(&mut out, &repl, &map);
+        let template = templates.entry(tt).or_insert_with(|| builder(&tt));
+        let inputs = lut.leaves.iter().map(|&l| map[l as usize]);
+        map[lut.root as usize] = instantiate(&mut out, template, inputs, &mut local);
     }
     for po in aig.pos() {
         let lit = map[po.var()].xor_complement(po.is_complement());

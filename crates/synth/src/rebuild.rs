@@ -17,17 +17,25 @@ pub(crate) struct Replacement {
     pub template: Aig,
 }
 
-/// Counts how many genuinely new AND gates instantiating `repl` would add,
-/// given that `blocked` nodes are pending deletion and cannot be reused.
-pub(crate) fn count_new_nodes(aig: &Aig, repl: &Replacement, blocked: &[bool]) -> usize {
-    let t = &repl.template;
-    debug_assert_eq!(t.num_pis(), repl.leaves.len());
+/// Counts how many genuinely new AND gates instantiating `template` over
+/// `leaves` would add, given that `blocked` nodes are pending deletion and
+/// cannot be reused. `concrete` is scratch, reused across calls.
+pub(crate) fn count_new_nodes(
+    aig: &Aig,
+    template: &Aig,
+    leaves: &[usize],
+    blocked: &[bool],
+    concrete: &mut Vec<Option<Lit>>,
+) -> usize {
+    let t = template;
+    debug_assert_eq!(t.num_pis(), leaves.len());
     // For each template node, the concrete old-space literal if it resolves
     // to an existing (and reusable) node.
-    let mut concrete: Vec<Option<Lit>> = vec![None; t.num_nodes()];
+    concrete.clear();
+    concrete.resize(t.num_nodes(), None);
     concrete[0] = Some(Lit::FALSE);
-    for i in 0..t.num_pis() {
-        concrete[1 + i] = Some(Lit::from_var(repl.leaves[i], false));
+    for (i, &leaf) in leaves.iter().enumerate() {
+        concrete[1 + i] = Some(Lit::from_var(leaf, false));
     }
     let mut new_nodes = 0;
     for var in t.ands() {
@@ -52,24 +60,25 @@ pub(crate) fn count_new_nodes(aig: &Aig, repl: &Replacement, blocked: &[bool]) -
 }
 
 /// Number of AND gates in the cone of `root` above `leaves` that die when
-/// `root` is replaced (the cut-limited MFFC). `refs` must hold the current
-/// fanout counts; it is restored before returning. Also returns the dying
-/// node indices.
+/// `root` is replaced (the cut-limited MFFC); the dying node indices are
+/// left in `dying`, which is cleared first. `refs` must hold the current
+/// fanout counts; it is restored before returning.
 pub(crate) fn cut_mffc(
     aig: &Aig,
     root: usize,
     leaves: &[usize],
     refs: &mut [u32],
-) -> (usize, Vec<usize>) {
-    let mut dying = Vec::new();
-    deref(aig, root, leaves, refs, &mut dying);
+    dying: &mut Vec<usize>,
+) -> usize {
+    dying.clear();
+    deref(aig, root, leaves, refs, dying);
     // Restore.
     for &v in dying.iter() {
         for f in [aig.fanin0(v).var(), aig.fanin1(v).var()] {
             refs[f] += 1;
         }
     }
-    (dying.len(), dying)
+    dying.len()
 }
 
 fn deref(aig: &Aig, var: usize, leaves: &[usize], refs: &mut [u32], dying: &mut Vec<usize>) {
@@ -92,9 +101,11 @@ pub(crate) fn rebuild_with(aig: &Aig, replacements: &HashMap<usize, Replacement>
     for i in 0..aig.num_pis() {
         map[1 + i] = out.pi(i);
     }
+    let mut local = Vec::new();
     for var in aig.ands() {
         if let Some(repl) = replacements.get(&var) {
-            map[var] = instantiate(&mut out, repl, &map);
+            let inputs = repl.leaves.iter().map(|&l| map[l]);
+            map[var] = instantiate(&mut out, &repl.template, inputs, &mut local);
         } else {
             let (f0, f1) = (aig.fanin0(var), aig.fanin1(var));
             let a = map[f0.var()].xor_complement(f0.is_complement());
@@ -109,14 +120,21 @@ pub(crate) fn rebuild_with(aig: &Aig, replacements: &HashMap<usize, Replacement>
     out.cleanup()
 }
 
-/// Splices a template into `out`, with template inputs bound to the new
-/// literals of the replacement's leaves.
-pub(crate) fn instantiate(out: &mut Aig, repl: &Replacement, map: &[Lit]) -> Lit {
-    let t = &repl.template;
-    let mut local: Vec<Lit> = vec![Lit::FALSE; t.num_nodes()];
-    for i in 0..t.num_pis() {
-        local[1 + i] = map[repl.leaves[i]];
-    }
+/// Splices `template` into `out`, with template input `i` bound to the
+/// `i`-th literal of `inputs` (literals of `out`). `local` is scratch,
+/// reused across calls.
+pub(crate) fn instantiate(
+    out: &mut Aig,
+    template: &Aig,
+    inputs: impl IntoIterator<Item = Lit>,
+    local: &mut Vec<Lit>,
+) -> Lit {
+    let t = template;
+    local.clear();
+    local.push(Lit::FALSE);
+    local.extend(inputs);
+    debug_assert_eq!(local.len(), 1 + t.num_pis());
+    local.resize(t.num_nodes(), Lit::FALSE);
     for var in t.ands() {
         let (f0, f1) = (t.fanin0(var), t.fanin1(var));
         let a = local[f0.var()].xor_complement(f0.is_complement());
@@ -146,17 +164,21 @@ mod tests {
         let (a, b) = (aig.pi(0), aig.pi(1));
         let ab = aig.and(a, b);
         aig.add_po(ab);
-        let repl = Replacement {
-            leaves: vec![a.var(), b.var()],
-            template: nand_template(),
-        };
+        let (template, leaves) = (nand_template(), [a.var(), b.var()]);
         let blocked = vec![false; aig.num_nodes()];
+        let mut scratch = Vec::new();
         // The AND inside the template already exists → zero new nodes.
-        assert_eq!(count_new_nodes(&aig, &repl, &blocked), 0);
+        assert_eq!(
+            count_new_nodes(&aig, &template, &leaves, &blocked, &mut scratch),
+            0
+        );
         // If that node is blocked (pending death), it must be re-created.
         let mut blocked2 = blocked.clone();
         blocked2[ab.var()] = true;
-        assert_eq!(count_new_nodes(&aig, &repl, &blocked2), 1);
+        assert_eq!(
+            count_new_nodes(&aig, &template, &leaves, &blocked2, &mut scratch),
+            1
+        );
     }
 
     #[test]
@@ -195,12 +217,14 @@ mod tests {
         let abc = aig.and(ab, c);
         aig.add_po(abc);
         let mut refs = aig.fanout_counts();
+        let mut dying = Vec::new();
         // Cut at leaves {ab, c}: only `abc` dies.
-        let (count, dying) = cut_mffc(&aig, abc.var(), &[ab.var(), c.var()], &mut refs);
+        let count = cut_mffc(&aig, abc.var(), &[ab.var(), c.var()], &mut refs, &mut dying);
         assert_eq!(count, 1);
         assert_eq!(dying, vec![abc.var()]);
         // Cut at the inputs: both gates die.
-        let (count2, _) = cut_mffc(&aig, abc.var(), &[a.var(), b.var(), c.var()], &mut refs);
+        let leaves = [a.var(), b.var(), c.var()];
+        let count2 = cut_mffc(&aig, abc.var(), &leaves, &mut refs, &mut dying);
         assert_eq!(count2, 2);
         assert_eq!(refs, aig.fanout_counts());
     }

@@ -12,12 +12,13 @@ use boils_aig::Aig;
 use crate::cuts::reconv_cut;
 use crate::factor::tt_to_factored_template;
 use crate::rebuild::{count_new_nodes, cut_mffc, rebuild_with, Replacement};
-use crate::tt::cone_function;
+use crate::tt::{cone_function_in, Tt, WindowTables};
 
 /// Maximum leaves of the reconvergence-driven cut (ABC defaults to 10; 8
 /// keeps the truth-table work four times cheaper at equal behaviour on the
 /// cone sizes our benchmarks produce).
 const MAX_LEAVES: usize = 8;
+const _: () = assert!(MAX_LEAVES <= Tt::MAX_VARS);
 /// Cones with an MFFC below this cannot yield positive gain often enough
 /// to justify the resynthesis cost.
 const MIN_MFFC: usize = 2;
@@ -52,7 +53,11 @@ pub fn refactor(aig: &Aig, use_zero_cost: bool) -> Aig {
     let mut replacements: HashMap<usize, Replacement> = HashMap::new();
     // Arithmetic circuits repeat cone functions massively; caching the
     // synthesised template per truth table is the dominant speedup here.
-    let mut cache: HashMap<crate::tt::Tt, Aig> = HashMap::new();
+    let mut cache: HashMap<Tt, Aig> = HashMap::new();
+    // Scratch reused across nodes.
+    let mut tables = WindowTables::new(aig.num_nodes());
+    let mut dying = Vec::new();
+    let mut concrete = Vec::new();
 
     for var in aig.ands() {
         if blocked[var] {
@@ -69,29 +74,31 @@ pub fn refactor(aig: &Aig, use_zero_cost: bool) -> Aig {
                 continue;
             }
         }
-        let tt = cone_function(&aig, var, &cut);
+        let tt = cone_function_in(&aig, var, &cut, &mut tables);
         let template = cache
-            .entry(tt.clone())
-            .or_insert_with(|| tt_to_factored_template(&tt))
-            .clone();
-        let repl = Replacement {
-            leaves: cut.clone(),
-            template,
-        };
-        let (saved, dying) = cut_mffc(&aig, var, &cut, &mut refs);
+            .entry(tt)
+            .or_insert_with(|| tt_to_factored_template(&tt));
+        let saved = cut_mffc(&aig, var, &cut, &mut refs, &mut dying);
         for &d in &dying {
             blocked[d] = true;
         }
-        let added = count_new_nodes(&aig, &repl, &blocked);
+        let added = count_new_nodes(&aig, template, &cut, &blocked, &mut concrete);
         for &d in &dying {
             blocked[d] = false;
         }
         let gain = saved as i64 - added as i64;
         if gain > 0 || (use_zero_cost && gain == 0) {
-            for d in dying {
+            for &d in &dying {
                 blocked[d] = true;
             }
-            replacements.insert(var, repl);
+            let template = template.clone();
+            replacements.insert(
+                var,
+                Replacement {
+                    leaves: cut,
+                    template,
+                },
+            );
         }
     }
     rebuild_with(&aig, &replacements)

@@ -12,10 +12,11 @@ use boils_aig::{Aig, Lit};
 
 use crate::cuts::reconv_cut;
 use crate::rebuild::{cut_mffc, rebuild_with, Replacement};
-use crate::tt::Tt;
+use crate::tt::{Tt, WindowTables};
 
 /// Maximum window leaves (truth tables stay ≤ 2^8 bits = 4 words).
 const MAX_LEAVES: usize = 8;
+const _: () = assert!(MAX_LEAVES <= Tt::MAX_VARS);
 /// Maximum divisors examined per node.
 const MAX_DIVISORS: usize = 40;
 /// Maximum node-index span scanned for expressible divisors per window
@@ -48,6 +49,11 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
     let mut refs = aig.fanout_counts();
     let mut blocked = vec![false; aig.num_nodes()];
     let mut replacements: HashMap<usize, Replacement> = HashMap::new();
+    // Window scratch, reused across nodes.
+    let mut local = WindowTables::new(aig.num_nodes());
+    let mut divisors: Vec<usize> = Vec::new();
+    let mut pool: Vec<Operand> = Vec::new();
+    let mut dying = Vec::new();
 
     for var in aig.ands() {
         if blocked[var] {
@@ -63,12 +69,12 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
         // divisors never look forward (keeps the rebuild topological).
         let min_leaf =
             (*leaves.iter().min().expect("nonempty leaves")).max(var.saturating_sub(MAX_SPAN));
-        let mut local: HashMap<usize, Tt> = HashMap::new();
-        local.insert(0, Tt::zero(n));
+        local.clear();
+        local.set(0, Tt::zero(n));
         for (i, &l) in leaves.iter().enumerate() {
-            local.insert(l, Tt::var(n, i));
+            local.set(l, Tt::var(n, i));
         }
-        let mut divisors: Vec<usize> = Vec::new();
+        divisors.clear();
         // `cand` is a node id walked in arena order, not a slice index.
         #[allow(clippy::needless_range_loop)]
         for cand in (min_leaf + 1)..=var {
@@ -76,35 +82,31 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
                 continue;
             }
             let (f0, f1) = (aig.fanin0(cand), aig.fanin1(cand));
-            let (Some(t0), Some(t1)) = (local.get(&f0.var()), local.get(&f1.var())) else {
+            let (Some(t0), Some(t1)) = (local.get(f0.var()), local.get(f1.var())) else {
                 continue;
             };
-            let a = if f0.is_complement() {
-                t0.not()
-            } else {
-                t0.clone()
-            };
-            let b = if f1.is_complement() {
-                t1.not()
-            } else {
-                t1.clone()
-            };
-            let t = a.and(&b);
-            local.insert(cand, t);
+            let a = if f0.is_complement() { t0.not() } else { t0 };
+            let b = if f1.is_complement() { t1.not() } else { t1 };
+            local.set(cand, a.and(&b));
             if cand != var && !blocked[cand] && divisors.len() < MAX_DIVISORS {
                 divisors.push(cand);
             }
         }
-        let Some(target) = local.get(&var).cloned() else {
+        let Some(target) = local.get(var) else {
             continue;
         };
         // The node's own MFFC cannot provide divisors: it dies on success.
-        let (saved, dying) = cut_mffc(&aig, var, &leaves, &mut refs);
-        let candidate = find_resub(&aig, &target, &leaves, &divisors, &dying, &local);
-        if let Some((repl, added)) = candidate {
+        let saved = cut_mffc(&aig, var, &leaves, &mut refs, &mut dying);
+        let window = Window {
+            leaves: &leaves,
+            divisors: &divisors,
+            dying: &dying,
+            local: &local,
+        };
+        if let Some((repl, added)) = find_resub(&aig, &target, &window, &mut pool) {
             let gain = saved as i64 - added as i64;
             if gain > 0 || (use_zero_cost && gain == 0) {
-                for d in dying {
+                for &d in &dying {
                     blocked[d] = true;
                 }
                 replacements.insert(var, repl);
@@ -114,87 +116,127 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
     rebuild_with(&aig, &replacements)
 }
 
+/// One node's resubstitution window.
+struct Window<'a> {
+    leaves: &'a [usize],
+    divisors: &'a [usize],
+    /// The node's cut-limited MFFC, which dies if the node is replaced.
+    dying: &'a [usize],
+    /// Truth tables over the leaves of every node the window reaches.
+    local: &'a WindowTables,
+}
+
+impl Window<'_> {
+    fn table(&self, node: usize) -> Tt {
+        self.local.get(node).expect("window node has a table")
+    }
+}
+
 /// Searches for a 0- or 1-resubstitution of `target` over the divisors.
 /// Returns the replacement together with the number of new gates it adds.
+/// `pool` is scratch for the 1-resub candidates, reused across nodes.
 fn find_resub(
     aig: &Aig,
     target: &Tt,
-    leaves: &[usize],
-    divisors: &[usize],
-    dying: &[usize],
-    local: &HashMap<usize, Tt>,
+    window: &Window,
+    pool: &mut Vec<Operand>,
 ) -> Option<(Replacement, usize)> {
+    let (leaves, dying) = (window.leaves, window.dying);
     // Constants first.
     if target.is_zero() || target.is_one() {
         return Some((constant_replacement(leaves, target.is_one()), 0));
     }
     // A leaf itself may already express the target.
     for (i, &l) in leaves.iter().enumerate() {
-        let lt = &local[&l];
-        if lt == target {
+        let lt = window.table(l);
+        if lt == *target {
             return Some((wire_replacement(leaves, i, false), 0));
         }
         if lt.not() == *target {
             return Some((wire_replacement(leaves, i, true), 0));
         }
     }
-    let usable: Vec<usize> = divisors
-        .iter()
-        .copied()
-        .filter(|d| !dying.contains(d))
-        .collect();
-    // 0-resub: a single divisor matches (up to complement).
-    for &d in &usable {
-        let dt = &local[&d];
-        if dt == target {
-            return Some((divisor_replacement(aig, leaves, &[(d, false)], Op::Wire), 0));
+    // 0-resub: a single divisor outside the MFFC matches (up to
+    // complement).
+    pool.clear();
+    pool.extend(
+        window
+            .divisors
+            .iter()
+            .filter(|d| !dying.contains(d))
+            .map(|&d| Operand::new(d, window.table(d), target)),
+    );
+    for op in pool.iter() {
+        if op.table == *target {
+            let repl = divisor_replacement(aig, leaves, &[(op.node, false)], Op::Wire);
+            return Some((repl, 0));
         }
-        if dt.not() == *target {
-            return Some((divisor_replacement(aig, leaves, &[(d, true)], Op::Wire), 0));
+        if op.table.not() == *target {
+            let repl = divisor_replacement(aig, leaves, &[(op.node, true)], Op::Wire);
+            return Some((repl, 0));
         }
     }
     // 1-resub: AND / OR of two (possibly complemented) divisors or leaves.
-    let mut pool: Vec<(usize, Tt)> = usable.iter().map(|&d| (d, local[&d].clone())).collect();
-    for &l in leaves {
-        pool.push((l, local[&l].clone()));
-    }
-    for i in 0..pool.len() {
-        for j in (i + 1)..pool.len() {
+    pool.extend(
+        leaves
+            .iter()
+            .map(|&l| Operand::new(l, window.table(l), target)),
+    );
+    for (i, x) in pool.iter().enumerate() {
+        for y in &pool[i + 1..] {
             for (ci, cj) in [(false, false), (false, true), (true, false), (true, true)] {
-                let a = if ci {
-                    pool[i].1.not()
-                } else {
-                    pool[i].1.clone()
-                };
-                let b = if cj {
-                    pool[j].1.not()
-                } else {
-                    pool[j].1.clone()
-                };
-                if a.and(&b) == *target {
-                    let repl = divisor_replacement(
-                        aig,
-                        leaves,
-                        &[(pool[i].0, ci), (pool[j].0, cj)],
-                        Op::And,
-                    );
-                    let added = and_cost(aig, pool[i].0, ci, pool[j].0, cj, dying);
+                let (pi, pj) = (usize::from(ci), usize::from(cj));
+                let pair = [(x.node, ci), (y.node, cj)];
+                let (a, b) = (x.polarity(ci), y.polarity(cj));
+                if x.covers[pi] && y.covers[pj] && a.and(&b) == *target {
+                    let repl = divisor_replacement(aig, leaves, &pair, Op::And);
+                    let added = and_cost(aig, x.node, ci, y.node, cj, dying);
                     return Some((repl, added));
                 }
-                if a.or(&b) == *target {
-                    let repl = divisor_replacement(
-                        aig,
-                        leaves,
-                        &[(pool[i].0, ci), (pool[j].0, cj)],
-                        Op::Or,
-                    );
-                    let added = and_cost(aig, pool[i].0, !ci, pool[j].0, !cj, dying);
+                if x.within[pi] && y.within[pj] && a.or(&b) == *target {
+                    let repl = divisor_replacement(aig, leaves, &pair, Op::Or);
+                    let added = and_cost(aig, x.node, !ci, y.node, !cj, dying);
                     return Some((repl, added));
                 }
             }
         }
     }
     None
+}
+
+/// A 1-resub operand. An AND of two operands can equal the target only if
+/// both cover it, and an OR only if both lie within it; recording that per
+/// polarity lets the pair search skip every other pair without changing
+/// which pair it finds first.
+#[derive(Clone, Copy)]
+struct Operand {
+    node: usize,
+    table: Tt,
+    /// Whether the plain (`[0]`) / complemented (`[1]`) table covers the
+    /// target.
+    covers: [bool; 2],
+    /// Whether the plain / complemented table lies within the target.
+    within: [bool; 2],
+}
+
+impl Operand {
+    fn new(node: usize, table: Tt, target: &Tt) -> Operand {
+        let neg = table.not();
+        Operand {
+            node,
+            table,
+            covers: [table.and(target) == *target, neg.and(target) == *target],
+            within: [table.or(target) == *target, neg.or(target) == *target],
+        }
+    }
+
+    fn polarity(&self, complement: bool) -> Tt {
+        if complement {
+            self.table.not()
+        } else {
+            self.table
+        }
+    }
 }
 
 enum Op {

@@ -9,12 +9,11 @@
 use std::collections::HashMap;
 
 use boils_aig::Aig;
-use boils_mapper::cut_function;
 
-use crate::cuts::enumerate_cuts;
+use crate::cuts::{enumerate_cuts, CutLeaves};
 use crate::factor::{tt_to_dsd_template, tt_to_factored_template};
 use crate::rebuild::{count_new_nodes, cut_mffc, rebuild_with, Replacement};
-use crate::tt::Tt;
+use crate::tt::{cone_function_in, Tt, WindowTables};
 
 /// Rewrites 4-input cuts with factored ISOP structures.
 ///
@@ -41,65 +40,67 @@ use crate::tt::Tt;
 pub fn rewrite(aig: &Aig, use_zero_cost: bool) -> Aig {
     let aig = aig.cleanup();
     let mut refs = aig.fanout_counts();
-    let cuts = enumerate_cuts(&aig, 4, 8);
+    let cuts = enumerate_cuts(&aig, CutLeaves::MAX, 8);
     let mut blocked = vec![false; aig.num_nodes()];
     let mut replacements: HashMap<usize, Replacement> = HashMap::new();
     // Two candidate structures per function: ISOP-factored and DSD-peeled.
     // The cheaper one in context (structural reuse differs!) wins, loosely
     // mirroring ABC's choice among precomputed NPN structures.
-    let mut cache: HashMap<(usize, u64), [Aig; 2]> = HashMap::new();
+    let mut cache: HashMap<Tt, [Aig; 2]> = HashMap::new();
+    // Scratch reused across cuts.
+    let mut tables = WindowTables::new(aig.num_nodes());
+    let mut dying = Vec::new();
+    let mut best_dying = Vec::new();
+    let mut concrete = Vec::new();
 
     for var in aig.ands() {
         if blocked[var] {
             continue;
         }
-        let mut best: Option<(i64, Replacement, Vec<usize>)> = None;
+        // The best candidate so far: its gain, cut, function and template.
+        let mut best: Option<(i64, &[usize], Tt, usize)> = None;
         for cut in cuts[var].iter().skip(1) {
             if cut.len() < 2 || cut.iter().any(|&l| blocked[l]) {
                 continue;
             }
-            let tt_bits = cut_function(&aig, var as u32, &to_u32(cut));
+            let tt = cone_function_in(&aig, var, cut, &mut tables);
             let templates = cache
-                .entry((cut.len(), tt_bits))
-                .or_insert_with(|| {
-                    let tt = Tt::from_u64(cut.len(), tt_bits);
-                    [tt_to_factored_template(&tt), tt_to_dsd_template(&tt)]
-                })
-                .clone();
-            let (saved, dying) = cut_mffc(&aig, var, cut, &mut refs);
+                .entry(tt)
+                .or_insert_with(|| [tt_to_factored_template(&tt), tt_to_dsd_template(&tt)]);
+            let saved = cut_mffc(&aig, var, cut, &mut refs, &mut dying);
             // Nodes about to die cannot be reused by the new structure.
             for &d in &dying {
                 blocked[d] = true;
             }
-            for template in templates {
-                let repl = Replacement {
-                    leaves: cut.clone(),
-                    template,
-                };
-                let added = count_new_nodes(&aig, &repl, &blocked);
+            for (which, template) in templates.iter().enumerate() {
+                let added = count_new_nodes(&aig, template, cut, &blocked, &mut concrete);
                 let gain = saved as i64 - added as i64;
-                if best.as_ref().is_none_or(|(g, _, _)| gain > *g) {
-                    best = Some((gain, repl, dying.clone()));
+                if best.is_none_or(|(g, ..)| gain > g) {
+                    best = Some((gain, cut, tt, which));
+                    best_dying.clone_from(&dying);
                 }
             }
             for &d in &dying {
                 blocked[d] = false;
             }
         }
-        if let Some((gain, repl, dying)) = best {
+        if let Some((gain, cut, tt, which)) = best {
             if gain > 0 || (use_zero_cost && gain == 0) {
-                for d in dying {
+                for &d in &best_dying {
                     blocked[d] = true;
                 }
-                replacements.insert(var, repl);
+                let template = cache[&tt][which].clone();
+                replacements.insert(
+                    var,
+                    Replacement {
+                        leaves: cut.to_vec(),
+                        template,
+                    },
+                );
             }
         }
     }
     rebuild_with(&aig, &replacements)
-}
-
-fn to_u32(cut: &[usize]) -> Vec<u32> {
-    cut.iter().map(|&l| l as u32).collect()
 }
 
 #[cfg(test)]

@@ -1,47 +1,88 @@
-//! Multi-word truth tables and the Minato–Morreale irredundant
-//! sum-of-products (ISOP) computation used by refactoring and the
-//! SOP-balancing transforms.
+//! Inline truth tables over at most eight variables, the Minato–Morreale
+//! irredundant sum-of-products (ISOP) computation used by refactoring and
+//! the SOP-balancing transforms, and the window scratch the cone-evaluating
+//! passes reuse across nodes.
 
-use boils_aig::{input_pattern, Aig};
+use boils_aig::{Aig, INPUT_MASKS};
 
-/// A truth table over `num_vars ≤ 16` variables, packed into 64-bit words.
+/// Words of the widest table: 2^8 bits.
+const WORDS: usize = 4;
+
+/// `VARS[v]` is the projection onto variable `v` over eight variables.
+const VARS: [[u64; WORDS]; Tt::MAX_VARS] = {
+    let mut vars = [[0; WORDS]; Tt::MAX_VARS];
+    let mut v = 0;
+    while v < Tt::MAX_VARS {
+        let mut w = 0;
+        while w < WORDS {
+            vars[v][w] = if v < 6 {
+                INPUT_MASKS[v]
+            } else if w >> (v - 6) & 1 == 1 {
+                !0
+            } else {
+                0
+            };
+            w += 1;
+        }
+        v += 1;
+    }
+    vars
+};
+
+/// `FULL[n]` is the constant-true table over `n` variables: the bits a
+/// table over `n` variables may set.
+const FULL: [[u64; WORDS]; Tt::MAX_VARS + 1] = {
+    let mut full = [[0; WORDS]; Tt::MAX_VARS + 1];
+    let mut n = 0;
+    while n <= Tt::MAX_VARS {
+        if n < 6 {
+            full[n][0] = (1u64 << (1 << n)) - 1;
+        } else {
+            let mut w = 0;
+            while w < 1 << (n - 6) {
+                full[n][w] = !0;
+                w += 1;
+            }
+        }
+        n += 1;
+    }
+    full
+};
+
+/// A truth table over `num_vars ≤ 8` variables, packed inline into four
+/// 64-bit words.
 ///
 /// Bit `p` (of the flattened table) is the function value for the input
 /// minterm with binary encoding `p`, variable 0 being the least significant
-/// bit.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// bit. Bits at or above `2^num_vars` are always zero, so equality and
+/// hashing see only the function.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Tt {
     num_vars: usize,
-    words: Vec<u64>,
+    words: [u64; WORDS],
 }
 
 impl Tt {
-    const MAX_VARS: usize = 16;
+    /// The widest table any caller builds: rewriting and the LUT rebuilds
+    /// use 4 variables, the refactor and resub windows 8.
+    pub(crate) const MAX_VARS: usize = 8;
 
     /// The constant-false function over `num_vars` variables.
     ///
     /// # Panics
     ///
-    /// Panics if `num_vars > 16`.
+    /// Panics if `num_vars > 8`.
     pub fn zero(num_vars: usize) -> Tt {
-        assert!(
-            num_vars <= Self::MAX_VARS,
-            "truth tables limited to 16 vars"
-        );
+        assert!(num_vars <= Self::MAX_VARS, "truth tables limited to 8 vars");
         Tt {
             num_vars,
-            words: vec![0; Self::words_for(num_vars)],
+            words: [0; WORDS],
         }
     }
 
     /// The constant-true function over `num_vars` variables.
     pub fn one(num_vars: usize) -> Tt {
-        let mut t = Tt::zero(num_vars);
-        for w in &mut t.words {
-            *w = !0;
-        }
-        t.mask_off();
-        t
+        Tt::zero(num_vars).with_words([!0; WORDS])
     }
 
     /// The projection onto variable `var`.
@@ -51,29 +92,21 @@ impl Tt {
     /// Panics if `var >= num_vars`.
     pub fn var(num_vars: usize, var: usize) -> Tt {
         assert!(var < num_vars);
-        let mut t = Tt::zero(num_vars);
-        t.words = input_pattern(var, Self::words_for(num_vars));
-        t.mask_off();
-        t
+        Tt::zero(num_vars).with_words(VARS[var])
     }
 
     /// Builds a table from raw words (low 2^num_vars bits significant).
     pub fn from_words(num_vars: usize, words: Vec<u64>) -> Tt {
         assert_eq!(words.len(), Self::words_for(num_vars));
-        let mut t = Tt { num_vars, words };
-        t.mask_off();
-        t
+        let mut t = Tt::zero(num_vars);
+        t.words[..words.len()].copy_from_slice(&words);
+        t.masked()
     }
 
     /// Builds a 6-variable-or-fewer table from a single word.
     pub fn from_u64(num_vars: usize, bits: u64) -> Tt {
         assert!(num_vars <= 6);
-        let mut t = Tt {
-            num_vars,
-            words: vec![bits],
-        };
-        t.mask_off();
-        t
+        Tt::zero(num_vars).with_words([bits, 0, 0, 0])
     }
 
     /// The packed bits when `num_vars ≤ 6`.
@@ -90,10 +123,29 @@ impl Tt {
         (1usize << num_vars).div_ceil(64)
     }
 
-    fn mask_off(&mut self) {
-        let bits = 1usize << self.num_vars;
-        if bits < 64 {
-            self.words[0] &= (1u64 << bits) - 1;
+    /// The table with the given words, cleared above `2^num_vars` bits.
+    fn with_words(self, words: [u64; WORDS]) -> Tt {
+        Tt {
+            num_vars: self.num_vars,
+            words,
+        }
+        .masked()
+    }
+
+    fn masked(mut self) -> Tt {
+        for (w, m) in self.words.iter_mut().zip(&FULL[self.num_vars]) {
+            *w &= m;
+        }
+        self
+    }
+
+    /// Combines two tables over the same variables word by word.
+    fn zip(&self, other: &Tt, op: impl Fn(u64, u64) -> u64) -> Tt {
+        assert_eq!(self.num_vars, other.num_vars);
+        let (a, b) = (self.words, other.words);
+        Tt {
+            num_vars: self.num_vars,
+            words: std::array::from_fn(|w| op(a[w], b[w])),
         }
     }
 
@@ -104,12 +156,12 @@ impl Tt {
 
     /// Whether the function is constant false.
     pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words == [0; WORDS]
     }
 
     /// Whether the function is constant true.
     pub fn is_one(&self) -> bool {
-        *self == Tt::one(self.num_vars)
+        self.words == FULL[self.num_vars]
     }
 
     /// The value of the function on minterm `p`.
@@ -129,12 +181,7 @@ impl Tt {
 
     /// Logical negation.
     pub fn not(&self) -> Tt {
-        let mut t = Tt {
-            num_vars: self.num_vars,
-            words: self.words.iter().map(|w| !w).collect(),
-        };
-        t.mask_off();
-        t
+        self.with_words(self.words.map(|w| !w))
     }
 
     /// Logical conjunction.
@@ -143,44 +190,17 @@ impl Tt {
     ///
     /// Panics if variable counts differ.
     pub fn and(&self, other: &Tt) -> Tt {
-        assert_eq!(self.num_vars, other.num_vars);
-        Tt {
-            num_vars: self.num_vars,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
+        self.zip(other, |a, b| a & b)
     }
 
     /// Logical disjunction.
     pub fn or(&self, other: &Tt) -> Tt {
-        assert_eq!(self.num_vars, other.num_vars);
-        Tt {
-            num_vars: self.num_vars,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a | b)
-                .collect(),
-        }
+        self.zip(other, |a, b| a | b)
     }
 
     /// Exclusive or.
     pub fn xor(&self, other: &Tt) -> Tt {
-        assert_eq!(self.num_vars, other.num_vars);
-        Tt {
-            num_vars: self.num_vars,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a ^ b)
-                .collect(),
-        }
+        self.zip(other, |a, b| a ^ b)
     }
 
     /// The negative cofactor (fixes `var = 0`).
@@ -195,27 +215,26 @@ impl Tt {
 
     fn cofactor(&self, var: usize, value: bool) -> Tt {
         assert!(var < self.num_vars);
-        let mut out = self.clone();
+        let mut out = *self;
         if var < 6 {
             let shift = 1u32 << var;
-            let keep = input_pattern(var, self.words.len());
-            for (w, k) in out.words.iter_mut().zip(&keep) {
-                let sel = if value { *w & k } else { *w & !k };
+            let keep = VARS[var][0];
+            for w in &mut out.words {
                 *w = if value {
+                    let sel = *w & keep;
                     sel | (sel >> shift)
                 } else {
+                    let sel = *w & !keep;
                     sel | (sel << shift)
                 };
             }
         } else {
             let stride = 1usize << (var - 6);
-            let period = stride * 2;
-            for base in (0..out.words.len()).step_by(period) {
-                for i in 0..stride {
-                    let src = if value { base + stride + i } else { base + i };
-                    let v = out.words[src];
-                    out.words[base + i] = v;
-                    out.words[base + stride + i] = v;
+            for base in (0..WORDS).step_by(stride * 2) {
+                for i in base..base + stride {
+                    let v = out.words[if value { i + stride } else { i }];
+                    out.words[i] = v;
+                    out.words[i + stride] = v;
                 }
             }
         }
@@ -229,7 +248,12 @@ impl Tt {
 
     /// The set of variables the function actually depends on.
     pub fn support(&self) -> Vec<usize> {
-        (0..self.num_vars).filter(|&v| self.depends_on(v)).collect()
+        self.support_vars().collect()
+    }
+
+    /// The variables the function depends on, in ascending order.
+    pub(crate) fn support_vars(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.num_vars).filter(|&v| self.depends_on(v))
     }
 }
 
@@ -285,97 +309,140 @@ pub fn cover_function(cover: &[Cube], num_vars: usize) -> Tt {
 /// The result `c` satisfies `f = Σ c` and no cube or literal can be removed
 /// without uncovering a minterm.
 pub fn isop(f: &Tt) -> Vec<Cube> {
-    let (cover, _) = isop_rec(f, f, f.num_vars());
+    let mut cover = Vec::new();
+    isop_rec(f, f, f.num_vars(), &mut cover);
     cover
 }
 
-/// Minato–Morreale on the interval `[lower, upper]`; returns a cover `c`
-/// with `lower ⊆ c ⊆ upper` plus its function.
-fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
+/// Minato–Morreale on the interval `[lower, upper]`: appends a cover `c`
+/// with `lower ⊆ c ⊆ upper` to `cover` and returns its function.
+fn isop_rec(lower: &Tt, upper: &Tt, top: usize, cover: &mut Vec<Cube>) -> Tt {
     let n = lower.num_vars();
     if lower.is_zero() {
-        return (Vec::new(), Tt::zero(n));
+        return Tt::zero(n);
     }
     if upper.is_one() {
-        return (vec![Cube::ONE], Tt::one(n));
+        cover.push(Cube::ONE);
+        return Tt::one(n);
     }
     // Find the highest variable in the support of either bound.
-    let mut var = None;
-    for v in (0..top).rev() {
-        if lower.depends_on(v) || upper.depends_on(v) {
-            var = Some(v);
-            break;
-        }
-    }
-    let Some(x) = var else {
+    let Some(x) = (0..top)
+        .rev()
+        .find(|&v| lower.depends_on(v) || upper.depends_on(v))
+    else {
         // No support left: lower must be 0 (else upper would be 1).
         debug_assert!(lower.is_zero());
-        return (Vec::new(), Tt::zero(n));
+        return Tt::zero(n);
     };
 
     let (l0, l1) = (lower.cofactor0(x), lower.cofactor1(x));
     let (u0, u1) = (upper.cofactor0(x), upper.cofactor1(x));
 
-    // Minterms that must be covered by cubes containing ¬x / x.
-    let need0 = l0.and(&u1.not());
-    let need1 = l1.and(&u0.not());
-    let (mut c0, f0) = isop_rec(&need0, &u0, x);
-    let (mut c1, f1) = isop_rec(&need1, &u1, x);
+    // Minterms that must be covered by cubes containing ¬x / x; the cubes
+    // each recursion appends get that literal.
+    let start = cover.len();
+    let f0 = isop_rec(&l0.and(&u1.not()), &u0, x, cover);
+    let mid = cover.len();
+    let f1 = isop_rec(&l1.and(&u0.not()), &u1, x, cover);
+    for c in &mut cover[start..mid] {
+        c.neg |= 1 << x;
+    }
+    for c in &mut cover[mid..] {
+        c.pos |= 1 << x;
+    }
 
     // Remaining minterms go to cubes independent of x.
     let rest = l0.and(&f0.not()).or(&l1.and(&f1.not()));
-    let u_star = u0.and(&u1);
-    let (c_star, f_star) = isop_rec(&rest, &u_star, x);
-
-    for c in &mut c0 {
-        c.neg |= 1 << x;
-    }
-    for c in &mut c1 {
-        c.pos |= 1 << x;
-    }
-    let mut cover = c0;
-    cover.extend(c1);
-    cover.extend(c_star);
+    let f_star = isop_rec(&rest, &u0.and(&u1), x, cover);
 
     let xv = Tt::var(n, x);
-    let func = xv.not().and(&f0).or(&xv.and(&f1)).or(&f_star);
-    (cover, func)
+    xv.not().and(&f0).or(&xv.and(&f1)).or(&f_star)
+}
+
+/// Node-indexed truth tables of one window, reused across the windows of a
+/// pass. A slot is valid only when stamped with the current window, so
+/// starting a new window costs nothing and no per-node map is built.
+pub(crate) struct WindowTables {
+    tables: Vec<Tt>,
+    stamps: Vec<u32>,
+    window: u32,
+}
+
+impl WindowTables {
+    /// Empty scratch for the nodes of an AIG with `num_nodes` nodes.
+    pub(crate) fn new(num_nodes: usize) -> WindowTables {
+        WindowTables {
+            tables: vec![Tt::zero(0); num_nodes],
+            stamps: vec![0; num_nodes],
+            window: 1,
+        }
+    }
+
+    /// Forgets every table: starts the next window.
+    pub(crate) fn clear(&mut self) {
+        if self.window == u32::MAX {
+            self.stamps.fill(0);
+            self.window = 0;
+        }
+        self.window += 1;
+    }
+
+    /// The table of `node` in the current window, if one was set.
+    pub(crate) fn get(&self, node: usize) -> Option<Tt> {
+        (self.stamps[node] == self.window).then(|| self.tables[node])
+    }
+
+    /// Sets (or overwrites) the table of `node` in the current window.
+    pub(crate) fn set(&mut self, node: usize, table: Tt) {
+        self.tables[node] = table;
+        self.stamps[node] = self.window;
+    }
 }
 
 /// Computes the truth table of the cone rooted at `root` over the given
-/// `leaves` (a valid cut of `root`, at most 16 leaves).
+/// `leaves` (a valid cut of `root`, at most 8 leaves).
 ///
 /// # Panics
 ///
-/// Panics if `leaves.len() > 16` or the cone escapes the leaves.
+/// Panics if `leaves.len() > 8` or the cone escapes the leaves.
 pub fn cone_function(aig: &Aig, root: usize, leaves: &[usize]) -> Tt {
+    cone_function_in(aig, root, leaves, &mut WindowTables::new(aig.num_nodes()))
+}
+
+/// [`cone_function`] evaluated in caller-owned scratch, which passes that
+/// evaluate one cone per node reuse across the whole graph.
+pub(crate) fn cone_function_in(
+    aig: &Aig,
+    root: usize,
+    leaves: &[usize],
+    tables: &mut WindowTables,
+) -> Tt {
     assert!(leaves.len() <= Tt::MAX_VARS);
     let n = leaves.len();
-    let words = (1usize << n).div_ceil(64);
-    let mut memo: std::collections::HashMap<usize, Tt> = std::collections::HashMap::new();
+    tables.clear();
+    tables.set(0, Tt::zero(n));
     for (i, &l) in leaves.iter().enumerate() {
-        memo.insert(l, Tt::from_words(n, input_pattern(i, words)));
+        tables.set(l, Tt::var(n, i));
     }
-    memo.entry(0).or_insert_with(|| Tt::zero(n));
-    fn eval(aig: &Aig, node: usize, memo: &mut std::collections::HashMap<usize, Tt>) -> Tt {
-        if let Some(t) = memo.get(&node) {
-            return t.clone();
+    fn eval(aig: &Aig, node: usize, tables: &mut WindowTables) -> Tt {
+        if let Some(t) = tables.get(node) {
+            return t;
         }
         assert!(aig.is_and(node), "cone escapes cut at node {node}");
         let (f0, f1) = (aig.fanin0(node), aig.fanin1(node));
-        let mut t0 = eval(aig, f0.var(), memo);
+        let mut t0 = eval(aig, f0.var(), tables);
         if f0.is_complement() {
             t0 = t0.not();
         }
-        let mut t1 = eval(aig, f1.var(), memo);
+        let mut t1 = eval(aig, f1.var(), tables);
         if f1.is_complement() {
             t1 = t1.not();
         }
         let t = t0.and(&t1);
-        memo.insert(node, t.clone());
+        tables.set(node, t);
         t
     }
-    eval(aig, root, &mut memo)
+    eval(aig, root, tables)
 }
 
 #[cfg(test)]
@@ -407,6 +474,47 @@ mod tests {
         assert!(f.cofactor0(7).is_zero());
         assert_eq!(f.cofactor1(7), Tt::var(8, 0));
         assert_eq!(f.support(), vec![0, 7]);
+    }
+
+    #[test]
+    fn operations_match_the_bitwise_definitions() {
+        // Pseudo-random tables over every width, single- and multi-word.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for n in 0..=Tt::MAX_VARS {
+            let words = (1usize << n).div_ceil(64);
+            let raw: Vec<u64> = (0..words)
+                .map(|_| {
+                    state = boils_aig::splitmix64(state);
+                    state
+                })
+                .collect();
+            let f = Tt::from_words(n, raw);
+            for v in 0..n {
+                let (c0, c1) = (f.cofactor0(v), f.cofactor1(v));
+                for p in 0..1usize << n {
+                    assert_eq!(c0.bit(p), f.bit(p & !(1 << v)), "n {n} var {v}");
+                    assert_eq!(c1.bit(p), f.bit(p | 1 << v), "n {n} var {v}");
+                }
+                let depends = (0..1usize << n).any(|p| f.bit(p) != f.bit(p ^ 1 << v));
+                assert_eq!(f.depends_on(v), depends);
+            }
+            assert_eq!(f.not().not(), f);
+            assert!(f.or(&f.not()).is_one() && f.and(&f.not()).is_zero());
+            assert_eq!(f.count_ones() + f.not().count_ones(), 1 << n);
+        }
+    }
+
+    #[test]
+    fn window_tables_forget_on_clear() {
+        let mut tables = WindowTables::new(4);
+        assert_eq!(tables.get(2), None);
+        tables.clear();
+        tables.set(2, Tt::one(3));
+        tables.set(2, Tt::var(3, 1));
+        assert_eq!(tables.get(2), Some(Tt::var(3, 1)));
+        assert_eq!(tables.get(1), None);
+        tables.clear();
+        assert_eq!(tables.get(2), None);
     }
 
     #[test]
