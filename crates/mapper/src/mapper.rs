@@ -7,7 +7,7 @@
 
 use boils_aig::Aig;
 
-use crate::cut::{cut_function_in, sig_of_leaves, Cut};
+use crate::cut::{cut_function_in, Cut};
 
 /// Configuration of the LUT mapper.
 ///
@@ -15,7 +15,7 @@ use crate::cut::{cut_function_in, sig_of_leaves, Cut};
 /// (ABC `if -K 6`), 8 priority cuts, and two area-recovery passes.
 #[derive(Clone, Debug)]
 pub struct MapperConfig {
-    /// Maximum LUT input count (`K`).
+    /// Maximum LUT input count (`K`), at most [`Cut::MAX_LEAVES`] (6).
     pub lut_size: usize,
     /// Number of priority cuts kept per node.
     pub cuts_per_node: usize,
@@ -400,7 +400,6 @@ impl<'a> Mapper<'a> {
                 .iter()
                 .map(|&l| self.leaf_flow(l as usize))
                 .sum::<f64>();
-        cut.signature = sig_of_leaves(leaves);
         cut.delay = delay;
         cut.area_flow = area_flow;
         cut

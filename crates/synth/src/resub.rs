@@ -97,13 +97,8 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
         };
         // The node's own MFFC cannot provide divisors: it dies on success.
         let saved = cut_mffc(&aig, var, &leaves, &mut refs, &mut dying);
-        let window = Window {
-            leaves: &leaves,
-            divisors: &divisors,
-            dying: &dying,
-            local: &local,
-        };
-        if let Some((repl, added)) = find_resub(&aig, &target, &window, &mut pool) {
+        let candidate = find_resub(&aig, &target, &leaves, &divisors, &dying, &local, &mut pool);
+        if let Some((repl, added)) = candidate {
             let gain = saved as i64 - added as i64;
             if gain > 0 || (use_zero_cost && gain == 0) {
                 for &d in &dying {
@@ -116,39 +111,26 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
     rebuild_with(&aig, &replacements)
 }
 
-/// One node's resubstitution window.
-struct Window<'a> {
-    leaves: &'a [usize],
-    divisors: &'a [usize],
-    /// The node's cut-limited MFFC, which dies if the node is replaced.
-    dying: &'a [usize],
-    /// Truth tables over the leaves of every node the window reaches.
-    local: &'a WindowTables,
-}
-
-impl Window<'_> {
-    fn table(&self, node: usize) -> Tt {
-        self.local.get(node).expect("window node has a table")
-    }
-}
-
 /// Searches for a 0- or 1-resubstitution of `target` over the divisors.
 /// Returns the replacement together with the number of new gates it adds.
 /// `pool` is scratch for the 1-resub candidates, reused across nodes.
 fn find_resub(
     aig: &Aig,
     target: &Tt,
-    window: &Window,
+    leaves: &[usize],
+    divisors: &[usize],
+    dying: &[usize],
+    local: &WindowTables,
     pool: &mut Vec<Operand>,
 ) -> Option<(Replacement, usize)> {
-    let (leaves, dying) = (window.leaves, window.dying);
+    let table = |node: usize| local.get(node).expect("window node has a table");
     // Constants first.
     if target.is_zero() || target.is_one() {
         return Some((constant_replacement(leaves, target.is_one()), 0));
     }
     // A leaf itself may already express the target.
     for (i, &l) in leaves.iter().enumerate() {
-        let lt = window.table(l);
+        let lt = table(l);
         if lt == *target {
             return Some((wire_replacement(leaves, i, false), 0));
         }
@@ -160,11 +142,10 @@ fn find_resub(
     // complement).
     pool.clear();
     pool.extend(
-        window
-            .divisors
+        divisors
             .iter()
             .filter(|d| !dying.contains(d))
-            .map(|&d| Operand::new(d, window.table(d), target)),
+            .map(|&d| Operand::new(d, table(d), target)),
     );
     for op in pool.iter() {
         if op.table == *target {
@@ -177,11 +158,7 @@ fn find_resub(
         }
     }
     // 1-resub: AND / OR of two (possibly complemented) divisors or leaves.
-    pool.extend(
-        leaves
-            .iter()
-            .map(|&l| Operand::new(l, window.table(l), target)),
-    );
+    pool.extend(leaves.iter().map(|&l| Operand::new(l, table(l), target)));
     for (i, x) in pool.iter().enumerate() {
         for y in &pool[i + 1..] {
             for (ci, cj) in [(false, false), (false, true), (true, false), (true, true)] {
