@@ -18,19 +18,14 @@
 //!   the prefix to its payload hash, so lookups stay keyed exactly as
 //!   before while the bytes dedup underneath.
 //!
-//! Entries written by the pre-split format (`bps1`: header + payload in
-//! one file) are adopted on open and *re-pointed* — the payload is moved
-//! into the content-addressed layer and the old file atomically replaced
-//! by a pointer — never rewritten in place, so a directory shared with
-//! older runs keeps every warm hit.
-//!
 //! Design constraints, in order:
 //!
 //! * **Never trusted blindly.** Pointers and payloads each carry a
 //!   self-describing header (magic, key, length, checksum); any mismatch —
-//!   truncation, bit rot, a foreign file, a dangling pointer whose payload
-//!   was evicted by another process — drops the entry and falls back to
-//!   recomputation. A bad cache can cost time, never correctness.
+//!   truncation, bit rot, a foreign or older-format file, a dangling
+//!   pointer whose payload was evicted by another process — drops the
+//!   entry and falls back to recomputation. A bad cache can cost time,
+//!   never correctness.
 //! * **Crash- and concurrency-safe writes.** Files are written to a
 //!   process-unique temporary name and atomically renamed into place, so
 //!   readers (in this or any other process) only ever observe complete
@@ -76,10 +71,6 @@ use crate::fault::{FaultInjector, FaultKind, FaultOp};
 /// resident many times over, while bounding unattended cache directories.
 pub const DEFAULT_PERSIST_BYTE_BUDGET: u64 = 256 * 1024 * 1024;
 
-/// Magic tag of the pre-split entry format (header + payload in one
-/// file). Still *read* — and migrated — never written.
-const LEGACY_MAGIC: &str = "bps1";
-
 /// Magic tag opening every pointer file (versioned: bump on change).
 const POINTER_MAGIC: &str = "bpt1";
 
@@ -96,12 +87,6 @@ const INDEX_FILE: &str = "index.tsv";
 /// metadata: enough to seed an initial design several times over, small
 /// enough that a fleet of circuits stays kilobytes.
 const TRANSFER_OBSERVATION_CAP: usize = 64;
-
-/// Probe-range size above which [`PersistentPrefixStore::longest_prefix`]
-/// batches its per-length filesystem probes into one directory listing.
-/// Below it (the paper's `K = 20` sits well under), a few `ENOENT` probes
-/// beat scanning a shared directory.
-const LISTING_PROBE_THRESHOLD: usize = 32;
 
 /// Write attempts per file (one initial try plus bounded retries): enough
 /// to ride out a transient failure — a torn write, a blip — without
@@ -124,14 +109,6 @@ const BREAKER_PROBE_AFTER: usize = 16;
 
 /// Sentinel in `disabled_at` meaning "the breaker has not tripped".
 const ENABLED: usize = usize::MAX;
-
-/// Bound on the persist-threshold touch-count map. Most prefixes of a
-/// long random search are touched once and never again; without a cap
-/// their counts would accumulate for the life of the store — a slow leak
-/// in a long-lived daemon. When the map exceeds the cap, the
-/// smallest-count half is dropped (those prefixes restart their count —
-/// at worst a deferred disk write, never a wrong value).
-const TOUCH_COUNT_CAP: usize = 8192;
 
 /// One pointer entry: a (circuit, prefix) key resolving to a payload.
 #[derive(Debug, Clone, Copy)]
@@ -278,7 +255,7 @@ fn parse_pointer_name(name: &str) -> Option<(u64, &str)> {
 }
 
 /// The hex spelling of a token prefix (the key spelling used in file
-/// names, pointer bodies and legacy headers alike).
+/// names and pointer bodies alike).
 fn prefix_hex(prefix: &[u8]) -> String {
     let mut hex = String::with_capacity(2 * prefix.len());
     for &token in prefix {
@@ -366,33 +343,6 @@ fn decode_payload(bytes: &[u8], payload_hash: u64) -> Option<Aig> {
     Some(aig)
 }
 
-/// Validates and parses a pre-split (`bps1`) entry against the key its
-/// file name spells. `None` means "do not trust this entry".
-fn decode_legacy(bytes: &[u8], circuit: u64, expected_prefix_hex: &str) -> Option<Aig> {
-    let newline = bytes.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&bytes[..newline]).ok()?;
-    let mut fields = header.split(' ');
-    if fields.next()? != LEGACY_MAGIC {
-        return None;
-    }
-    if u64::from_str_radix(fields.next()?, 16).ok()? != circuit {
-        return None;
-    }
-    if fields.next()? != expected_prefix_hex {
-        return None;
-    }
-    let payload_len: usize = fields.next()?.parse().ok()?;
-    let checksum = u64::from_str_radix(fields.next()?, 16).ok()?;
-    if fields.next().is_some() {
-        return None;
-    }
-    let payload = bytes.get(newline + 1..)?;
-    if payload.len() != payload_len || boils_aig::fnv1a64(payload) != checksum {
-        return None;
-    }
-    Aig::read_aig_binary(payload).ok()
-}
-
 /// A transfer donor: the most feature-similar circuit the store has
 /// recorded history for, with its best observations (QoR ascending).
 #[derive(Debug, Clone)]
@@ -447,12 +397,6 @@ pub struct PersistentPrefixStore {
     disabled_skips: AtomicUsize,
     /// Times a successful half-open probe re-enabled the store.
     reenables: AtomicUsize,
-    /// Persist a prefix only once it has been reached this many times
-    /// (see [`PersistentPrefixStore::with_persist_threshold`]).
-    persist_threshold: usize,
-    /// Per-prefix reach counts feeding the persist threshold (only
-    /// consulted when the threshold exceeds 1).
-    touch_counts: Mutex<HashMap<String, usize>>,
 }
 
 impl PersistentPrefixStore {
@@ -462,10 +406,7 @@ impl PersistentPrefixStore {
     /// Loading is tolerant by construction: malformed index lines and
     /// index entries whose file has meanwhile disappeared are dropped,
     /// files the index does not know about are adopted from a directory
-    /// scan, and entries in the pre-split format are *migrated* — their
-    /// payload moved into the content-addressed layer and the entry file
-    /// atomically replaced by a pointer, preserving every warm hit with
-    /// zero recomputation.
+    /// scan, and entry files that do not validate as pointers are deleted.
     ///
     /// # Errors
     ///
@@ -508,8 +449,8 @@ impl PersistentPrefixStore {
             }
         }
         // The directory is the source of truth. Payloads and index-known
-        // pointers adopt by stat alone; everything else (legacy entries,
-        // pointers the index has not seen) is read and classified.
+        // pointers adopt by stat alone; every other entry file is read
+        // and classified.
         let mut classify: Vec<(String, u64)> = Vec::new();
         let mut pre_dropped = 0usize;
         for entry in fs::read_dir(&dir)? {
@@ -602,8 +543,6 @@ impl PersistentPrefixStore {
             disabled_at: AtomicUsize::new(ENABLED),
             disabled_skips: AtomicUsize::new(0),
             reenables: AtomicUsize::new(0),
-            persist_threshold: 1,
-            touch_counts: Mutex::new(HashMap::new()),
         };
         for (name, stamp) in classify {
             store.classify_entry(&name, stamp);
@@ -628,9 +567,9 @@ impl PersistentPrefixStore {
     }
 
     /// Reads and classifies one dash-named entry file the index could not
-    /// vouch for: a pointer adopts, a legacy entry migrates, anything
-    /// else — a file that parses as neither under the key its own name
-    /// spells — is deleted (it can never serve a hit, only waste budget).
+    /// vouch for: a pointer adopts, anything else — a file that does not
+    /// parse as a pointer under the key its own name spells — is deleted
+    /// (it can never serve a hit, only waste budget).
     fn classify_entry(&self, name: &str, stamp: u64) {
         let path = self.dir.join(name);
         let Some((circuit, prefix_hex)) = parse_pointer_name(name) else {
@@ -659,60 +598,14 @@ impl PersistentPrefixStore {
             }
             return;
         }
-        if let Some(aig) = decode_legacy(&bytes, circuit, prefix_hex) {
-            self.migrate_legacy(name, circuit, prefix_hex, &aig);
-            return;
-        }
-        // The name spelled a valid key but the content validates as
-        // neither format: corrupt, dropped, never trusted.
+        // The name spelled a valid key but the content is not a valid
+        // pointer: corrupt or another format, dropped, never trusted.
         self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
         let _ = fs::remove_file(&path);
     }
 
-    /// Re-points one validated legacy entry: its payload moves into the
-    /// content-addressed layer (unless already there — dedup applies to
-    /// migration too) and the entry file is atomically replaced by a
-    /// pointer. Best-effort: a failed write leaves the legacy file
-    /// untouched and readable — migration never costs a warm hit, and
-    /// its writes are maintenance, not load, so they skip the fault
-    /// injector and the circuit breaker alike.
-    fn migrate_legacy(&self, name: &str, circuit: u64, prefix_hex: &str, aig: &Aig) {
-        let payload_hash = aig.content_hash();
-        let payload_name = payload_file_name(payload_hash);
-        let payload_path = self.dir.join(&payload_name);
-        let payload_bytes = if payload_path.exists() {
-            fs::metadata(&payload_path).map(|m| m.len()).ok()
-        } else {
-            let bytes = encode_payload(payload_hash, aig);
-            self.plain_replace(&payload_name, &bytes)
-                .then_some(bytes.len() as u64)
-        };
-        let Some(payload_bytes) = payload_bytes else {
-            // Payload did not land: keep the legacy file as-is but index
-            // it as a (fat) pointer so the budget still sees its bytes;
-            // `load` reads legacy entries transparently.
-            let legacy_len = fs::metadata(self.dir.join(name))
-                .map(|m| m.len())
-                .unwrap_or(0);
-            self.lock_index()
-                .touch_pointer(name, legacy_len, payload_hash);
-            return;
-        };
-        let pointer = encode_pointer(circuit, prefix_hex, payload_hash);
-        let pointer_bytes = if self.plain_replace(name, &pointer) {
-            pointer.len() as u64
-        } else {
-            fs::metadata(self.dir.join(name))
-                .map(|m| m.len())
-                .unwrap_or(0)
-        };
-        let mut index = self.lock_index();
-        index.touch_payload(&payload_name, payload_bytes);
-        index.touch_pointer(name, pointer_bytes, payload_hash);
-    }
-
-    /// An un-instrumented tempfile + atomic-rename write for maintenance
-    /// paths (migration, transfer metadata): best-effort, no fault
+    /// An un-instrumented tempfile + atomic-rename write for the
+    /// transfer-metadata maintenance path: best-effort, no fault
     /// injection, no breaker accounting.
     fn plain_replace(&self, name: &str, bytes: &[u8]) -> bool {
         let stamp = {
@@ -744,24 +637,6 @@ impl PersistentPrefixStore {
         self.byte_budget = bytes;
         self.enforce_budget();
         self
-    }
-
-    /// Persists a prefix only once [`store`](PersistentPrefixStore::store)
-    /// has been asked to write it `threshold` times: a write-policy knob
-    /// for shared cache directories, keeping one-off intermediates (most
-    /// of a random search's prefixes are never reached twice) from
-    /// churning the byte budget. The default `1` writes on first touch —
-    /// today's behaviour; `0` is treated as `1`. Reach counts are
-    /// per-instance: a fresh process starts counting from zero.
-    pub fn with_persist_threshold(mut self, threshold: usize) -> PersistentPrefixStore {
-        self.persist_threshold = threshold.max(1);
-        self
-    }
-
-    /// The configured persist threshold (touches before an entry is
-    /// written to disk).
-    pub fn persist_threshold(&self) -> usize {
-        self.persist_threshold
     }
 
     /// Arms (or disarms) deterministic fault injection on this store's
@@ -851,36 +726,20 @@ impl PersistentPrefixStore {
     /// The longest stored prefix of `tokens` strictly longer than `floor`,
     /// as `(prefix_length, restored_aig)`.
     ///
-    /// For probe ranges past `LISTING_PROBE_THRESHOLD` (32) — sequences
-    /// well beyond the paper's `K = 20` — one directory listing per lookup
-    /// decides which prefix lengths have an entry at all (this store's
-    /// in-memory index cannot: entries written by *other processes* since
-    /// open would be invisible to it), then only listed candidates are
-    /// read and validated, longest first — `O(directory)` once instead of
-    /// one filesystem probe per candidate length. Short ranges keep the
-    /// per-length probe: a handful of `ENOENT`s is cheaper than scanning
-    /// a shared cache directory that may hold tens of thousands of
-    /// entries from other circuits and runs. Entries that fail validation
-    /// are dropped and probing continues with the next shorter candidate;
-    /// if the directory cannot be listed, every length is probed directly
-    /// as before. Hit behaviour is identical on both paths.
+    /// Probes the filesystem once per candidate length, longest first.
+    /// This store's in-memory index cannot decide which lengths have an
+    /// entry: entries written by *other processes* since open are
+    /// invisible to it. At the paper's `K = 20` a handful of `ENOENT`
+    /// probes is cheaper than listing a shared cache directory that may
+    /// hold tens of thousands of entries from other circuits and runs.
+    /// Entries that fail validation are dropped and probing continues
+    /// with the next shorter candidate.
     pub fn longest_prefix(&self, tokens: &[u8], floor: usize) -> Option<(usize, Aig)> {
         if tokens.len() <= floor || self.is_disabled() {
             return None;
         }
-        let listed = if tokens.len() - floor > LISTING_PROBE_THRESHOLD {
-            self.list_entry_names()
-        } else {
-            None
-        };
         for len in ((floor + 1)..=tokens.len()).rev() {
-            let prefix = &tokens[..len];
-            if let Some(listed) = &listed {
-                if !listed.contains(&self.entry_name(prefix)) {
-                    continue;
-                }
-            }
-            if let Some(aig) = self.load(prefix) {
+            if let Some(aig) = self.load(&tokens[..len]) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 return Some((len, aig));
             }
@@ -888,25 +747,9 @@ impl PersistentPrefixStore {
         None
     }
 
-    /// Entry file names currently present for this store's circuit, from
-    /// one directory scan; `None` if the directory cannot be listed (the
-    /// caller falls back to probing each candidate directly).
-    fn list_entry_names(&self) -> Option<std::collections::HashSet<String>> {
-        let circuit_prefix = format!("{:016x}-", self.circuit_hash);
-        let mut names = std::collections::HashSet::new();
-        for entry in fs::read_dir(&self.dir).ok()? {
-            let Ok(entry) = entry else { continue };
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(&circuit_prefix) && name.ends_with(".aig") {
-                names.insert(name);
-            }
-        }
-        Some(names)
-    }
-
     /// Loads and validates one entry, without hit accounting. Returns
     /// `None` — after dropping whatever failed validation — on any
-    /// pointer, payload or legacy-entry failure.
+    /// pointer or payload failure.
     pub fn load(&self, prefix: &[u8]) -> Option<Aig> {
         let name = self.entry_name(prefix);
         let path = self.dir.join(&name);
@@ -925,15 +768,8 @@ impl PersistentPrefixStore {
                 return None;
             }
         };
-        let hex = prefix_hex(prefix);
-        if let Some(payload_hash) = decode_pointer(&bytes, self.circuit_hash, &hex) {
+        if let Some(payload_hash) = decode_pointer(&bytes, self.circuit_hash, &prefix_hex(prefix)) {
             return self.load_payload(&name, bytes.len() as u64, payload_hash);
-        }
-        if let Some(aig) = decode_legacy(&bytes, self.circuit_hash, &hex) {
-            // A pre-split entry written by an older process after our
-            // open-time scan: serve the hit and re-point it in passing.
-            self.migrate_legacy(&name, self.circuit_hash, &hex, &aig);
-            return Some(aig);
         }
         // Truncated, bit-rotted, foreign, or stale-format: drop it so
         // the next probe does not pay the read again.
@@ -1016,27 +852,6 @@ impl PersistentPrefixStore {
             if index.pointers.contains_key(&name) {
                 return;
             }
-        }
-        if self.persist_threshold > 1 {
-            // First touches stay memory-only (the in-process PrefixCache
-            // tier already covers them); the threshold-th touch earns the
-            // prefix its disk entry.
-            let mut counts = self
-                .touch_counts
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let count = counts.entry(name.clone()).or_insert(0);
-            *count += 1;
-            if *count < self.persist_threshold {
-                if counts.len() > TOUCH_COUNT_CAP {
-                    Self::shed_touch_counts(&mut counts);
-                }
-                return;
-            }
-            // The prefix has earned its disk entry; its count is spent
-            // (a successful write makes the index short-circuit future
-            // stores, so keeping the count would only leak).
-            counts.remove(&name);
         }
         let path = self.dir.join(&name);
         if path.exists() {
@@ -1224,28 +1039,6 @@ impl PersistentPrefixStore {
         true
     }
 
-    /// Number of prefixes currently holding a pending (below-threshold)
-    /// touch count — a diagnostic for the map's boundedness.
-    pub fn pending_touch_counts(&self) -> usize {
-        self.touch_counts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// Sheds the smallest-count half of an over-cap touch-count map.
-    /// Ties are broken by name so concurrent instances shed identically.
-    fn shed_touch_counts(counts: &mut HashMap<String, usize>) {
-        let mut by_count: Vec<(usize, String)> = counts
-            .iter()
-            .map(|(name, &count)| (count, name.clone()))
-            .collect();
-        by_count.sort();
-        for (_, name) in by_count.into_iter().take(counts.len() / 2) {
-            counts.remove(&name);
-        }
-    }
-
     /// Folds this store's counters into an evaluator-level stats snapshot.
     pub(crate) fn merge_into(&self, stats: &mut PrefixStats) {
         stats.disk_hits += self.disk_hits.load(Ordering::Relaxed);
@@ -1324,17 +1117,6 @@ impl PersistentPrefixStore {
                         }
                     }
                 }
-            }
-        }
-        if self.persist_threshold > 1 {
-            // Evicted entries lose their (already spent) touch counts too:
-            // nothing may reference a victim once it is gone.
-            let mut counts = self
-                .touch_counts
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for name in &victims {
-                counts.remove(name);
             }
         }
         for name in victims {
@@ -1541,22 +1323,6 @@ mod tests {
             std::env::temp_dir().join(format!("boils-store-unit-{}-{label}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// Serialises an entry in the pre-split (`bps1`) format, byte-for-byte
-    /// what the old store would have written — the migration fixture.
-    fn legacy_entry_bytes(circuit_hash: u64, prefix: &[u8], aig: &Aig) -> Vec<u8> {
-        let mut payload = Vec::new();
-        let _ = aig.write_aig_binary(&mut payload);
-        let mut out = format!(
-            "{LEGACY_MAGIC} {circuit_hash:016x} {} {} {:016x}\n",
-            prefix_hex(prefix),
-            payload.len(),
-            boils_aig::fnv1a64(&payload)
-        )
-        .into_bytes();
-        out.extend_from_slice(&payload);
-        out
     }
 
     #[test]
@@ -1777,45 +1543,6 @@ mod tests {
     }
 
     #[test]
-    fn touch_counts_stay_bounded_under_churn() {
-        let dir = temp_store_dir("touchbound");
-        let base = random_aig(120, 6, 100, 2);
-        let store = PersistentPrefixStore::open_for(&dir, &base)
-            .expect("open")
-            .with_persist_threshold(2);
-        let aig = random_aig(121, 6, 50, 2);
-        // A long stream of one-off prefixes (a random search's common
-        // case): each is touched once and never again, so without the cap
-        // every one would hold a pending count forever.
-        for i in 0..2 * TOUCH_COUNT_CAP {
-            let prefix = [(i >> 8) as u8, (i & 0xff) as u8, 7];
-            store.store(&prefix, &aig);
-        }
-        assert!(store.pending_touch_counts() <= TOUCH_COUNT_CAP);
-        assert_eq!(store.stats().disk_writes, 0);
-        let pending_before = store.pending_touch_counts();
-        // Budget-churned writes: entries earn their disk slot (second
-        // touch), the byte budget evicts older ones, and neither the
-        // written nor the evicted prefixes leave a count behind. Each
-        // prefix carries a *distinct* intermediate so every write pays
-        // full payload freight (dedup would otherwise keep the footprint
-        // under the budget).
-        let store = store.with_byte_budget(1024);
-        for i in 0..10u8 {
-            let prefix = [255, i];
-            let distinct = random_aig(180 + u64::from(i), 6, 50, 2);
-            store.store(&prefix, &distinct);
-            store.store(&prefix, &distinct);
-        }
-        let stats = store.stats();
-        assert_eq!(stats.disk_writes, 10);
-        assert!(stats.disk_evictions > 0, "budget never churned: {stats:?}");
-        assert!(store.pending_touch_counts() <= pending_before);
-        assert!(store.pending_touch_counts() <= TOUCH_COUNT_CAP);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn torn_write_is_caught_at_write_time_and_retried() {
         let dir = temp_store_dir("torn");
         let base = random_aig(80, 6, 100, 2);
@@ -1873,39 +1600,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .count();
         assert_eq!(leftovers, 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persist_threshold_defers_first_touch_to_memory_only() {
-        let dir = temp_store_dir("threshold");
-        let base = random_aig(100, 6, 100, 2);
-        let store = PersistentPrefixStore::open_for(&dir, &base)
-            .expect("open")
-            .with_persist_threshold(2);
-        assert_eq!(store.persist_threshold(), 2);
-        let intermediate = random_aig(101, 6, 60, 2);
-        // First touch: counted, nothing on disk.
-        store.store(&[4, 2], &intermediate);
-        assert_eq!(store.len(), 0);
-        assert_eq!(store.stats().disk_writes, 0);
-        assert!(store.load(&[4, 2]).is_none());
-        // Second touch of the same prefix: the entry lands on disk.
-        store.store(&[4, 2], &intermediate);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.stats().disk_writes, 1);
-        let back = store.load(&[4, 2]).expect("persisted on second touch");
-        assert_eq!(back.content_hash(), intermediate.content_hash());
-        // A different prefix starts its own count.
-        store.store(&[9], &random_aig(102, 6, 50, 2));
-        assert_eq!(store.len(), 1);
-        // Threshold 0 behaves like the default write-on-first-touch.
-        let eager = PersistentPrefixStore::open_for(&dir, &base)
-            .expect("open")
-            .with_persist_threshold(0);
-        assert_eq!(eager.persist_threshold(), 1);
-        eager.store(&[8], &random_aig(103, 6, 50, 2));
-        assert!(eager.load(&[8]).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -2008,62 +1702,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_entries_are_adopted_and_repointed_on_open() {
-        let dir = temp_store_dir("legacy");
-        fs::create_dir_all(&dir).expect("mkdir");
-        let base = random_aig(320, 6, 100, 2);
-        let circuit = base.content_hash();
-        let one = random_aig(321, 6, 70, 2);
-        let two = random_aig(322, 6, 60, 2);
-        // Two pre-split entries, written the way the old store would
-        // have; the second prefix shares the first one's intermediate,
-        // so migration itself must dedup.
-        for (prefix, aig) in [
-            (&[1u8, 2][..], &one),
-            (&[7u8][..], &two),
-            (&[9u8, 9][..], &one),
-        ] {
-            let name = format!("{circuit:016x}-{}.aig", prefix_hex(prefix));
-            fs::write(dir.join(name), legacy_entry_bytes(circuit, prefix, aig)).expect("write");
-        }
-        let store = PersistentPrefixStore::open_for(&dir, &base).expect("open");
-        // Every legacy entry was adopted; the shared intermediate keeps
-        // one payload.
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.payload_count(), 2);
-        // Warm hits preserved — restored with zero recomputation and
-        // structurally identical to what the old format held.
-        assert_eq!(
-            store.load(&[1, 2]).expect("migrated").content_hash(),
-            one.content_hash()
-        );
-        assert_eq!(
-            store.load(&[9, 9]).expect("migrated").content_hash(),
-            one.content_hash()
-        );
-        assert_eq!(
-            store.load(&[7]).expect("migrated").content_hash(),
-            two.content_hash()
-        );
-        // The entry files were re-pointed, never rewritten in place: each
-        // now opens with the pointer magic and the payload lives once in
-        // the content-addressed layer.
-        for prefix in [&[1u8, 2][..], &[7u8][..], &[9u8, 9][..]] {
-            let bytes = fs::read(dir.join(store.entry_name(prefix))).expect("read");
-            assert!(bytes.starts_with(POINTER_MAGIC.as_bytes()));
-        }
-        // Migration is maintenance, not store traffic.
-        assert_eq!(store.stats().disk_writes, 0);
-        assert_eq!(store.stats().disk_corrupt_dropped, 0);
-        // A reopen sees the migrated layout and stays warm.
-        drop(store);
-        let reopened = PersistentPrefixStore::open_for(&dir, &base).expect("reopen");
-        assert_eq!(reopened.len(), 3);
-        assert!(reopened.load(&[1, 2]).is_some());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_pointers_and_payloads_are_dropped_never_trusted() {
         let dir = temp_store_dir("corruptptr");
         let base = random_aig(330, 6, 100, 2);
@@ -2106,6 +1744,37 @@ mod tests {
         assert!(!payload_path.exists());
         assert!(!dir.join(store.entry_name(&[3])).exists());
         assert_eq!(store.len(), 0);
+        // An entry in the single-file format older stores wrote (`bps1`
+        // header + valid binary AIGER) is not a pointer: a miss, dropped
+        // and counted like any other untrusted file, both when a probe
+        // meets it and when an open-time scan does.
+        let bps1_entry = |prefix: &[u8]| {
+            let mut aiger = Vec::new();
+            random_aig(334, 6, 60, 2)
+                .write_aig_binary(&mut aiger)
+                .expect("encode");
+            let mut bytes = format!(
+                "bps1 {:016x} {} {} {:016x}\n",
+                base.content_hash(),
+                prefix_hex(prefix),
+                aiger.len(),
+                boils_aig::fnv1a64(&aiger)
+            )
+            .into_bytes();
+            bytes.extend_from_slice(&aiger);
+            let path = dir.join(store.entry_name(prefix));
+            fs::write(&path, bytes).expect("write bps1 entry");
+            path
+        };
+        let old = bps1_entry(&[4]);
+        assert!(store.load(&[4]).is_none());
+        assert!(!old.exists(), "old-format entry deleted");
+        assert_eq!(store.stats().disk_corrupt_dropped, 4);
+        let old = bps1_entry(&[5]);
+        let reopened = PersistentPrefixStore::open_for(&dir, &base).expect("reopen");
+        assert!(!old.exists(), "old-format entry deleted on open");
+        assert_eq!(reopened.stats().disk_corrupt_dropped, 1);
+        assert_eq!(reopened.len(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

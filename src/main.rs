@@ -570,11 +570,12 @@ fn optimize(args: &Args) -> Result<(), String> {
             None => String::new(),
         };
         println!(
-            "cache dir     : {} ({} disk hits, {} writes, {} entries, {} KiB, \
-             {} write failures, {} retries{degraded})",
+            "cache dir     : {} ({} disk hits, {} writes, {} corrupt dropped, {} entries, \
+             {} KiB, {} write failures, {} retries{degraded})",
             store.dir().display(),
             stats.disk_hits,
             stats.disk_writes,
+            stats.disk_corrupt_dropped,
             store.len(),
             store.total_bytes() / 1024,
             stats.disk_write_failures,
