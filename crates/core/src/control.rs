@@ -55,12 +55,13 @@ impl RunControl {
     }
 
     /// A control that fires `DeadlineExceeded` once `budget` of wall-clock
-    /// time has elapsed (measured from this call, monotonic).
+    /// time has elapsed (measured from this call, monotonic). A deadline
+    /// past the end of the clock's range never fires.
     pub fn with_deadline(budget: Duration) -> RunControl {
         RunControl {
             inner: Arc::new(ControlInner {
                 cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + budget),
+                deadline: Instant::now().checked_add(budget),
             }),
         }
     }
@@ -129,6 +130,9 @@ mod tests {
     #[test]
     fn generous_deadline_does_not_fire() {
         let control = RunControl::with_deadline(Duration::from_secs(3600));
+        assert_eq!(control.stop_reason(), None);
+        // Past the end of the clock's range: no overflow, never fires.
+        let control = RunControl::with_deadline(Duration::MAX);
         assert_eq!(control.stop_reason(), None);
     }
 }

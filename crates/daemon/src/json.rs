@@ -8,6 +8,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// protocol's deepest document, a `store_stats` event, nests three (its
+/// object, the `rows` array, each row); the cap keeps a hostile line from
+/// recursing the parser off its thread's stack.
+pub const MAX_DEPTH: usize = 32;
+
 /// A parsed JSON value. Objects preserve insertion order (deterministic
 /// wire output, readable event lines).
 #[derive(Clone, Debug, PartialEq)]
@@ -136,11 +142,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a one-line diagnostic with the byte offset of the problem.
+    /// Returns a one-line diagnostic with the byte offset of the problem,
+    /// including for documents nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -218,6 +226,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -250,8 +260,8 @@ impl Parser<'_> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected character {:?} at byte {}",
@@ -259,6 +269,20 @@ impl Parser<'_> {
             )),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -332,12 +356,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape at once:
+                    // both are ASCII, so the run ends on a character
+                    // boundary, and each byte is validated only once.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -401,7 +429,7 @@ mod tests {
 
     #[test]
     fn round_trips_the_protocol_shapes() {
-        let text = r#"{"op":"submit","circuit":"adder","budget":20,"deadline_secs":1.5,"mo":false,"note":"a\"b\\c\nd","tokens":[1,2,3],"extra":null}"#;
+        let text = r#"{"op":"submit","circuit":"adder","budget":20,"deadline_secs":1.5,"mo":false,"note":"a\"b\\c\nd é∑","tokens":[1,2,3],"extra":null}"#;
         let value = Value::parse(text).expect("parses");
         assert_eq!(value.get("op").and_then(Value::as_str), Some("submit"));
         assert_eq!(value.get("budget").and_then(Value::as_u64), Some(20));
@@ -411,6 +439,10 @@ mod tests {
         );
         assert_eq!(value.get("mo").and_then(Value::as_bool), Some(false));
         assert_eq!(value.get("extra"), Some(&Value::Null));
+        assert_eq!(
+            value.get("note").and_then(Value::as_str),
+            Some("a\"b\\c\nd é∑")
+        );
         assert_eq!(
             value
                 .get("tokens")
@@ -441,6 +473,17 @@ mod tests {
             let err = Value::parse(bad).expect_err(bad);
             assert!(!err.is_empty());
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = Value::parse(&deep).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_cap).is_ok());
+        let past_cap = format!("{{\"a\":{at_cap}}}");
+        assert!(Value::parse(&past_cap).is_err());
     }
 
     #[test]

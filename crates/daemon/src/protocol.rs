@@ -21,11 +21,21 @@
 //! a `rejected` event with the same one-line diagnostics the experiment
 //! CLI prints, and the daemon keeps serving.
 
+use std::time::Duration;
+
 use boils_baselines::Method;
 use boils_circuits::Benchmark;
 use boils_core::{JobId, Objective, PrefixStats, Priority};
 
 use crate::json::Value;
+
+/// Largest `budget` a job may ask for: 500× the paper's 200 evaluations.
+/// Random search draws its whole design up front, `budget × k` bytes, so
+/// together with [`MAX_SEQUENCE_LENGTH`] this keeps that in megabytes.
+pub const MAX_BUDGET: usize = 100_000;
+
+/// Largest sequence length `k` a job may ask for: over 10× the paper's 20.
+pub const MAX_SEQUENCE_LENGTH: usize = 256;
 
 /// A validated optimisation job.
 #[derive(Clone, Debug)]
@@ -73,16 +83,30 @@ impl JobRequest {
             Some(v) => Objective::parse(v.as_str().ok_or("objective takes a string")?)
                 .map_err(|e| format!("objective: {e}"))?,
         };
-        let budget = require_u64(value, "budget")? as usize;
+        let budget = require_u64(value, "budget")?;
         if budget == 0 {
             return Err("budget takes a positive evaluation count".to_string());
         }
+        if budget > MAX_BUDGET as u64 {
+            return Err(format!("budget {budget} exceeds the limit of {MAX_BUDGET}"));
+        }
         let seed = optional_u64(value, "seed")?.unwrap_or(0);
-        let sequence_length = optional_u64(value, "k")?.unwrap_or(20) as usize;
+        let sequence_length = optional_u64(value, "k")?.unwrap_or(20);
         if sequence_length == 0 {
             return Err("k takes a positive sequence length".to_string());
         }
-        let bits = optional_u64(value, "bits")?.map(|b| b as usize);
+        if sequence_length > MAX_SEQUENCE_LENGTH as u64 {
+            return Err(format!(
+                "k {sequence_length} exceeds the limit of {MAX_SEQUENCE_LENGTH}"
+            ));
+        }
+        let bits = optional_u64(value, "bits")?;
+        if let Some(bits) = bits.filter(|&b| b > circuit.paper_bits() as u64) {
+            return Err(format!(
+                "bits {bits} exceeds {circuit}'s paper width of {}",
+                circuit.paper_bits()
+            ));
+        }
         let priority = match value.get("priority") {
             None | Some(Value::Null) => Priority::Normal,
             Some(v) => Priority::parse(v.as_str().ok_or("priority takes a string")?)?,
@@ -94,6 +118,8 @@ impl JobRequest {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("deadline_secs takes a positive duration".to_string());
                 }
+                Duration::try_from_secs_f64(secs)
+                    .map_err(|_| format!("deadline_secs {secs:e} is out of range"))?;
                 Some(secs)
             }
         };
@@ -107,12 +133,12 @@ impl JobRequest {
         };
         Ok(JobRequest {
             circuit,
-            bits,
+            bits: bits.map(|b| b as usize),
             method,
             objective,
-            budget,
+            budget: budget as usize,
             seed,
-            sequence_length,
+            sequence_length: sequence_length as usize,
             priority,
             deadline_secs,
             multi_objective,
@@ -518,6 +544,46 @@ mod tests {
             let err = Request::parse_line(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    /// Decodes an adder/rs submit line with the given extra fields.
+    fn submit_with(fields: &str) -> Result<Request, String> {
+        Request::parse_line(&format!(
+            r#"{{"op":"submit","circuit":"adder","method":"rs",{fields}}}"#
+        ))
+    }
+
+    #[test]
+    fn budget_past_the_limit_is_rejected() {
+        let reason = submit_with(r#""budget":1e12"#).expect_err("huge budget");
+        assert!(reason.contains("budget 1000000000000 exceeds"), "{reason}");
+        assert!(submit_with(&format!(r#""budget":{}"#, MAX_BUDGET + 1)).is_err());
+        assert!(submit_with(&format!(r#""budget":{MAX_BUDGET}"#)).is_ok());
+    }
+
+    #[test]
+    fn k_past_the_limit_is_rejected() {
+        let reason = submit_with(r#""budget":5,"k":1e15"#).expect_err("huge k");
+        assert!(reason.contains("k 1000000000000000 exceeds"), "{reason}");
+        assert!(submit_with(&format!(r#""budget":5,"k":{}"#, MAX_SEQUENCE_LENGTH + 1)).is_err());
+        assert!(submit_with(&format!(r#""budget":5,"k":{MAX_SEQUENCE_LENGTH}"#)).is_ok());
+    }
+
+    #[test]
+    fn bits_past_the_paper_width_are_rejected() {
+        let reason = submit_with(r#""budget":5,"bits":129"#).expect_err("wide adder");
+        assert!(reason.contains("adder's paper width of 128"), "{reason}");
+        assert!(submit_with(r#""budget":5,"bits":128"#).is_ok());
+    }
+
+    #[test]
+    fn deadline_past_the_duration_range_is_rejected() {
+        let reason = submit_with(r#""budget":5,"deadline_secs":1e300"#).expect_err("huge deadline");
+        assert!(
+            reason.contains("deadline_secs 1e300 is out of range"),
+            "{reason}"
+        );
+        assert!(submit_with(r#""budget":5,"deadline_secs":1e9"#).is_ok());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`QorEvaluator`]: boils_core::QorEvaluator
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -34,6 +34,12 @@ use boils_circuits::CircuitSpec;
 use boils_core::{EvaluatorPool, JobId, OptimizationResult, RunControl, SequenceSpace, WorkerPool};
 
 use crate::protocol::{Event, JobOutcome, JobRequest, Request, StoreStatsRow};
+
+/// Longest request line the server reads, in bytes, newline excluded. A
+/// submit line is under 1 KiB. A longer line gets one `rejected` event and
+/// then the connection is closed, so no client can make the server buffer
+/// without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Daemon sizing knobs.
 #[derive(Clone, Debug)]
@@ -192,7 +198,11 @@ fn run_job(
     // lock so a concurrent `cancel` always reaches whichever is live.
     let control = match request.deadline_secs {
         Some(secs) => {
-            let armed = RunControl::with_deadline(Duration::from_secs_f64(secs));
+            // `JobRequest::from_json` bounds `secs`; a request built by hand
+            // past `Duration`'s range runs without a deadline instead of
+            // panicking here, outside the job's unwind guard.
+            let budget = Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX);
+            let armed = RunControl::with_deadline(budget);
             let mut map = lock(jobs);
             if submitted.is_cancelled() {
                 armed.cancel();
@@ -447,13 +457,35 @@ fn serve_connection(stream: Stream, daemon: &Daemon, shutdown: &AtomicBool, addr
             let _ = out.flush();
         }
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut bytes = Vec::new();
+    loop {
+        bytes.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut bytes) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if bytes.len() > MAX_LINE_BYTES && bytes.last() != Some(&b'\n') {
+            let _ = sender.send(Event::Rejected {
+                reason: format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            });
+            // Discard the rest of the line without buffering it, so the
+            // client's write completes and it reads the rejection before
+            // the close.
+            let _ = reader.skip_until(b'\n');
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            let _ = sender.send(Event::Rejected {
+                reason: "request line is not valid UTF-8".to_string(),
+            });
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match Request::parse_line(&line) {
+        match Request::parse_line(line) {
             Ok(Request::Submit(request)) => {
                 if let Err(reason) = daemon.submit(request, &sender) {
                     let _ = sender.send(Event::Rejected { reason });

@@ -3,6 +3,7 @@
 //! fault tolerance.
 
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
 use std::sync::mpsc::{channel, Receiver};
 use std::time::Duration;
 
@@ -11,6 +12,7 @@ use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
     JobId, Objective, OptimizationResult, Priority, QorEvaluator, RunControl, SequenceSpace,
 };
+use boils_daemon::server::MAX_LINE_BYTES;
 use boils_daemon::{Client, Daemon, DaemonConfig, Event, JobOutcome, JobRequest, Server, Value};
 
 const BITS: usize = 4;
@@ -356,6 +358,51 @@ fn malformed_lines_are_rejected_while_the_daemon_keeps_serving() {
     );
     assert!(finished.get("best_qor").and_then(Value::as_f64).is_some());
 
+    client.shutdown().expect("send shutdown");
+    server_thread
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
+}
+
+#[test]
+fn an_over_long_line_is_rejected_and_a_new_connection_is_still_served() {
+    let server = Server::bind(config(1, 4), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    // A 1 MiB line, far past the cap: one rejection, then the server
+    // closes the connection once the line has arrived.
+    let mut client = Client::connect(&addr).expect("connect");
+    let pad = "x".repeat(1 << 20);
+    client
+        .send_raw(&format!(r#"{{"op":"submit","pad":"{pad}"}}"#))
+        .expect("the whole line is read");
+    let event = client
+        .next_event()
+        .expect("read event")
+        .expect("one rejection");
+    assert_eq!(event.get("event").and_then(Value::as_str), Some("rejected"));
+    let reason = event.get("reason").and_then(Value::as_str).expect("reason");
+    assert!(
+        reason.contains(&format!("longer than {MAX_LINE_BYTES} bytes")),
+        "{reason}"
+    );
+    assert!(client.next_event().expect("clean close").is_none());
+
+    // The daemon keeps serving new connections. On this one a line that
+    // is not UTF-8 is rejected and the next line is still answered.
+    {
+        let mut raw = std::net::TcpStream::connect(&addr).expect("reconnect");
+        raw.write_all(b"\xff\xfe\n{\"op\":\"store-stats\"}\n")
+            .expect("send");
+        let mut events = BufReader::new(raw).lines();
+        let mut next = || events.next().expect("an event").expect("read event");
+        assert!(next().contains("not valid UTF-8"));
+        assert!(next().contains(r#""event":"store_stats""#));
+        // Dropping the stream closes it, so shutdown need not wait on it.
+    }
+    let mut client = Client::connect(&addr).expect("reconnect");
     client.shutdown().expect("send shutdown");
     server_thread
         .join()
