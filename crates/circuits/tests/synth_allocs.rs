@@ -63,11 +63,6 @@ fn allocations() -> u64 {
 /// measured on sqrt(16) (identical in debug and release builds). With heap
 /// truth tables, per-node hash maps and heap cut leaves the same calls made
 /// 74k–452k allocations each, except `balance` and `fraig`.
-///
-/// `fraig` is the one count that varies between runs (8.9k–11.6k seen):
-/// it walks its candidate classes in hash-map order, so the order of its
-/// SAT queries and counterexamples changes from process to process. Its
-/// ceiling is twice the largest count seen.
 const CEILINGS: [(Transform, u64); 11] = [
     (Transform::Rewrite, 10_112),
     (Transform::RewriteZ, 6_906),
@@ -76,7 +71,7 @@ const CEILINGS: [(Transform, u64); 11] = [
     (Transform::Resub, 5_046),
     (Transform::ResubZ, 5_014),
     (Transform::Balance, 2_348),
-    (Transform::Fraig, 23_142),
+    (Transform::Fraig, 17_708),
     (Transform::Sopb, 4_340),
     (Transform::Blut, 3_746),
     (Transform::Dsdb, 3_716),

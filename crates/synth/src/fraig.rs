@@ -123,28 +123,35 @@ pub fn fraig_with_stats(aig: &Aig, config: &FraigConfig) -> (Aig, FraigStats) {
     for _round in 0..config.max_rounds {
         stats.rounds += 1;
         // Group nodes by hashed canonical signature (min of sig, ~sig).
-        // Buckets under one hash are confirmed by exact row comparison, so
-        // a hash collision costs a second bucket, never a wrong class.
-        let mut classes: HashMap<u64, Vec<Vec<(usize, bool)>>> = HashMap::new();
+        // Classes under one hash are confirmed by exact row comparison, so
+        // a hash collision costs a second class, never a wrong one. The
+        // hash map only indexes `classes`, which keeps them in order of
+        // their first member's node: the SAT query order, and with it the
+        // solver's learned state, is the same in every process.
+        let mut classes: Vec<Vec<(usize, bool)>> = Vec::new();
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
         for var in (0..=aig.num_pis()).chain(aig.ands()) {
             if proven.contains_key(&var) {
                 continue;
             }
             let (hash, phase) = table.sig_hash(var);
-            let buckets = classes.entry(hash).or_default();
-            let found = buckets.iter_mut().find(|bucket| {
-                let (repr, repr_phase) = bucket[0];
+            let candidates = by_hash.entry(hash).or_default();
+            let found = candidates.iter().copied().find(|&class| {
+                let (repr, repr_phase) = classes[class][0];
                 table.rows_equal(var, repr, phase != repr_phase)
             });
             match found {
-                Some(bucket) => bucket.push((var, phase)),
-                None => buckets.push(vec![(var, phase)]),
+                Some(class) => classes[class].push((var, phase)),
+                None => {
+                    candidates.push(classes.len());
+                    classes.push(vec![(var, phase)]);
+                }
             }
         }
         // Try to prove members equal to their class representative.
         let mut new_cex: Vec<Vec<bool>> = Vec::new();
         let mut settled = false;
-        for members in classes.values().flatten() {
+        for members in &classes {
             if members.len() < 2 {
                 continue;
             }
