@@ -6,7 +6,7 @@
 //! `--batch-size`), the persistent prefix store (cold vs warm process),
 //! the content-addressed semantic store (cross-circuit payload dedup),
 //! the surrogate lifecycle (windowed vs unbounded per-step cost at
-//! budget ≥ 500, match-cached warm retrains vs cold DP recomputation),
+//! budget ≥ 500, four-lane vs per-pair SSK retrains),
 //! the cost-generic objective layer (cross-objective store reuse,
 //! multi-objective hypervolume trace) and the multi-tenant daemon
 //! (N jobs through one shared evaluator pool vs N isolated runs),
@@ -42,7 +42,7 @@ use boils_core::{
     Boils, BoilsConfig, Objective, PersistentPrefixStore, QorEvaluator, RunControl, SequenceSpace,
     Termination,
 };
-use boils_gp::{hypervolume_2d, Gp, SskKernel, Surrogate, SurrogateConfig, TrainConfig};
+use boils_gp::{hypervolume_2d, Gp, Kernel, SskKernel, Surrogate, SurrogateConfig, TrainConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -777,11 +777,11 @@ fn semantic_store_section(aig: &boils_aig::Aig, smoke: bool) -> String {
 ///   update); the windowed one must flatten once the window fills — the
 ///   assert checks its late-stream mean step is bounded by a small
 ///   multiple of its just-past-the-window mean.
-/// * **Warm vs cold retrain.** `Gp::fit_with_adam` over the same
-///   training set, with the SSK's decay-independent match structure
-///   cached ([`SskKernel::with_match_caching`]) vs recomputed inside
-///   every DP. The Gram (and therefore the fitted model) is asserted
-///   bit-identical; the warm path only skips re-deriving match structure.
+/// * **Per-pair vs four-lane retrain.** `Gp::fit_with_adam` over the same
+///   training set, with the SSK's lane-blocked [`Kernel::eval_column`]
+///   (four pairs per DP pass) vs the trait's per-pair default (through
+///   [`PerPairSsk`]). The fitted model is asserted bit-identical; the
+///   lanes only run independent pairs in lockstep.
 fn surrogate_section(smoke: bool, window: usize) -> String {
     let budget = if smoke { 140 } else { 520 };
     let initial = 20.min(budget / 2);
@@ -808,10 +808,8 @@ fn surrogate_section(smoke: bool, window: usize) -> String {
     };
     // Per-step wall time, indexed by history size after the step.
     let run_stream = |window: Option<usize>| -> Vec<f64> {
-        let mut surrogate: Surrogate<SskKernel, Vec<u8>> = Surrogate::new(
-            SskKernel::new(4).with_match_caching(),
-            surrogate_config(window),
-        );
+        let mut surrogate: Surrogate<SskKernel, Vec<u8>> =
+            Surrogate::new(SskKernel::new(4), surrogate_config(window));
         for (x, y) in &stream[..initial] {
             surrogate.observe(x.clone(), *y);
         }
@@ -858,7 +856,7 @@ fn surrogate_section(smoke: bool, window: usize) -> String {
         );
     }
 
-    // Warm vs cold retrain over one training set.
+    // Per-pair vs four-lane retrain over one training set.
     let n = if smoke { 40 } else { 120 };
     let xs: Vec<Vec<u8>> = (0..n).map(|_| space.sample(&mut rng)).collect();
     let ys: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -867,33 +865,28 @@ fn surrogate_section(smoke: bool, window: usize) -> String {
         ..TrainConfig::default()
     };
     let start = Instant::now();
-    let cold = Gp::fit_with_adam(SskKernel::new(4), xs.clone(), ys.clone(), 1e-4, &train)
-        .expect("cold retrain");
-    let cold_seconds = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let warm = Gp::fit_with_adam(
-        SskKernel::new(4).with_match_caching(),
+    let per_pair = Gp::fit_with_adam(
+        PerPairSsk(SskKernel::new(4)),
         xs.clone(),
         ys.clone(),
         1e-4,
         &train,
     )
-    .expect("warm retrain");
-    let warm_seconds = start.elapsed().as_secs_f64();
-    // The match cache must not change a single bit of the result.
-    assert_eq!(cold.nlml().to_bits(), warm.nlml().to_bits());
+    .expect("per-pair retrain");
+    let per_pair_seconds = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let lanes = Gp::fit_with_adam(SskKernel::new(4), xs.clone(), ys.clone(), 1e-4, &train)
+        .expect("four-lane retrain");
+    let lanes_seconds = start.elapsed().as_secs_f64();
+    // The lanes must not change a single bit of the result.
+    assert_eq!(per_pair.nlml().to_bits(), lanes.nlml().to_bits());
     for x in xs.iter().take(8) {
-        let (m_c, v_c) = cold.predict(x);
-        let (m_w, v_w) = warm.predict(x);
-        assert_eq!(m_c.to_bits(), m_w.to_bits(), "warm retrain changed a mean");
-        assert_eq!(v_c.to_bits(), v_w.to_bits(), "warm retrain changed a var");
+        let (m_p, v_p) = per_pair.predict(x);
+        let (m_l, v_l) = lanes.predict(x);
+        assert_eq!(m_p.to_bits(), m_l.to_bits(), "the lanes changed a mean");
+        assert_eq!(v_p.to_bits(), v_l.to_bits(), "the lanes changed a var");
     }
-    let match_stats = warm.kernel().match_store().expect("store attached").stats();
-    assert!(
-        match_stats.hits > 0,
-        "warm retrain never reused a MatchState"
-    );
-    let retrain_speedup = cold_seconds / warm_seconds;
+    let lanes_speedup = per_pair_seconds / lanes_seconds;
 
     eprintln!(
         "  surrogate step cost (budget {budget}, window {window}): unbounded \
@@ -901,17 +894,17 @@ fn surrogate_section(smoke: bool, window: usize) -> String {
          {windowed_early:.3} -> {windowed_late:.3} ms ({windowed_growth:.2}x)"
     );
     eprintln!(
-        "  retrain n={n}: cold {cold_seconds:.3}s vs warm {warm_seconds:.3}s — \
-         {retrain_speedup:.2}x, {} match-state hits, bit-identical",
-        match_stats.hits
+        "  retrain n={n}: per-pair {per_pair_seconds:.3}s vs four lanes {lanes_seconds:.3}s — \
+         {lanes_speedup:.2}x, bit-identical"
     );
     format!(
         "  \"surrogate\": {{\"budget\": {}, \"window\": {}, \"initial\": {}, \
          \"unbounded_early_step_ms\": {:.6}, \"unbounded_late_step_ms\": {:.6}, \
          \"unbounded_growth\": {:.3}, \"windowed_early_step_ms\": {:.6}, \
          \"windowed_late_step_ms\": {:.6}, \"windowed_growth\": {:.3}, \
-         \"retrain_n\": {}, \"cold_retrain_seconds\": {:.6}, \"warm_retrain_seconds\": {:.6}, \
-         \"retrain_speedup\": {:.3}, \"match_state_hits\": {}, \"gram_bit_identical\": true}}",
+         \"retrain_n\": {}, \"per_pair_retrain_seconds\": {:.6}, \
+         \"lanes_retrain_seconds\": {:.6}, \"lanes_retrain_speedup\": {:.3}, \
+         \"retrain_bit_identical\": true}}",
         budget,
         window,
         initial,
@@ -922,11 +915,42 @@ fn surrogate_section(smoke: bool, window: usize) -> String {
         windowed_late,
         windowed_growth,
         n,
-        cold_seconds,
-        warm_seconds,
-        retrain_speedup,
-        match_stats.hits
+        per_pair_seconds,
+        lanes_seconds,
+        lanes_speedup
     )
+}
+
+/// [`SskKernel`] without its lane-blocked [`Kernel::eval_column`]: every
+/// method but that one forwards, so columns take the trait's per-pair
+/// default. The baseline of the surrogate section's retrain row.
+#[derive(Clone, Debug)]
+struct PerPairSsk(SskKernel);
+
+impl Kernel<Vec<u8>> for PerPairSsk {
+    fn eval(&self, a: &Vec<u8>, b: &Vec<u8>) -> f64 {
+        self.0.eval(a, b)
+    }
+
+    fn self_info(&self, x: &Vec<u8>) -> f64 {
+        self.0.self_info(x)
+    }
+
+    fn eval_with_info(&self, a: &Vec<u8>, info_a: f64, b: &Vec<u8>, info_b: f64) -> f64 {
+        self.0.eval_with_info(a, info_a, b, info_b)
+    }
+
+    fn params(&self) -> Vec<f64> {
+        Kernel::<Vec<u8>>::params(&self.0)
+    }
+
+    fn set_params(&mut self, params: &[f64]) {
+        Kernel::<Vec<u8>>::set_params(&mut self.0, params)
+    }
+
+    fn param_bounds(&self) -> Vec<(f64, f64)> {
+        Kernel::<Vec<u8>>::param_bounds(&self.0)
+    }
 }
 
 /// GP fit latency on SSK Grams over random sequences: from-scratch

@@ -150,13 +150,13 @@ pub struct BoilsConfig {
     /// Between hyperparameter retrains, extend the previous GP by the new
     /// observations in `O(n²)` ([`boils_gp::Gp::extend`]) instead of
     /// refitting from scratch in `O(n³)`, with per-sequence
-    /// self-similarities cached across the Gram fill and prediction, and
-    /// the SSK's decay-independent match structure cached across the Adam
-    /// steps of a retrain ([`SskKernel::with_match_caching`]). `false`
+    /// self-similarities cached across the Gram fill and prediction, so
+    /// every Gram column, extension row and prediction runs the SSK's
+    /// lane-blocked DP ([`boils_gp::Kernel::eval_column`]). `false`
     /// restores the seed's from-scratch surrogate (full refit every
     /// iteration, normalisation constants recomputed inside every pair
-    /// evaluation) as a benchmarking baseline. The search trajectory is
-    /// bit-identical either way.
+    /// evaluation, one pair per DP) as a benchmarking baseline. The search
+    /// trajectory is bit-identical either way.
     pub incremental_surrogate: bool,
     /// Bounded-history surrogate: `Some(w)` keeps at most `w` observations
     /// in the GP's training set, evicting the oldest non-incumbent point
@@ -462,11 +462,11 @@ impl Boils {
             kernel.without_normalization()
         };
         let kernel = if cfg.incremental_surrogate {
-            kernel.with_match_caching()
+            kernel
         } else {
             // Benchmarking baseline: the seed's cost model (self-similarities
-            // recomputed inside every pair evaluation, no match-structure
-            // cache). Bit-identical values either way.
+            // recomputed inside every pair evaluation). Bit-identical values
+            // either way.
             kernel.without_info_caching()
         };
         BoLoop {

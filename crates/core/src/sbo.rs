@@ -37,8 +37,11 @@ pub struct SboConfig {
     /// since the previous retrain (batch evaluations count individually).
     pub retrain_every: usize,
     /// Between retrains, extend the previous GP by the new observations in
-    /// `O(n²)` instead of refitting from scratch (see
-    /// [`BoilsConfig::incremental_surrogate`](crate::BoilsConfig)).
+    /// `O(n²)` instead of refitting from scratch in `O(n³)`. `false` is the
+    /// from-scratch benchmarking baseline; the trajectory is bit-identical
+    /// either way. The squared-exponential kernel evaluates every pair on
+    /// its own, so unlike [`BoilsConfig::incremental_surrogate`](crate::BoilsConfig)
+    /// this changes no kernel cost.
     pub incremental_surrogate: bool,
     /// Bounded-history surrogate window (see
     /// [`BoilsConfig::surrogate_window`](crate::BoilsConfig)): `Some(w)`

@@ -71,26 +71,26 @@ pub struct Gp<K, X> {
     y_std: f64,
 }
 
-/// Fills the noise-augmented Gram matrix symmetrically: each off-diagonal
-/// pair is evaluated once and mirrored, and per-point summaries are
+/// Fills the noise-augmented Gram matrix symmetrically, column by column:
+/// column `j` evaluates `k(x[i], x[j])` for `i ≤ j` in one
+/// [`Kernel::eval_column`] call and mirrors it, and per-point summaries are
 /// computed once instead of inside every pair — for a normalised string
 /// kernel this cuts an `n²` fill from `3n²` to `n(n+1)/2 + n` DP runs.
-/// Pairs go through [`Kernel::eval_training`], so kernels with a
-/// per-pair-structure cache serve repeated fills (every Adam step of a
-/// retrain) from it.
 fn build_gram<K, X>(kernel: &K, x: &[X], infos: &[f64], noise: f64) -> Matrix
 where
     K: Kernel<X>,
 {
     let n = x.len();
     let mut gram = Matrix::zeros(n, n);
-    for i in 0..n {
-        gram[(i, i)] = kernel.eval_training(&x[i], infos[i], &x[i], infos[i]) + noise;
-        for j in (i + 1)..n {
-            let v = kernel.eval_training(&x[i], infos[i], &x[j], infos[j]);
+    let mut column = vec![0.0; n];
+    for j in 0..n {
+        let column = &mut column[..=j];
+        kernel.eval_column(&x[..=j], &infos[..=j], &x[j], infos[j], column);
+        for (i, &v) in column.iter().enumerate() {
             gram[(i, j)] = v;
             gram[(j, i)] = v;
         }
+        gram[(j, j)] = column[j] + noise;
     }
     gram
 }
@@ -189,17 +189,10 @@ where
         y_new: f64,
     ) -> Result<(Gp<K, X>, UpdateOutcome), NotPositiveDefiniteError> {
         let info_new = self.kernel.self_info(&x_new);
-        // `x_new` joins the training set: these pairs recur in the next
-        // retrain's Gram fills, so route them through the training path.
-        let off_diag: Vec<f64> = self
-            .x
-            .iter()
-            .zip(&self.infos)
-            .map(|(xi, &ii)| self.kernel.eval_training(xi, ii, &x_new, info_new))
-            .collect();
+        let off_diag = self.k_star(&x_new, info_new);
         let diag = self
             .kernel
-            .eval_training(&x_new, info_new, &x_new, info_new)
+            .eval_with_info(&x_new, info_new, &x_new, info_new)
             + self.noise;
         match self.chol.extend(&off_diag, diag) {
             Ok(chol) => {
@@ -366,6 +359,23 @@ where
         Gp::fit(kernel, x, y, noise)
     }
 
+    /// `k(x_i, x)` for every training input `x_i`, given `x`'s
+    /// [`Kernel::self_info`] summary (the training summaries are reused
+    /// from fit time).
+    fn k_star(&self, x: &X, info: f64) -> Vec<f64> {
+        let mut k_star = vec![0.0; self.x.len()];
+        self.kernel
+            .eval_column(&self.x, &self.infos, x, info, &mut k_star);
+        k_star
+    }
+
+    /// The posterior mean on the original scale, from a test input's
+    /// [`Gp::k_star`] vector.
+    fn mean_of(&self, k_star: &[f64]) -> f64 {
+        let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
+        mean_std * self.y_std + self.y_mean
+    }
+
     /// Posterior mean and variance at a test input.
     ///
     /// The test point's [`Kernel::self_info`] summary is computed once and
@@ -374,23 +384,14 @@ where
     /// than three.
     pub fn predict(&self, x_star: &X) -> (f64, f64) {
         let info_star = self.kernel.self_info(x_star);
-        let k_star: Vec<f64> = self
-            .x
-            .iter()
-            .zip(&self.infos)
-            .map(|(xi, &ii)| self.kernel.eval_with_info(xi, ii, x_star, info_star))
-            .collect();
-        let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
+        let k_star = self.k_star(x_star, info_star);
         let v = self.chol.solve_lower(&k_star);
         let k_ss = self
             .kernel
             .eval_with_info(x_star, info_star, x_star, info_star)
             + self.noise;
         let var_std = (k_ss - v.iter().map(|x| x * x).sum::<f64>()).max(0.0);
-        (
-            mean_std * self.y_std + self.y_mean,
-            var_std * self.y_std * self.y_std,
-        )
+        (self.mean_of(&k_star), var_std * self.y_std * self.y_std)
     }
 
     /// The negative log marginal likelihood of the fitted model (on the
@@ -426,28 +427,34 @@ where
         xs: &[X],
         rng: &mut R,
     ) -> Result<Vec<f64>, NotPositiveDefiniteError> {
+        let (means, cov) = self.joint_posterior(xs);
+        sample_gaussian(&means, &cov, rng)
+    }
+
+    /// The joint posterior at `xs` on the original scale: the means and
+    /// the covariance `K** − K*ᵀ K⁻¹ K*`, from one `k★` vector and one
+    /// `K**` column per test input.
+    pub(crate) fn joint_posterior(&self, xs: &[X]) -> (Vec<f64>, Matrix) {
         let n = xs.len();
-        let means: Vec<f64> = xs.iter().map(|x| self.predict(x).0).collect();
-        // Joint posterior covariance: K** − K*ᵀ K⁻¹ K*.
-        let cov = Matrix::from_fn(n, n, |i, j| {
-            let kij = self.kernel.eval(&xs[i], &xs[j]);
-            let ki: Vec<f64> = self
-                .x
-                .iter()
-                .map(|xt| self.kernel.eval(xt, &xs[i]))
-                .collect();
-            let kj: Vec<f64> = self
-                .x
-                .iter()
-                .map(|xt| self.kernel.eval(xt, &xs[j]))
-                .collect();
-            let vi = self.chol.solve_lower(&ki);
-            let vj = self.chol.solve_lower(&kj);
-            let reduction: f64 = vi.iter().zip(&vj).map(|(a, b)| a * b).sum();
-            (kij - reduction) * self.y_std * self.y_std
-        });
-        let sample = sample_gaussian(&means, &cov, rng)?;
-        Ok(sample)
+        let infos: Vec<f64> = xs.iter().map(|x| self.kernel.self_info(x)).collect();
+        let mut means = Vec::with_capacity(n);
+        let mut solved = Vec::with_capacity(n);
+        for (x, &info) in xs.iter().zip(&infos) {
+            let k_star = self.k_star(x, info);
+            means.push(self.mean_of(&k_star));
+            solved.push(self.chol.solve_lower(&k_star));
+        }
+        let mut cov = Matrix::zeros(n, n);
+        let mut column = vec![0.0; n];
+        for j in 0..n {
+            self.kernel
+                .eval_column(xs, &infos, &xs[j], infos[j], &mut column);
+            for (i, &kij) in column.iter().enumerate() {
+                let reduction: f64 = solved[i].iter().zip(&solved[j]).map(|(a, b)| a * b).sum();
+                cov[(i, j)] = (kij - reduction) * self.y_std * self.y_std;
+            }
+        }
+        (means, cov)
     }
 }
 
@@ -487,9 +494,14 @@ pub fn sample_gaussian<R: Rng>(
     rng: &mut R,
 ) -> Result<Vec<f64>, NotPositiveDefiniteError> {
     let chol = Cholesky::new(cov, 1e-8)?;
+    Ok(draw_gaussian(mean, &chol, rng))
+}
+
+/// One draw from `N(mean, LLᵀ)` given the covariance's factor.
+pub(crate) fn draw_gaussian<R: Rng>(mean: &[f64], chol: &Cholesky, rng: &mut R) -> Vec<f64> {
     let z: Vec<f64> = (0..mean.len()).map(|_| standard_normal(rng)).collect();
     let correlated = chol.l().mul_vec(&z);
-    Ok(mean.iter().zip(&correlated).map(|(m, c)| m + c).collect())
+    mean.iter().zip(&correlated).map(|(m, c)| m + c).collect()
 }
 
 /// A standard normal draw via Box–Muller.

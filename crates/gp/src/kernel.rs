@@ -30,20 +30,28 @@ pub trait Kernel<X: ?Sized> {
         self.eval(a, b)
     }
 
-    /// [`Kernel::eval_with_info`] for *training pairs* — inputs that both
-    /// belong (or are being added) to a GP's training set, and will
-    /// therefore be evaluated again: Gram fills, marginal-likelihood
-    /// objectives, factor extensions. Must return bit-exactly what
-    /// [`Kernel::eval_with_info`] would; the default delegates.
+    /// Fills `out[r]` with `k(xs[r], b)` for every `r`, given the points'
+    /// [`Kernel::self_info`] summaries: `infos[r]` for `xs[r]` and
+    /// `info_b` for `b`. Every multi-pair site of [`crate::Gp`] (prediction,
+    /// extension, Gram fills) goes through here. Must agree bit for bit
+    /// with [`Kernel::eval_with_info`] on each pair, which the default
+    /// calls in order; kernels that can evaluate several pairs at once
+    /// (e.g. [`crate::SskKernel`]) override it.
     ///
-    /// Kernels with expensive per-pair structure worth memoising (e.g.
-    /// [`crate::SskKernel`]'s decay-independent token-match DP state)
-    /// override this to consult a cache. The one-shot pairs of the
-    /// prediction hot path — thousands of acquisition probes per BO
-    /// iteration, each paired once with every training point — stay on
-    /// [`Kernel::eval_with_info`] and never touch (or pollute) the cache.
-    fn eval_training(&self, a: &X, info_a: f64, b: &X, info_b: f64) -> f64 {
-        self.eval_with_info(a, info_a, b, info_b)
+    /// # Panics
+    ///
+    /// Panics if `xs`, `infos` and `out` differ in length.
+    fn eval_column(&self, xs: &[X], infos: &[f64], b: &X, info_b: f64, out: &mut [f64])
+    where
+        X: Sized,
+    {
+        assert!(
+            xs.len() == infos.len() && xs.len() == out.len(),
+            "column inputs, summaries and outputs differ in length"
+        );
+        for ((o, x), &info) in out.iter_mut().zip(xs).zip(infos) {
+            *o = self.eval_with_info(x, info, b, info_b);
+        }
     }
 
     /// Current hyperparameter vector.
@@ -73,10 +81,6 @@ impl<K: Kernel<[f64]>> Kernel<Vec<f64>> for K {
 
     fn eval_with_info(&self, a: &Vec<f64>, info_a: f64, b: &Vec<f64>, info_b: f64) -> f64 {
         Kernel::<[f64]>::eval_with_info(self, a, info_a, b, info_b)
-    }
-
-    fn eval_training(&self, a: &Vec<f64>, info_a: f64, b: &Vec<f64>, info_b: f64) -> f64 {
-        Kernel::<[f64]>::eval_training(self, a, info_a, b, info_b)
     }
 
     fn params(&self) -> Vec<f64> {

@@ -44,5 +44,5 @@ pub use crate::pareto::{
     dominates, hypervolume_2d, hypervolume_improvement_2d, nondominated_indices, Scalarisation,
 };
 pub use crate::qei::{qei_monte_carlo, ConstantLiar};
-pub use crate::ssk::{MatchState, MatchStore, MatchStoreStats, SskKernel};
+pub use crate::ssk::SskKernel;
 pub use crate::surrogate::{Surrogate, SurrogateConfig, SurrogateDiagnostics};

@@ -21,9 +21,9 @@
 
 use rand::Rng;
 
-use crate::gp::Gp;
+use crate::gp::{draw_gaussian, Gp};
 use crate::kernel::Kernel;
-use crate::linalg::NotPositiveDefiniteError;
+use crate::linalg::{Cholesky, NotPositiveDefiniteError};
 
 /// Greedy constant-liar batch construction over a borrowed GP.
 ///
@@ -134,9 +134,13 @@ where
     if batch.is_empty() {
         return Ok(0.0);
     }
+    // The joint posterior does not change between draws: build and
+    // factorise it once.
+    let (means, cov) = gp.joint_posterior(batch);
+    let chol = Cholesky::new(&cov, 1e-8)?;
     let mut total = 0.0;
     for _ in 0..samples.max(1) {
-        let draw = gp.sample_posterior(batch, rng)?;
+        let draw = draw_gaussian(&means, &chol, rng);
         let improvement = draw
             .iter()
             .map(|&g| (g - best).max(0.0))
@@ -151,6 +155,7 @@ mod tests {
     use super::*;
     use crate::acquisition::expected_improvement;
     use crate::kernel::SquaredExponential;
+    use crate::ssk::SskKernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -272,6 +277,41 @@ mod tests {
         assert!(
             (mc - analytic).abs() < 0.02,
             "MC {mc} vs analytic {analytic}"
+        );
+    }
+
+    /// Values and RNG draws captured before the joint posterior was built
+    /// once per call instead of once per sample (and once per covariance
+    /// cell): the estimate, the draw that follows it, and one
+    /// `sample_posterior` draw, all on an SSK model.
+    #[test]
+    fn qei_and_posterior_draws_match_the_pinned_bits() {
+        let seqs: Vec<Vec<u8>> = (0..9u8)
+            .map(|i| (0..6u8).map(|j| (i * 7 + j * 3 + i * j) % 11).collect())
+            .collect();
+        let ys: Vec<f64> = (0..seqs.len()).map(|i| (i as f64 * 0.9).sin()).collect();
+        let kernel = SskKernel::new(3).with_decays(0.7, 0.6);
+        let gp = Gp::fit(kernel, seqs, ys, 1e-4).expect("spd");
+        let batch: Vec<Vec<u8>> = vec![
+            vec![0, 3, 6, 9, 1, 4],
+            vec![2, 2, 5, 7, 10, 0],
+            vec![0, 3, 6, 9, 1, 5],
+        ];
+        let mut rng = StdRng::seed_from_u64(23);
+        let q = qei_monte_carlo(&gp, &batch, 0.3, 64, &mut rng).expect("mc");
+        assert_eq!(q.to_bits(), 0x3fb2fb0efe418c99, "{q}");
+        let next: u64 = rng.gen();
+        assert_eq!(
+            next, 0xabf83079af637f6e,
+            "the estimate drew a different count"
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let draw = gp.sample_posterior(&batch, &mut rng).expect("cov");
+        let bits: Vec<u64> = draw.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [0xbf807a3ce12f7bc2, 0x3feff38aa5321aa4, 0xbfb1a59a7c1a5968],
+            "{draw:?}"
         );
     }
 

@@ -12,277 +12,39 @@
 //! cross-checks it in the tests (including the paper's Table I).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
 
 use crate::kernel::Kernel;
 
-/// Reusable flat DP buffers for [`SskKernel::eval_raw`]. One set per
-/// thread: a kernel evaluation needs three `|s|·|t|` planes, and
-/// allocating them per pair dominated Gram-fill profiles (the DP itself is
-/// a few hundred fused multiply-adds at the paper's `K = 20`).
-#[derive(Debug, Default)]
-struct SskScratch {
-    m_cur: Vec<f64>,
-    m_next: Vec<f64>,
-    prefix: Vec<f64>,
-}
-
-impl SskScratch {
-    fn reserve(&mut self, cells: usize) {
-        if self.m_cur.len() < cells {
-            self.m_cur.resize(cells, 0.0);
-            self.m_next.resize(cells, 0.0);
-            self.prefix.resize(cells, 0.0);
-        }
-    }
-}
+/// Pairs per block in [`Kernel::eval_column`]. Each DP cell waits on its
+/// left neighbour, so one pair at a time leaves most of the FP units idle;
+/// four independent pairs in lockstep fill them (eight measured no better
+/// at the paper's `K = 20`).
+const LANES: usize = 4;
 
 thread_local! {
-    static SCRATCH: RefCell<SskScratch> = RefCell::new(SskScratch::default());
+    /// The calling thread's DP planes, all in one contiguous buffer (`M` of
+    /// the current order, `M` of the next, the prefix sums and the token
+    /// matches), reused across evaluations so a Gram fill allocates nothing.
+    static PLANES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The decay-parameter-independent structure of one `(s, t)` pair: which
-/// `(i, j)` cells match, and the highest matching order any sub-sequence
-/// attains (capped at the kernel's ℓ).
-///
-/// The SSK DP interleaves two ingredients: the *token-match structure*
-/// (fixed for a pair of sequences) and the *decay weights* `θ_m`, `θ_g`
-/// (changed by every Adam step during hyperparameter training). This type
-/// captures the first ingredient once, so repeated evaluations of the same
-/// pair at different decays — a retrain runs dozens of Gram fills over the
-/// same training set — only pay the cheap decay-dependent contraction
-/// (training-pair evaluations consult the kernel's [`MatchStore`]; see
-/// [`Kernel::eval_training`]). The contraction reproduces the full DP's
-/// arithmetic operation-for-operation, so values are **bit-identical** to
-/// the uncached path.
-#[derive(Debug)]
-pub struct MatchState {
-    rows: usize,
-    cols: usize,
-    /// CSR-style row offsets into `match_cols` (`rows + 1` entries).
-    row_offsets: Vec<u32>,
-    /// Matching column indices, sorted within each row.
-    match_cols: Vec<u32>,
-    /// The highest order `p` for which an order-`p` matching exists,
-    /// capped at the kernel's ℓ; `0` when the pair shares no token.
-    max_order: usize,
+/// A token-match mask kept in an `f64` slot of the plane buffer: all ones
+/// where the tokens match, all zeros elsewhere. Only its bits are used.
+fn match_mask(matched: bool) -> f64 {
+    f64::from_bits(0u64.wrapping_sub(u64::from(matched)))
 }
 
-impl MatchState {
-    /// Builds the match structure of `(s, t)` with orders capped at `ell`.
-    fn build(s: &[u8], t: &[u8], ell: usize) -> MatchState {
-        let (n, m) = (s.len(), t.len());
-        let mut row_offsets = Vec::with_capacity(n + 1);
-        let mut match_cols: Vec<u32> = Vec::new();
-        row_offsets.push(0u32);
-        for &si in s {
-            for (j, &tj) in t.iter().enumerate() {
-                if si == tj {
-                    match_cols.push(j as u32);
-                }
-            }
-            row_offsets.push(match_cols.len() as u32);
-        }
-        let mut state = MatchState {
-            rows: n,
-            cols: m,
-            row_offsets,
-            match_cols,
-            max_order: 0,
-        };
-        state.max_order = state.compute_max_order(ell);
-        state
-    }
-
-    /// Matching column indices of row `i`.
-    fn cols_of(&self, i: usize) -> &[u32] {
-        &self.match_cols[self.row_offsets[i] as usize..self.row_offsets[i + 1] as usize]
-    }
-
-    /// The highest matching order, by a boolean strict-dominance DP: an
-    /// order-`p+1` matching ends at `(i, j)` iff `(i, j)` matches and some
-    /// order-`p` matching ends strictly above-left of it.
-    fn compute_max_order(&self, ell: usize) -> usize {
-        if self.match_cols.is_empty() || ell == 0 {
-            return 0;
-        }
-        let (n, m) = (self.rows, self.cols);
-        let mut cur = vec![false; n * m];
-        for i in 0..n {
-            for &j in self.cols_of(i) {
-                cur[i * m + j as usize] = true;
-            }
-        }
-        let mut order = 1;
-        let mut dom = vec![false; n * m];
-        while order < ell {
-            for i in 0..n {
-                for j in 0..m {
-                    let mut v = cur[i * m + j];
-                    if i > 0 {
-                        v |= dom[(i - 1) * m + j];
-                    }
-                    if j > 0 {
-                        v |= dom[i * m + j - 1];
-                    }
-                    dom[i * m + j] = v;
-                }
-            }
-            let mut any = false;
-            let mut next = vec![false; n * m];
-            for i in 1..n {
-                for &j in self.cols_of(i) {
-                    let j = j as usize;
-                    if j > 0 && dom[(i - 1) * m + (j - 1)] {
-                        next[i * m + j] = true;
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-            order += 1;
-            cur = next;
-        }
-        order
-    }
+/// `x` where `mask` matched and `+0.0` elsewhere, bit for bit, without a
+/// branch: whether two tokens match is a coin flip to the branch
+/// predictor, and a mispredicted branch per DP cell costs more than the
+/// cell's arithmetic. The mask comes from memory, so the optimiser cannot
+/// turn the `and` back into one.
+fn masked(x: f64, mask: f64) -> f64 {
+    f64::from_bits(x.to_bits() & mask.to_bits())
 }
 
-/// Counters describing a [`MatchStore`]'s effectiveness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MatchStoreStats {
-    /// Lookups served from the cache.
-    pub hits: usize,
-    /// Lookups that had to build a fresh [`MatchState`].
-    pub misses: usize,
-    /// Whole-shard clears triggered by the per-shard capacity bound.
-    pub shard_clears: usize,
-}
-
-/// Number of lock shards in a [`MatchStore`].
-const MATCH_STORE_SHARDS: usize = 16;
-
-/// Default total [`MatchState`] capacity of a [`MatchStore`]: comfortably
-/// above the `n(n+1)/2` training pairs of a paper-scale run (`n = 200` →
-/// ~20k) so every retrain after the first finds the whole Gram's match
-/// structure resident; a full store is ~25 MiB at `K = 20`.
-const DEFAULT_MATCH_STORE_CAPACITY: usize = 65_536;
-
-/// One lock shard: flat pair key → cached match structure.
-type MatchShard = RwLock<HashMap<Box<[u8]>, Arc<MatchState>>>;
-
-/// A sharded, bounded cache of [`MatchState`]s keyed by the ordered
-/// sequence pair.
-///
-/// Shared (via `Arc`) by every clone of a [`SskKernel`] created with
-/// [`SskKernel::with_match_caching`], so the scratch kernels a trainer
-/// clones per objective evaluation all reuse one store. Only training
-/// pairs enter ([`Kernel::eval_training`]), so at a paper-scale budget
-/// the store stabilises at the Gram's `n(n+1)/2` pairs and every retrain
-/// after the first starts warm. Eviction is coarse: when a shard reaches
-/// its capacity share, it is cleared — the states are cheap to rebuild,
-/// and the reuse that matters (dozens of Gram fills over the same
-/// training pairs within one retrain, and the same pairs again at the
-/// next retrain) sits well inside the default bound.
-#[derive(Debug)]
-pub struct MatchStore {
-    shards: Vec<MatchShard>,
-    shard_capacity: usize,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    shard_clears: AtomicUsize,
-}
-
-/// One flat key for the ordered pair `(s, t)`: `|s|` as little-endian
-/// `u32`, then `s`, then `t` (unambiguous, single allocation per lookup).
-fn pair_key(s: &[u8], t: &[u8]) -> Box<[u8]> {
-    let mut key = Vec::with_capacity(4 + s.len() + t.len());
-    key.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    key.extend_from_slice(s);
-    key.extend_from_slice(t);
-    key.into_boxed_slice()
-}
-
-impl MatchStore {
-    /// An empty store with the default capacity.
-    pub fn new() -> MatchStore {
-        MatchStore::with_capacity(DEFAULT_MATCH_STORE_CAPACITY)
-    }
-
-    /// An empty store bounded at roughly `capacity` cached pairs.
-    pub fn with_capacity(capacity: usize) -> MatchStore {
-        MatchStore {
-            shards: (0..MATCH_STORE_SHARDS).map(|_| RwLock::default()).collect(),
-            shard_capacity: capacity.div_ceil(MATCH_STORE_SHARDS).max(1),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            shard_clears: AtomicUsize::new(0),
-        }
-    }
-
-    /// Cache-effectiveness counters.
-    pub fn stats(&self) -> MatchStoreStats {
-        MatchStoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            shard_clears: self.shard_clears.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of cached pairs across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("match store shard").len())
-            .sum()
-    }
-
-    /// Whether the store holds no cached pairs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn shard_of(&self, key: &[u8]) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
-    }
-
-    /// The cached match structure of `(s, t)`, built (and cached) on miss.
-    fn get_or_build(&self, s: &[u8], t: &[u8], ell: usize) -> Arc<MatchState> {
-        let key = pair_key(s, t);
-        let shard = &self.shards[self.shard_of(&key)];
-        {
-            let map = shard.read().expect("match store shard");
-            if let Some(state) = map.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(state);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let state = Arc::new(MatchState::build(s, t, ell));
-        let mut map = shard.write().expect("match store shard");
-        if map.len() >= self.shard_capacity {
-            map.clear();
-            self.shard_clears.fetch_add(1, Ordering::Relaxed);
-        }
-        map.insert(key, Arc::clone(&state));
-        state
-    }
-}
-
-impl Default for MatchStore {
-    fn default() -> Self {
-        MatchStore::new()
-    }
-}
-
-/// `k(s,t) / √(k(s,s)·k(t,t))`, with the degenerate-sequence convention
-/// shared by the cached and uncached normalisation paths.
+/// `k(s,t) / √(k(s,s)·k(t,t))`, with the convention for degenerate
+/// (zero self-similarity) sequences.
 fn normalized(raw: f64, ks: f64, kt: f64, same: bool) -> f64 {
     if ks <= 0.0 || kt <= 0.0 {
         return if same { 1.0 } else { 0.0 };
@@ -314,11 +76,6 @@ pub struct SskKernel {
     /// pair evaluation — the seed implementation's cost model, kept as a
     /// benchmarking baseline. Values are bit-identical either way.
     cache_self_info: bool,
-    /// Optional shared cache of per-pair [`MatchState`]s (see
-    /// [`SskKernel::with_match_caching`]); decays are *not* part of the
-    /// key — the cached structure is parameter-independent by
-    /// construction, so [`Kernel::set_params`] never invalidates it.
-    match_store: Option<Arc<MatchStore>>,
 }
 
 impl SskKernel {
@@ -336,34 +93,14 @@ impl SskKernel {
             gap_decay: 0.5,
             normalize: true,
             cache_self_info: true,
-            match_store: None,
         }
     }
 
-    /// Attaches a fresh [`MatchStore`]: every **training-pair** evaluation
-    /// ([`Kernel::eval_training`] — Gram fills, marginal-likelihood
-    /// objectives, factor extensions) first consults the cache for the
-    /// pair's decay-independent [`MatchState`] and then runs only the
-    /// decay-dependent contraction. Values are bit-identical to the
-    /// uncached DP; the win is that hyperparameter retrains — whose Adam
-    /// steps rebuild the Gram over the *same* training pairs at different
-    /// decays, dozens of times — stop re-deriving the token-match
-    /// structure from scratch on every fill. Prediction-path evaluations
-    /// ([`Kernel::eval_with_info`]) deliberately bypass the store: their
-    /// probe pairs are one-shot, so caching them would cost structure
-    /// builds that are never reused and would churn the training entries
-    /// out of the bounded shards.
-    ///
-    /// Clones of the kernel (e.g. the per-evaluation copies a trainer
-    /// makes) share the store.
-    pub fn with_match_caching(mut self) -> SskKernel {
-        self.match_store = Some(Arc::new(MatchStore::new()));
+    /// Returns the kernel unchanged: there is no per-pair cache to attach.
+    /// Kept only because the benchmark harness (`perfbench/src/layers.rs`)
+    /// calls it; delete it once that harness can change.
+    pub fn with_match_caching(self) -> SskKernel {
         self
-    }
-
-    /// The attached match-structure cache, if any.
-    pub fn match_store(&self) -> Option<&MatchStore> {
-        self.match_store.as_deref()
     }
 
     /// Disables per-point self-similarity caching: every pair evaluation
@@ -404,173 +141,106 @@ impl SskKernel {
         self.gap_decay
     }
 
-    /// The un-normalised kernel value.
-    ///
-    /// The `O(ℓ·|s|·|t|)` dynamic programme runs on flat per-thread scratch
-    /// buffers (`M[i][j]`: matchings of the current order ending exactly at
-    /// `(i, j)`; `S[i][j]`: geometric 2-D prefix sum of `M`), so repeated
-    /// evaluations — a Gram fill is `O(n²)` of them — allocate nothing. The
-    /// arithmetic order is unchanged from the allocating version, so values
-    /// are bit-identical.
+    /// The un-normalised kernel value `k̃(s, t)`: the lane-blocked dynamic
+    /// programme with one lane.
     pub fn eval_raw(&self, s: &[u8], t: &[u8]) -> f64 {
-        let (n, m) = (s.len(), t.len());
+        let [raw] = self.eval_raw_lanes([s], t);
+        raw
+    }
+
+    /// The un-normalised values `k̃(s_l, t)` of `L` sequences `s_l` of one
+    /// length against one `t`.
+    ///
+    /// The `O(ℓ·|s|·|t|)` dynamic programme keeps, per cell `(i, j)`, `M`:
+    /// the matchings of the current order ending exactly at `(i, j)`, and
+    /// `S`: the geometric 2-D prefix sum of `M`. Lane `l` of each cell
+    /// holds pair `l`'s value, and every lane performs the same
+    /// floating-point operations in the same order as a one-lane call, so a
+    /// lane's result does not depend on its neighbours and is bit-identical
+    /// with one lane or four. The planes live in one per-thread buffer, so
+    /// repeated evaluations allocate nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `s_l` differ in length.
+    fn eval_raw_lanes<const L: usize>(&self, s: [&[u8]; L], t: &[u8]) -> [f64; L] {
+        let (n, m) = (s[0].len(), t.len());
+        assert!(s.iter().all(|sl| sl.len() == n), "lanes differ in length");
         if n == 0 || m == 0 {
-            return 0.0;
+            return [0.0; L];
         }
-        SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.reserve(n * m);
-            self.eval_raw_in(s, t, scratch)
+        PLANES.with(|planes| {
+            let planes = &mut *planes.borrow_mut();
+            let len = 4 * n * m * L;
+            if planes.len() < len {
+                planes.resize(len, 0.0);
+            }
+            let (planes, _) = planes[..len].as_chunks_mut::<L>();
+            self.dp_lanes(s, t, planes)
         })
     }
 
-    /// [`SskKernel::eval_raw`] through the attached [`MatchStore`]:
-    /// fetches (building on first sight) the pair's decay-independent
-    /// match structure and runs only the decay-dependent contraction.
-    /// Bit-identical to the dense DP; reserved for *training* pairs
-    /// ([`Kernel::eval_training`]), which recur across the Adam steps of
-    /// a retrain and across retrains — one-shot prediction pairs would
-    /// pay the structure build without ever reusing it.
-    fn eval_raw_cached(&self, store: &MatchStore, s: &[u8], t: &[u8]) -> f64 {
-        let (n, m) = (s.len(), t.len());
-        if n == 0 || m == 0 {
-            return 0.0;
-        }
-        let state = store.get_or_build(s, t, self.max_subsequence);
-        SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.reserve(n * m);
-            self.eval_raw_with_state(&state, scratch)
-        })
-    }
-
-    /// The decay-dependent contraction over a cached [`MatchState`]: the
-    /// same dynamic programme as [`SskKernel::eval_raw_in`], but the match
-    /// planes are filled sparsely from the cached match positions (writing
-    /// and accumulating in the identical row-major order — skipping an
-    /// exact `+0.0` never changes a non-negative sum's bits) and the order
-    /// loop is capped at the cached maximum matching order, skipping the
-    /// one trailing all-zero plane the dense code computes only to add
-    /// `0.0`. Values are therefore bit-identical to the full DP.
-    fn eval_raw_with_state(&self, state: &MatchState, scratch: &mut SskScratch) -> f64 {
-        let (n, m) = (state.rows, state.cols);
-        if state.max_order == 0 {
-            return 0.0;
-        }
+    /// The DP of [`SskKernel::eval_raw_lanes`] over `planes`, which holds
+    /// exactly four `|s|·|t|` planes (three for the DP, one for the token
+    /// matches); `s` and `t` are non-empty.
+    fn dp_lanes<const L: usize>(
+        &self,
+        s: [&[u8]; L],
+        t: &[u8],
+        planes: &mut [[f64; L]],
+    ) -> [f64; L] {
+        let (n, m) = (s[0].len(), t.len());
+        let cells = n * m;
         let tm2 = self.match_decay * self.match_decay;
         let g = self.gap_decay;
         let g2 = g * g;
-        let cells = n * m;
-        let mut m_cur = &mut scratch.m_cur[..cells];
-        let mut m_next = &mut scratch.m_next[..cells];
-        let prefix = &mut scratch.prefix[..cells];
-        let mut total = 0.0;
-        // Order-1 matchings, sparse: zero the plane, then drop `tm2` at
-        // every cached match, accumulating the plane sum in the same
-        // row-major order as the dense fill + `iter().sum()`.
-        m_cur.fill(0.0);
-        let mut plane: f64 = 0.0;
-        for i in 0..n {
-            let row = &mut m_cur[i * m..(i + 1) * m];
-            for &j in state.cols_of(i) {
-                row[j as usize] = tm2;
-                plane += tm2;
-            }
-        }
-        total += plane;
-        for _ in 1..self.max_subsequence.min(state.max_order) {
-            // Guard against float underflow to an exactly-zero plane (the
-            // dense path's only data-dependent early exit).
-            if plane == 0.0 {
-                break;
-            }
-            // Dense geometric 2-D prefix sum — identical to the uncached
-            // path (every cell feeds cells below/right, match or not).
-            {
-                let mut left = 0.0;
-                for j in 0..m {
-                    let v = m_cur[j] + g * left;
-                    prefix[j] = v;
-                    left = v;
+        let (mut m_cur, rest) = planes.split_at_mut(cells);
+        let (mut m_next, rest) = rest.split_at_mut(cells);
+        let (prefix, matches) = rest.split_at_mut(cells);
+        // Which tokens match, decided once for every order.
+        for (i, mask_row) in matches.chunks_exact_mut(m).enumerate() {
+            let si: [u8; L] = std::array::from_fn(|l| s[l][i]);
+            for (mask, &tj) in mask_row.iter_mut().zip(t) {
+                for l in 0..L {
+                    mask[l] = match_mask(si[l] == tj);
                 }
             }
-            for i in 1..n {
-                let (done, rest) = prefix.split_at_mut(i * m);
-                let prev_row = &done[(i - 1) * m..];
-                let cur_row = &mut rest[..m];
-                let src = &m_cur[i * m..(i + 1) * m];
-                let mut diag = prev_row[0];
-                let mut left = src[0] + g * diag;
-                cur_row[0] = left;
-                for j in 1..m {
-                    let up = prev_row[j];
-                    let v = src[j] + g * up + g * left - g2 * diag;
-                    cur_row[j] = v;
-                    left = v;
-                    diag = up;
-                }
-            }
-            // Extension, sparse: only cached matches with i ≥ 1, j ≥ 1 can
-            // extend a shorter matching; everything else is an exact zero.
-            plane = 0.0;
-            m_next[..m].fill(0.0);
-            for i in 1..n {
-                let prev_prefix = &prefix[(i - 1) * m..i * m];
-                let row = &mut m_next[i * m..(i + 1) * m];
-                row.fill(0.0);
-                for &j in state.cols_of(i) {
-                    let j = j as usize;
-                    if j == 0 {
-                        continue;
-                    }
-                    let v = tm2 * prev_prefix[j - 1];
-                    row[j] = v;
-                    plane += v;
-                }
-            }
-            std::mem::swap(&mut m_cur, &mut m_next);
-            total += plane;
         }
-        total
-    }
-
-    fn eval_raw_in(&self, s: &[u8], t: &[u8], scratch: &mut SskScratch) -> f64 {
-        let (n, m) = (s.len(), t.len());
-        let tm2 = self.match_decay * self.match_decay;
-        let g = self.gap_decay;
-        let g2 = g * g;
-        let cells = n * m;
-        let mut m_cur = &mut scratch.m_cur[..cells];
-        let mut m_next = &mut scratch.m_next[..cells];
-        let prefix = &mut scratch.prefix[..cells];
-        let mut total = 0.0;
-        // Order-1 matchings.
-        for (i, &si) in s.iter().enumerate() {
-            let row = &mut m_cur[i * m..(i + 1) * m];
-            for (cell, &tj) in row.iter_mut().zip(t) {
-                *cell = if si == tj { tm2 } else { 0.0 };
+        // Order-1 matchings, summed in row-major order.
+        let mut plane = [0.0; L];
+        for (cell, mask) in m_cur.iter_mut().zip(&*matches) {
+            for l in 0..L {
+                cell[l] = masked(tm2, mask[l]);
+                plane[l] += cell[l];
             }
         }
-        let mut plane: f64 = m_cur.iter().sum();
-        total += plane;
+        let mut total = [0.0; L];
+        for l in 0..L {
+            total[l] += plane[l];
+        }
+        // A lane stops at its first zero plane: entries are non-negative,
+        // so a zero plane stays zero at every higher order (common for
+        // dissimilar sequences). Dead lanes keep computing alongside the
+        // live ones, but nothing more is added to their totals.
+        let mut live = [true; L];
         for _ in 1..self.max_subsequence {
-            // A zero plane stays zero at every higher order (entries are
-            // non-negative) — common for dissimilar sequences.
-            if plane == 0.0 {
+            for l in 0..L {
+                live[l] &= plane[l] != 0.0;
+            }
+            if !live.contains(&true) {
                 break;
             }
             // Geometric 2-D prefix sum of the previous order, with the
             // boundary rows/columns peeled so the interior loop is
-            // branch-free. Each cell evaluates the same expression
-            // `M + g·up + g·left − g²·diag` in the same order as the
-            // reference implementation (edge terms are exact zeros), so
-            // values are bit-identical.
+            // branch-free. Each cell evaluates `M + g·up + g·left − g²·diag`
+            // in that order (edge terms are exact zeros).
             {
-                let mut left = 0.0;
-                for j in 0..m {
-                    let v = m_cur[j] + g * left;
-                    prefix[j] = v;
-                    left = v;
+                let mut left = [0.0; L];
+                for (cell, src) in prefix[..m].iter_mut().zip(&m_cur[..m]) {
+                    for l in 0..L {
+                        left[l] = src[l] + g * left[l];
+                    }
+                    *cell = left;
                 }
             }
             for i in 1..n {
@@ -579,39 +249,50 @@ impl SskKernel {
                 let cur_row = &mut rest[..m];
                 let src = &m_cur[i * m..(i + 1) * m];
                 let mut diag = prev_row[0];
-                let mut left = src[0] + g * diag;
+                let mut left: [f64; L] = std::array::from_fn(|l| src[0][l] + g * diag[l]);
                 cur_row[0] = left;
-                for j in 1..m {
-                    let up = prev_row[j];
-                    let v = src[j] + g * up + g * left - g2 * diag;
-                    cur_row[j] = v;
-                    left = v;
-                    diag = up;
+                let interior = cur_row[1..].iter_mut().zip(&src[1..]).zip(&prev_row[1..]);
+                for ((cell, src), up) in interior {
+                    for l in 0..L {
+                        left[l] = src[l] + g * up[l] + g * left[l] - g2 * diag[l];
+                    }
+                    *cell = left;
+                    diag = *up;
                 }
             }
             // Extend matches by one token; row 0 and column 0 admit no
             // extension.
-            plane = 0.0;
-            m_next[..m].fill(0.0);
+            plane = [0.0; L];
+            m_next[..m].fill([0.0; L]);
             for i in 1..n {
-                let si = s[i];
                 let prev_prefix = &prefix[(i - 1) * m..i * m];
+                let mask_row = &matches[i * m + 1..(i + 1) * m];
                 let row = &mut m_next[i * m..(i + 1) * m];
-                row[0] = 0.0;
-                for j in 1..m {
-                    let v = if si == t[j] {
-                        tm2 * prev_prefix[j - 1]
-                    } else {
-                        0.0
-                    };
-                    row[j] = v;
-                    plane += v;
+                row[0] = [0.0; L];
+                for ((cell, mask), diag) in row[1..].iter_mut().zip(mask_row).zip(prev_prefix) {
+                    for l in 0..L {
+                        let v = masked(tm2 * diag[l], mask[l]);
+                        cell[l] = v;
+                        plane[l] += v;
+                    }
                 }
             }
             std::mem::swap(&mut m_cur, &mut m_next);
-            total += plane;
+            for l in 0..L {
+                if live[l] {
+                    total[l] += plane[l];
+                }
+            }
         }
         total
+    }
+
+    /// [`Kernel::eval_with_info`] from a pair's raw value.
+    fn finish(&self, raw: f64, a: &[u8], info_a: f64, b: &[u8], info_b: f64) -> f64 {
+        if !self.normalize {
+            return raw;
+        }
+        normalized(raw, info_a, info_b, a == b)
     }
 
     /// The contribution `c_u(s)` of sub-sequence `u` to `s` (the quantity
@@ -642,7 +323,7 @@ impl SskKernel {
     }
 }
 
-/// Owned-vector convenience for GP storage.
+/// Owned-vector convenience for GP storage, and the lane-blocked columns.
 impl Kernel<Vec<u8>> for SskKernel {
     fn eval(&self, a: &Vec<u8>, b: &Vec<u8>) -> f64 {
         Kernel::<[u8]>::eval(self, a, b)
@@ -656,8 +337,38 @@ impl Kernel<Vec<u8>> for SskKernel {
         Kernel::<[u8]>::eval_with_info(self, a, info_a, b, info_b)
     }
 
-    fn eval_training(&self, a: &Vec<u8>, info_a: f64, b: &Vec<u8>, info_b: f64) -> f64 {
-        Kernel::<[u8]>::eval_training(self, a, info_a, b, info_b)
+    /// Runs each block of four equal-length `xs` through one
+    /// lane-blocked DP; the tail and blocks of mixed lengths take the
+    /// one-lane path, as does everything when self-similarities are not
+    /// cached. Bit-identical to the per-pair default.
+    fn eval_column(
+        &self,
+        xs: &[Vec<u8>],
+        infos: &[f64],
+        b: &Vec<u8>,
+        info_b: f64,
+        out: &mut [f64],
+    ) {
+        assert!(
+            xs.len() == infos.len() && xs.len() == out.len(),
+            "column inputs, summaries and outputs differ in length"
+        );
+        let blocks = xs.chunks(LANES).zip(infos.chunks(LANES));
+        for ((xs, infos), out) in blocks.zip(out.chunks_mut(LANES)) {
+            match <&[Vec<u8>; LANES]>::try_from(xs) {
+                Ok(block) if self.cache_self_info && xs.iter().all(|x| x.len() == xs[0].len()) => {
+                    let raw = self.eval_raw_lanes(block.each_ref().map(Vec::as_slice), b);
+                    for (l, o) in out.iter_mut().enumerate() {
+                        *o = self.finish(raw[l], &xs[l], infos[l], b, info_b);
+                    }
+                }
+                _ => {
+                    for ((o, x), &info) in out.iter_mut().zip(xs).zip(infos) {
+                        *o = Kernel::<[u8]>::eval_with_info(self, x, info, b, info_b);
+                    }
+                }
+            }
+        }
     }
 
     fn params(&self) -> Vec<f64> {
@@ -698,30 +409,7 @@ impl Kernel<[u8]> for SskKernel {
         if !self.cache_self_info {
             return Kernel::<[u8]>::eval(self, a, b);
         }
-        let raw = self.eval_raw(a, b);
-        if !self.normalize {
-            return raw;
-        }
-        normalized(raw, info_a, info_b, a == b)
-    }
-
-    /// Training pairs go through the [`MatchStore`] when one is attached
-    /// (see [`SskKernel::with_match_caching`]); bit-identical to
-    /// [`Kernel::eval_with_info`] either way.
-    fn eval_training(&self, a: &[u8], info_a: f64, b: &[u8], info_b: f64) -> f64 {
-        let Some(store) = &self.match_store else {
-            return self.eval_with_info(a, info_a, b, info_b);
-        };
-        if !self.cache_self_info {
-            // `without_info_caching` is the seed-cost-model baseline; it
-            // never carries a store, but stay correct if combined.
-            return Kernel::<[u8]>::eval(self, a, b);
-        }
-        let raw = self.eval_raw_cached(store, a, b);
-        if !self.normalize {
-            return raw;
-        }
-        normalized(raw, info_a, info_b, a == b)
+        self.finish(self.eval_raw(a, b), a, info_a, b, info_b)
     }
 
     fn params(&self) -> Vec<f64> {
@@ -744,6 +432,7 @@ impl Kernel<[u8]> for SskKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Brute-force `k(s, t)` by enumerating every sub-sequence `u` with
     /// `|u| ≤ ℓ` over the joint alphabet.
@@ -871,138 +560,153 @@ mod tests {
         assert_eq!(k.eval_raw(&[], &[1, 2]), 0.0);
         assert_eq!(k.eval(&[][..], &[][..]), 1.0); // identical → similarity 1
         assert_eq!(k.eval(&[][..], &[1][..]), 0.0);
-        // The cached training path shares the degenerate conventions.
-        let cached = SskKernel::new(3).with_match_caching();
-        let train = |k: &SskKernel, a: &[u8], b: &[u8]| {
-            let (ia, ib) = (
-                Kernel::<[u8]>::self_info(k, a),
-                Kernel::<[u8]>::self_info(k, b),
-            );
-            Kernel::<[u8]>::eval_training(k, a, ia, b, ib)
-        };
-        assert_eq!(train(&cached, &[], &[]), 1.0);
-        assert_eq!(train(&cached, &[], &[1]), 0.0);
+        // Columns share the degenerate conventions, in a lane block (the
+        // four empty sequences) and on the one-lane tail.
+        let xs: Vec<Vec<u8>> = vec![vec![], vec![], vec![], vec![], vec![1]];
+        let infos: Vec<f64> = xs
+            .iter()
+            .map(|x| Kernel::<Vec<u8>>::self_info(&k, x))
+            .collect();
+        let mut out = [f64::NAN; 5];
+        Kernel::<Vec<u8>>::eval_column(&k, &xs, &infos, &vec![], 0.0, &mut out);
+        assert_eq!(out, [1.0, 1.0, 1.0, 1.0, 0.0]);
+        let info = Kernel::<Vec<u8>>::self_info(&k, &vec![1]);
+        Kernel::<Vec<u8>>::eval_column(&k, &xs, &infos, &vec![1], info, &mut out);
+        assert_eq!(out, [0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 
-    /// `eval_training` with both points' `self_info` summaries — the call
-    /// shape of a Gram fill.
-    fn training_eval(k: &SskKernel, s: &[u8], t: &[u8]) -> f64 {
-        let (is, it) = (
-            Kernel::<[u8]>::self_info(k, s),
-            Kernel::<[u8]>::self_info(k, t),
-        );
-        Kernel::<[u8]>::eval_training(k, s, is, t, it)
-    }
-
-    #[test]
-    fn match_cached_contraction_is_bit_identical_to_the_full_dp() {
-        let cases: Vec<(Vec<u8>, Vec<u8>)> = vec![
-            (vec![0, 1, 2, 3, 2, 4, 0], vec![0, 1, 2, 5, 3, 4, 0]),
-            (vec![3, 3, 3], vec![3, 3]),
-            (vec![0, 1], vec![2, 3]), // disjoint: zero value
-            (vec![1, 2, 3, 4, 2, 1], vec![4, 3, 2, 1, 2, 3]),
-            (vec![5], vec![5]),
-            (vec![0, 0, 0, 0, 0], vec![0, 0]),
-        ];
-        for ell in 1..=5 {
-            for &(tm, tg) in &[(0.9, 0.6), (0.8, 0.5), (0.3, 0.95), (0.01, 0.01)] {
-                let dense = SskKernel::new(ell).with_decays(tm, tg);
-                let cached = SskKernel::new(ell).with_decays(tm, tg).with_match_caching();
-                for (s, t) in &cases {
-                    // Twice: the first call builds the MatchState, the
-                    // second hits it — both must equal the dense DP bits.
-                    for _ in 0..2 {
-                        assert_eq!(
-                            training_eval(&dense, s, t).to_bits(),
-                            training_eval(&cached, s, t).to_bits(),
-                            "ℓ={ell} θ=({tm},{tg}) s={s:?} t={t:?}"
-                        );
-                    }
-                    // The prediction path ignores the store entirely and
-                    // agrees too.
-                    assert_eq!(
-                        Kernel::<[u8]>::eval(&dense, s, t).to_bits(),
-                        Kernel::<[u8]>::eval(&cached, s, t).to_bits(),
-                        "normalised ℓ={ell} s={s:?} t={t:?}"
-                    );
-                }
-                let stats = cached.match_store().expect("store").stats();
-                assert!(stats.hits >= cases.len(), "second sweep must hit");
+    /// The one-pair DP as it stood before the lanes, on its own three
+    /// planes: the bit-exact reference for [`SskKernel::eval_raw_lanes`].
+    fn eval_raw_reference(k: &SskKernel, s: &[u8], t: &[u8]) -> f64 {
+        let (n, m) = (s.len(), t.len());
+        if n == 0 || m == 0 {
+            return 0.0;
+        }
+        let tm2 = k.match_decay * k.match_decay;
+        let g = k.gap_decay;
+        let g2 = g * g;
+        let cells = n * m;
+        let (mut cur_plane, mut next_plane) = (vec![0.0; cells], vec![0.0; cells]);
+        let mut m_cur = &mut cur_plane[..];
+        let mut m_next = &mut next_plane[..];
+        let prefix = &mut vec![0.0; cells][..];
+        let mut total = 0.0;
+        for (i, &si) in s.iter().enumerate() {
+            let row = &mut m_cur[i * m..(i + 1) * m];
+            for (cell, &tj) in row.iter_mut().zip(t) {
+                *cell = if si == tj { tm2 } else { 0.0 };
             }
         }
-    }
-
-    #[test]
-    fn match_store_is_decay_independent_and_hits_across_set_params() {
-        let mut k = SskKernel::new(4).with_match_caching();
-        let s = [0u8, 1, 2, 3, 1];
-        let t = [1u8, 0, 2, 1, 3];
-        let first = training_eval(&k, &s, &t);
-        let stats = k.match_store().expect("store attached").stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 0);
-        // Changing decays must reuse the cached structure, not rebuild it.
-        Kernel::<[u8]>::set_params(&mut k, &[0.55, 0.35]);
-        let second = training_eval(&k, &s, &t);
-        let stats = k.match_store().expect("store attached").stats();
-        assert_eq!(stats.misses, 1, "decay change rebuilt the match state");
-        assert_eq!(stats.hits, 1);
-        assert_ne!(first, second, "different decays give different values");
-        assert_eq!(
-            second.to_bits(),
-            training_eval(&SskKernel::new(4).with_decays(0.55, 0.35), &s, &t).to_bits()
-        );
-    }
-
-    #[test]
-    fn prediction_path_never_touches_the_store() {
-        let k = SskKernel::new(4).with_match_caching();
-        let s = [0u8, 1, 2, 3, 1];
-        let probe = [1u8, 0, 2, 1, 3];
-        let (is, ip) = (
-            Kernel::<[u8]>::self_info(&k, &s),
-            Kernel::<[u8]>::self_info(&k, &probe),
-        );
-        let _ = Kernel::<[u8]>::eval_with_info(&k, &s, is, &probe, ip);
-        let _ = Kernel::<[u8]>::eval(&k, &s, &probe);
-        let stats = k.match_store().expect("store").stats();
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (0, 0),
-            "one-shot prediction pairs must bypass (and not pollute) the store"
-        );
-        assert!(k.match_store().expect("store").is_empty());
-    }
-
-    #[test]
-    fn match_store_is_shared_by_kernel_clones_and_bounded() {
-        let k = SskKernel::new(3).with_match_caching();
-        let clone = k.clone();
-        let s = [1u8, 2, 3];
-        let t = [3u8, 2, 1];
-        let _ = training_eval(&k, &s, &t);
-        let _ = training_eval(&clone, &s, &t);
-        let stats = k.match_store().expect("store").stats();
-        assert_eq!((stats.misses, stats.hits), (1, 1), "clones must share");
-        // A tiny store stays bounded by clearing shards.
-        let small = MatchStore::with_capacity(16);
-        for i in 0..200u8 {
-            let _ = small.get_or_build(&[i, i.wrapping_add(1)], &[i], 3);
+        let mut plane: f64 = m_cur.iter().sum();
+        total += plane;
+        for _ in 1..k.max_subsequence {
+            if plane == 0.0 {
+                break;
+            }
+            {
+                let mut left = 0.0;
+                for j in 0..m {
+                    let v = m_cur[j] + g * left;
+                    prefix[j] = v;
+                    left = v;
+                }
+            }
+            for i in 1..n {
+                let (done, rest) = prefix.split_at_mut(i * m);
+                let prev_row = &done[(i - 1) * m..];
+                let cur_row = &mut rest[..m];
+                let src = &m_cur[i * m..(i + 1) * m];
+                let mut diag = prev_row[0];
+                let mut left = src[0] + g * diag;
+                cur_row[0] = left;
+                for j in 1..m {
+                    let up = prev_row[j];
+                    let v = src[j] + g * up + g * left - g2 * diag;
+                    cur_row[j] = v;
+                    left = v;
+                    diag = up;
+                }
+            }
+            plane = 0.0;
+            m_next[..m].fill(0.0);
+            for i in 1..n {
+                let si = s[i];
+                let prev_prefix = &prefix[(i - 1) * m..i * m];
+                let row = &mut m_next[i * m..(i + 1) * m];
+                row[0] = 0.0;
+                for j in 1..m {
+                    let v = if si == t[j] {
+                        tm2 * prev_prefix[j - 1]
+                    } else {
+                        0.0
+                    };
+                    row[j] = v;
+                    plane += v;
+                }
+            }
+            std::mem::swap(&mut m_cur, &mut m_next);
+            total += plane;
         }
-        assert!(small.len() <= 16 + MATCH_STORE_SHARDS);
-        assert!(small.stats().shard_clears > 0);
+        total
     }
 
-    #[test]
-    fn match_state_max_order_matches_the_structural_maximum() {
-        // s/t share an increasing sub-sequence of length 3 at most.
-        let state = MatchState::build(&[0, 1, 2, 9], &[0, 1, 2], 5);
-        assert_eq!(state.max_order, 3);
-        let state = MatchState::build(&[0, 1, 2, 9], &[0, 1, 2], 2);
-        assert_eq!(state.max_order, 2, "cap at ℓ");
-        let state = MatchState::build(&[2, 1, 0], &[0, 1, 2], 5);
-        assert_eq!(state.max_order, 1, "only reversed matches: no order 2");
-        let state = MatchState::build(&[4, 4], &[5, 5], 5);
-        assert_eq!(state.max_order, 0, "disjoint alphabets");
+    /// Hand-picked pairs, each run as lane 0 beside random sequences of its
+    /// length: a long shared sub-sequence, repeats, disjoint alphabets
+    /// (a zero first plane), reversals, a single token, and a plane that
+    /// dies at order 3.
+    const PAIRS: [(&[u8], &[u8]); 6] = [
+        (&[0, 1, 2, 3, 2, 4, 0], &[0, 1, 2, 5, 3, 4, 0]),
+        (&[3, 3, 3], &[3, 3]),
+        (&[0, 1], &[2, 3]),
+        (&[1, 2, 3, 4, 2, 1], &[4, 3, 2, 1, 2, 3]),
+        (&[5], &[5]),
+        (&[0, 0, 0, 0, 0], &[0, 0]),
+    ];
+
+    /// One of the decay box's bounds half the time, else uniform inside it.
+    fn decay(pick: usize, inside: f64) -> f64 {
+        match pick {
+            0 => 0.01,
+            1 => 1.0,
+            _ => inside,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lane_dp_is_bit_identical_to_the_scalar_reference(
+            pair in 0usize..24,
+            n in 1usize..=24,
+            m in 1usize..=24,
+            alphabet in 1u8..=12,
+            ell in 1usize..=6,
+            tm_pick in 0usize..4,
+            tm_inside in 0.01f64..1.0,
+            tg_pick in 0usize..4,
+            tg_inside in 0.01f64..1.0,
+            tokens in prop::collection::vec(0u8..12, 5 * 24),
+        ) {
+            let k = SskKernel::new(ell)
+                .with_decays(decay(tm_pick, tm_inside), decay(tg_pick, tg_inside))
+                .without_normalization();
+            let random = |l: usize, len: usize| -> Vec<u8> {
+                tokens[l * 24..l * 24 + len].iter().map(|x| x % alphabet).collect()
+            };
+            let (s, t): (Vec<Vec<u8>>, Vec<u8>) = match PAIRS.get(pair) {
+                Some(&(s0, t)) => {
+                    let lanes = (1..LANES).map(|l| random(l, s0.len()));
+                    (std::iter::once(s0.to_vec()).chain(lanes).collect(), t.to_vec())
+                }
+                None => ((0..LANES).map(|l| random(l, n)).collect(), random(LANES, m)),
+            };
+            let four = k.eval_raw_lanes(std::array::from_fn::<_, LANES, _>(|l| &s[l][..]), &t);
+            for (l, sl) in s.iter().enumerate() {
+                let reference = eval_raw_reference(&k, sl, &t).to_bits();
+                prop_assert_eq!(k.eval_raw(sl, &t).to_bits(), reference, "one lane, s={:?} t={:?}", sl, t);
+                prop_assert_eq!(four[l].to_bits(), reference, "lane {} of four, s={:?} t={:?}", l, sl, t);
+            }
+        }
     }
 }
