@@ -506,33 +506,17 @@ impl Aig {
         if !self.is_and(root) {
             return 0;
         }
-        let count = self.deref_mffc(root, refs, &mut None);
+        let count = self.deref_mffc(root, refs);
         self.ref_mffc(root, refs);
         count
     }
 
-    /// The nodes of the maximum fanout-free cone of `root` (including
-    /// `root` itself). `refs` must be the current fanout counts and is
-    /// restored before returning.
-    pub fn mffc_nodes(&self, root: usize, refs: &mut [u32]) -> Vec<usize> {
-        if !self.is_and(root) {
-            return Vec::new();
-        }
-        let mut nodes = Some(Vec::new());
-        self.deref_mffc(root, refs, &mut nodes);
-        self.ref_mffc(root, refs);
-        nodes.expect("collection vector present")
-    }
-
-    fn deref_mffc(&self, var: usize, refs: &mut [u32], out: &mut Option<Vec<usize>>) -> usize {
+    fn deref_mffc(&self, var: usize, refs: &mut [u32]) -> usize {
         let mut count = 1;
-        if let Some(v) = out.as_mut() {
-            v.push(var);
-        }
         for fanin in [self.nodes[var].fanin0.var(), self.nodes[var].fanin1.var()] {
             refs[fanin] -= 1;
             if refs[fanin] == 0 && self.is_and(fanin) {
-                count += self.deref_mffc(fanin, refs, out);
+                count += self.deref_mffc(fanin, refs);
             }
         }
         count

@@ -27,15 +27,6 @@ pub fn resize(w: &Word, width: usize) -> Word {
     out
 }
 
-/// Sign-extends (or truncates) a word to `width` bits.
-pub fn sign_extend(w: &Word, width: usize) -> Word {
-    let sign = *w.last().expect("non-empty word");
-    let mut out = w.clone();
-    out.resize(width, sign);
-    out.truncate(width);
-    out
-}
-
 /// One-bit full adder; returns `(sum, carry)`.
 pub fn full_add(aig: &mut Aig, a: Lit, b: Lit, c: Lit) -> (Lit, Lit) {
     let ab = aig.xor(a, b);

@@ -139,7 +139,9 @@ pub struct BoilsConfig {
     pub batch_size: usize,
     /// Hyperparameters are retrained once this many evaluations accumulate
     /// since the previous retrain (restart and batch evaluations count),
-    /// and always on the first iteration after the initial design.
+    /// and always on the first iteration after the initial design. In
+    /// between, the carried GP is extended by each new observation in
+    /// `O(n²)` ([`boils_gp::Gp::extend`]) instead of being refitted.
     ///
     /// Earlier releases tested `history.len() % retrain_every == 0`
     /// instead, which skips retraining whenever an iteration appends more
@@ -147,17 +149,6 @@ pub struct BoilsConfig {
     /// a multiple of `retrain_every` — so runs hitting those cases retrain
     /// (correctly) on different iterations than they used to.
     pub retrain_every: usize,
-    /// Between hyperparameter retrains, extend the previous GP by the new
-    /// observations in `O(n²)` ([`boils_gp::Gp::extend`]) instead of
-    /// refitting from scratch in `O(n³)`, with per-sequence
-    /// self-similarities cached across the Gram fill and prediction, so
-    /// every Gram column, extension row and prediction runs the SSK's
-    /// lane-blocked DP ([`boils_gp::Kernel::eval_column`]). `false`
-    /// restores the seed's from-scratch surrogate (full refit every
-    /// iteration, normalisation constants recomputed inside every pair
-    /// evaluation, one pair per DP) as a benchmarking baseline. The search
-    /// trajectory is bit-identical either way.
-    pub incremental_surrogate: bool,
     /// Bounded-history surrogate: `Some(w)` keeps at most `w` observations
     /// in the GP's training set, evicting the oldest non-incumbent point
     /// by a rank-1 Cholesky downdate once the window fills — the per-step
@@ -210,7 +201,6 @@ impl Default for BoilsConfig {
             acq_neighbors: 30,
             batch_size: 1,
             retrain_every: 5,
-            incremental_surrogate: true,
             surrogate_window: None,
             train: TrainConfig {
                 steps: 15,
@@ -461,14 +451,6 @@ impl Boils {
         } else {
             kernel.without_normalization()
         };
-        let kernel = if cfg.incremental_surrogate {
-            kernel
-        } else {
-            // Benchmarking baseline: the seed's cost model (self-similarities
-            // recomputed inside every pair evaluation). Bit-identical values
-            // either way.
-            kernel.without_info_caching()
-        };
         BoLoop {
             kernel,
             embedding: Tokens,
@@ -484,7 +466,6 @@ impl Boils {
             surrogate: SurrogateConfig {
                 noise: cfg.noise,
                 retrain_every: cfg.retrain_every,
-                incremental: cfg.incremental_surrogate,
                 window: cfg.surrogate_window,
                 train: cfg.train.clone(),
             },

@@ -708,16 +708,6 @@ impl PersistentPrefixStore {
         self.lock_index().payloads.len()
     }
 
-    /// Total payload bytes this instance tracks (the dedup-shared layer;
-    /// excludes the tiny pointer files).
-    pub fn payload_bytes(&self) -> u64 {
-        self.lock_index()
-            .payloads
-            .values()
-            .map(|rec| rec.bytes)
-            .sum()
-    }
-
     /// Entry file name for a prefix under this store's circuit.
     fn entry_name(&self, prefix: &[u8]) -> String {
         format!("{:016x}-{}.aig", self.circuit_hash, prefix_hex(prefix))

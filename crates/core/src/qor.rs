@@ -290,11 +290,6 @@ impl QorEvaluator {
             .expect("store builders must run before the evaluator is forked/shared")
     }
 
-    /// The active fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.fault.as_ref()
-    }
-
     /// Bounds the prefix cache to `capacity` intermediate AIGs.
     ///
     /// Prefix reuse is purely an accelerator — evaluations resume from the

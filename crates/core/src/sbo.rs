@@ -36,13 +36,6 @@ pub struct SboConfig {
     /// Hyperparameters are retrained once this many evaluations accumulate
     /// since the previous retrain (batch evaluations count individually).
     pub retrain_every: usize,
-    /// Between retrains, extend the previous GP by the new observations in
-    /// `O(n²)` instead of refitting from scratch in `O(n³)`. `false` is the
-    /// from-scratch benchmarking baseline; the trajectory is bit-identical
-    /// either way. The squared-exponential kernel evaluates every pair on
-    /// its own, so unlike [`BoilsConfig::incremental_surrogate`](crate::BoilsConfig)
-    /// this changes no kernel cost.
-    pub incremental_surrogate: bool,
     /// Bounded-history surrogate window (see
     /// [`BoilsConfig::surrogate_window`](crate::BoilsConfig)): `Some(w)`
     /// caps the GP training set at `w` observations with
@@ -76,7 +69,6 @@ impl Default for SboConfig {
             acq_neighbors: 30,
             batch_size: 1,
             retrain_every: 5,
-            incremental_surrogate: true,
             surrogate_window: None,
             train: TrainConfig {
                 steps: 15,
@@ -158,7 +150,6 @@ impl Sbo {
             surrogate: SurrogateConfig {
                 noise: cfg.noise,
                 retrain_every: cfg.retrain_every,
-                incremental: cfg.incremental_surrogate,
                 window: cfg.surrogate_window,
                 train: cfg.train.clone(),
             },

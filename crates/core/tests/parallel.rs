@@ -106,56 +106,6 @@ fn boils_trajectory_is_identical_with_prefix_cache_on_or_off() {
 }
 
 #[test]
-fn boils_trajectory_is_identical_with_incremental_surrogate_on_or_off() {
-    // Between retrains the kernel hyperparameters are fixed, so extending
-    // the previous GP by one observation is numerically identical to
-    // refitting from scratch — the whole search trajectory must agree.
-    let aig = random_aig(103, 8, 300, 3);
-    let make = |incremental| BoilsConfig {
-        incremental_surrogate: incremental,
-        ..boils_config(1)
-    };
-    let e_inc = QorEvaluator::new(&aig).expect("ok");
-    let e_scratch = QorEvaluator::new(&aig).expect("ok");
-    let inc = Boils::new(make(true)).run(&e_inc).expect("run");
-    let scratch = Boils::new(make(false)).run(&e_scratch).expect("run");
-    assert_eq!(inc.best_tokens, scratch.best_tokens);
-    assert_eq!(inc.best_qor, scratch.best_qor);
-    for (a, b) in inc.history.iter().zip(&scratch.history) {
-        assert_eq!(a.tokens, b.tokens);
-        assert_eq!(a.point, b.point);
-    }
-    assert_eq!(e_inc.num_evaluations(), e_scratch.num_evaluations());
-}
-
-#[test]
-fn sbo_trajectory_is_identical_with_incremental_surrogate_on_or_off() {
-    let aig = random_aig(107, 8, 300, 3);
-    let make = |incremental| SboConfig {
-        max_evaluations: 12,
-        initial_samples: 6,
-        space: SequenceSpace::new(5, 11),
-        acq_restarts: 2,
-        acq_steps: 3,
-        acq_neighbors: 8,
-        incremental_surrogate: incremental,
-        train: TrainConfig {
-            steps: 4,
-            ..TrainConfig::default()
-        },
-        seed: 5,
-        ..SboConfig::default()
-    };
-    let e_inc = QorEvaluator::new(&aig).expect("ok");
-    let e_scratch = QorEvaluator::new(&aig).expect("ok");
-    let inc = Sbo::new(make(true)).run(&e_inc).expect("run");
-    let scratch = Sbo::new(make(false)).run(&e_scratch).expect("run");
-    assert_eq!(inc.best_tokens, scratch.best_tokens);
-    assert_eq!(inc.best_qor, scratch.best_qor);
-    assert_eq!(e_inc.num_evaluations(), e_scratch.num_evaluations());
-}
-
-#[test]
 fn cache_hit_accounting_is_exact_in_serial_use() {
     let aig = random_aig(79, 8, 300, 3);
     let evaluator = QorEvaluator::new(&aig).expect("ok");

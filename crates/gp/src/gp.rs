@@ -434,7 +434,7 @@ where
     /// The joint posterior at `xs` on the original scale: the means and
     /// the covariance `K** − K*ᵀ K⁻¹ K*`, from one `k★` vector and one
     /// `K**` column per test input.
-    pub(crate) fn joint_posterior(&self, xs: &[X]) -> (Vec<f64>, Matrix) {
+    fn joint_posterior(&self, xs: &[X]) -> (Vec<f64>, Matrix) {
         let n = xs.len();
         let infos: Vec<f64> = xs.iter().map(|x| self.kernel.self_info(x)).collect();
         let mut means = Vec::with_capacity(n);
@@ -494,14 +494,9 @@ pub fn sample_gaussian<R: Rng>(
     rng: &mut R,
 ) -> Result<Vec<f64>, NotPositiveDefiniteError> {
     let chol = Cholesky::new(cov, 1e-8)?;
-    Ok(draw_gaussian(mean, &chol, rng))
-}
-
-/// One draw from `N(mean, LLᵀ)` given the covariance's factor.
-pub(crate) fn draw_gaussian<R: Rng>(mean: &[f64], chol: &Cholesky, rng: &mut R) -> Vec<f64> {
     let z: Vec<f64> = (0..mean.len()).map(|_| standard_normal(rng)).collect();
     let correlated = chol.l().mul_vec(&z);
-    mean.iter().zip(&correlated).map(|(m, c)| m + c).collect()
+    Ok(mean.iter().zip(&correlated).map(|(m, c)| m + c).collect())
 }
 
 /// A standard normal draw via Box–Muller.
@@ -676,6 +671,32 @@ mod tests {
         for (s, y) in sample.iter().zip(&ys) {
             assert!((s - y).abs() < 0.1, "sample strayed from the data");
         }
+    }
+
+    /// One `sample_posterior` draw on an SSK model, captured before the
+    /// joint posterior was built once per call instead of once per
+    /// covariance cell.
+    #[test]
+    fn posterior_draws_match_the_pinned_bits() {
+        let seqs: Vec<Vec<u8>> = (0..9u8)
+            .map(|i| (0..6u8).map(|j| (i * 7 + j * 3 + i * j) % 11).collect())
+            .collect();
+        let ys: Vec<f64> = (0..seqs.len()).map(|i| (i as f64 * 0.9).sin()).collect();
+        let kernel = SskKernel::new(3).with_decays(0.7, 0.6);
+        let gp = Gp::fit(kernel, seqs, ys, 1e-4).expect("spd");
+        let batch: Vec<Vec<u8>> = vec![
+            vec![0, 3, 6, 9, 1, 4],
+            vec![2, 2, 5, 7, 10, 0],
+            vec![0, 3, 6, 9, 1, 5],
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        let draw = gp.sample_posterior(&batch, &mut rng).expect("cov");
+        let bits: Vec<u64> = draw.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [0xbf807a3ce12f7bc2, 0x3feff38aa5321aa4, 0xbfb1a59a7c1a5968],
+            "{draw:?}"
+        );
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! (with the Table I semantics, validated against brute force), a
 //! [squared-exponential kernel](SquaredExponential) for the SBO baseline,
 //! projected-Adam hyperparameter training (paper Eq. 4) and the
-//! [expected-improvement](expected_improvement) acquisition, plus the
-//! batched q-EI machinery ([`ConstantLiar`] fantasy models and a
-//! [Monte-Carlo q-EI estimate](qei_monte_carlo)).
+//! [expected-improvement](expected_improvement) acquisition, plus
+//! [`ConstantLiar`] fantasy models for batched (q-EI) proposals.
 //!
 //! ## Example
 //!
@@ -43,6 +42,6 @@ pub use crate::linalg::{Cholesky, Matrix, NotPositiveDefiniteError};
 pub use crate::pareto::{
     dominates, hypervolume_2d, hypervolume_improvement_2d, nondominated_indices, Scalarisation,
 };
-pub use crate::qei::{qei_monte_carlo, ConstantLiar};
+pub use crate::qei::ConstantLiar;
 pub use crate::ssk::SskKernel;
 pub use crate::surrogate::{Surrogate, SurrogateConfig, SurrogateDiagnostics};

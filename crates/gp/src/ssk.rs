@@ -71,11 +71,6 @@ pub struct SskKernel {
     match_decay: f64,
     gap_decay: f64,
     normalize: bool,
-    /// Whether [`Kernel::self_info`] summaries carry the per-sequence
-    /// self-similarity. `false` recomputes `k̃(s,s)`/`k̃(t,t)` inside every
-    /// pair evaluation — the seed implementation's cost model, kept as a
-    /// benchmarking baseline. Values are bit-identical either way.
-    cache_self_info: bool,
 }
 
 impl SskKernel {
@@ -92,7 +87,6 @@ impl SskKernel {
             match_decay: 0.8,
             gap_decay: 0.5,
             normalize: true,
-            cache_self_info: true,
         }
     }
 
@@ -100,15 +94,6 @@ impl SskKernel {
     /// Kept only because the benchmark harness (`perfbench/src/layers.rs`)
     /// calls it; delete it once that harness can change.
     pub fn with_match_caching(self) -> SskKernel {
-        self
-    }
-
-    /// Disables per-point self-similarity caching: every pair evaluation
-    /// recomputes both normalisation constants, as the seed implementation
-    /// did (three DP runs per pair instead of one). Purely a benchmarking
-    /// baseline — results are bit-identical.
-    pub fn without_info_caching(mut self) -> SskKernel {
-        self.cache_self_info = false;
         self
     }
 
@@ -339,8 +324,7 @@ impl Kernel<Vec<u8>> for SskKernel {
 
     /// Runs each block of four equal-length `xs` through one
     /// lane-blocked DP; the tail and blocks of mixed lengths take the
-    /// one-lane path, as does everything when self-similarities are not
-    /// cached. Bit-identical to the per-pair default.
+    /// one-lane path. Bit-identical to the per-pair default.
     fn eval_column(
         &self,
         xs: &[Vec<u8>],
@@ -356,7 +340,7 @@ impl Kernel<Vec<u8>> for SskKernel {
         let blocks = xs.chunks(LANES).zip(infos.chunks(LANES));
         for ((xs, infos), out) in blocks.zip(out.chunks_mut(LANES)) {
             match <&[Vec<u8>; LANES]>::try_from(xs) {
-                Ok(block) if self.cache_self_info && xs.iter().all(|x| x.len() == xs[0].len()) => {
+                Ok(block) if xs.iter().all(|x| x.len() == xs[0].len()) => {
                     let raw = self.eval_raw_lanes(block.each_ref().map(Vec::as_slice), b);
                     for (l, o) in out.iter_mut().enumerate() {
                         *o = self.finish(raw[l], &xs[l], infos[l], b, info_b);
@@ -398,7 +382,7 @@ impl Kernel<[u8]> for SskKernel {
     /// The raw self-similarity `k̃(x, x)` — the quantity a normalised Gram
     /// fill recomputes for every pair unless cached per point.
     fn self_info(&self, x: &[u8]) -> f64 {
-        if self.normalize && self.cache_self_info {
+        if self.normalize {
             self.eval_raw(x, x)
         } else {
             0.0
@@ -406,9 +390,6 @@ impl Kernel<[u8]> for SskKernel {
     }
 
     fn eval_with_info(&self, a: &[u8], info_a: f64, b: &[u8], info_b: f64) -> f64 {
-        if !self.cache_self_info {
-            return Kernel::<[u8]>::eval(self, a, b);
-        }
         self.finish(self.eval_raw(a, b), a, info_a, b, info_b)
     }
 

@@ -35,14 +35,10 @@ pub struct SurrogateConfig {
     /// accumulate since the previous retrain (and always on the first
     /// [`Surrogate::maybe_retrain`] call).
     pub retrain_every: usize,
-    /// Between retrains, extend the carried GP in `O(n²)` instead of
-    /// refitting from scratch. `false` refits every call (the seed cost
-    /// model); trajectories are identical either way.
-    pub incremental: bool,
     /// Bounded-history window: `Some(w)` keeps at most `w` observations
     /// in the training set, evicting the oldest non-incumbent point (by a
-    /// rank-1 downdate on the incremental path). `None` trains on the
-    /// full history — byte-compatible with the pre-window optimisers.
+    /// rank-1 downdate between retrains). `None` trains on the full
+    /// history — byte-compatible with the pre-window optimisers.
     pub window: Option<usize>,
     /// Projected-Adam settings for hyperparameter retraining.
     pub train: TrainConfig,
@@ -83,7 +79,6 @@ pub struct SurrogateDiagnostics {
 ///     SurrogateConfig {
 ///         noise: 1e-4,
 ///         retrain_every: 5,
-///         incremental: true,
 ///         window: Some(8),
 ///         train: TrainConfig { steps: 3, ..TrainConfig::default() },
 ///     },
@@ -196,13 +191,6 @@ where
         &self.diagnostics
     }
 
-    /// The kernel template every fit clones, at the values it was created
-    /// with: retrains move the per-fit clones' hyperparameters (see
-    /// [`Surrogate::params`]), never the template's.
-    pub fn template(&self) -> &K {
-        &self.template
-    }
-
     /// Brings the model up to date with every observation and returns it.
     ///
     /// Decides the whole lifecycle internally:
@@ -211,15 +199,14 @@ where
     ///   [`SurrogateConfig::retrain_every`] observations accumulated since
     ///   the last retrain: hyperparameters are refit by projected Adam on
     ///   the retained window, then the GP is rebuilt at the optimum;
-    /// * **extend** — otherwise, with
-    ///   [`SurrogateConfig::incremental`] set, pending observations are
-    ///   folded into the carried factor in `O(n²)` each;
+    /// * **extend** — otherwise, pending observations are folded into the
+    ///   carried factor in `O(n²)` each;
     /// * **forget** — with a [`SurrogateConfig::window`], the oldest
-    ///   non-incumbent points are then evicted (rank-1 downdates on the
-    ///   incremental path, simple exclusion on refit paths) until the
-    ///   window bound holds;
-    /// * **refit** — without `incremental`, every call fits from scratch
-    ///   at the carried hyperparameters.
+    ///   non-incumbent points are then evicted (rank-1 downdates of the
+    ///   carried factor, simple exclusion on refit paths) until the window
+    ///   bound holds;
+    /// * **refit** — a non-retrain call with no carried model (an earlier
+    ///   call failed) fits from scratch at the carried hyperparameters.
     ///
     /// # Errors
     ///
@@ -240,11 +227,7 @@ where
         self.first = false;
         let pending_from = self.synced;
         self.synced = self.xs.len();
-        let carried = if self.config.incremental && !retrain {
-            self.gp.take()
-        } else {
-            None
-        };
+        let carried = if retrain { None } else { self.gp.take() };
         let fitted = match carried {
             Some(gp) => {
                 let result = self.update_incrementally(gp, pending_from);
@@ -345,13 +328,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::SquaredExponential;
     use crate::ssk::SskKernel;
 
-    fn config(window: Option<usize>, retrain_every: usize, incremental: bool) -> SurrogateConfig {
+    fn config(window: Option<usize>, retrain_every: usize) -> SurrogateConfig {
         SurrogateConfig {
             noise: 1e-4,
             retrain_every,
-            incremental,
             window,
             train: TrainConfig {
                 steps: 3,
@@ -367,7 +350,7 @@ mod tests {
     #[test]
     fn retrain_cadence_counts_observations() {
         let mut s: Surrogate<SskKernel, Vec<u8>> =
-            Surrogate::new(SskKernel::new(3), config(None, 4, true));
+            Surrogate::new(SskKernel::new(3), config(None, 4));
         for i in 0..6 {
             s.observe(seq(i), i as f64 * 0.1);
         }
@@ -387,7 +370,7 @@ mod tests {
     #[test]
     fn window_bounds_the_training_set_and_pins_the_incumbent() {
         let mut s: Surrogate<SskKernel, Vec<u8>> =
-            Surrogate::new(SskKernel::new(3), config(Some(4), 100, true));
+            Surrogate::new(SskKernel::new(3), config(Some(4), 100));
         // Observation 2 is the incumbent (largest target).
         let ys = [0.1, 0.2, 5.0, 0.3, 0.4, 0.5, 0.6, 0.7];
         for (i, &y) in ys.iter().enumerate() {
@@ -407,7 +390,7 @@ mod tests {
     #[test]
     fn window_none_retains_everything() {
         let mut s: Surrogate<SskKernel, Vec<u8>> =
-            Surrogate::new(SskKernel::new(3), config(None, 100, true));
+            Surrogate::new(SskKernel::new(3), config(None, 100));
         for i in 0..10 {
             s.observe(seq(i), i as f64);
             s.maybe_retrain().expect("fit");
@@ -418,23 +401,111 @@ mod tests {
 
     #[test]
     fn non_incremental_path_respects_the_window_too() {
+        // Retraining on every call: each call refits from scratch, so the
+        // window is enforced by exclusion, never by a factor downdate.
         let mut s: Surrogate<SskKernel, Vec<u8>> =
-            Surrogate::new(SskKernel::new(3), config(Some(3), 100, false));
+            Surrogate::new(SskKernel::new(3), config(Some(3), 1));
         for i in 0..7 {
             s.observe(seq(i), -(i as f64));
             s.maybe_retrain().expect("fit");
         }
+        assert_eq!(s.diagnostics().retrains_at, (1..=7).collect::<Vec<_>>());
         assert_eq!(s.gp().expect("fitted").train_inputs().len(), 3);
         // Incumbent is observation 0 (largest −i): pinned through every
         // eviction even on the refit path.
         assert!(s.window_indices().contains(&0));
         assert_eq!(s.diagnostics().downdates, 0, "refit path never downdates");
+        assert_eq!(s.diagnostics().extends, 0);
+    }
+
+    /// Observes `points` after an initial design of four, `batch` at a
+    /// time, and checks after every [`Surrogate::maybe_retrain`] that the
+    /// carried model predicts exactly what a from-scratch [`Gp::fit`] at
+    /// the surrogate's hyperparameters on its retained points predicts.
+    fn assert_carried_model_is_a_scratch_fit<K, X>(
+        kernel: K,
+        points: &[(X, f64)],
+        batch: usize,
+        probes: &[X],
+    ) where
+        K: Kernel<X> + Clone,
+        X: Clone,
+    {
+        let mut s = Surrogate::new(kernel.clone(), config(None, 5));
+        let (design, rest) = points.split_at(4);
+        for chunk in std::iter::once(design).chain(rest.chunks(batch)) {
+            for (x, y) in chunk {
+                s.observe(x.clone(), *y);
+            }
+            s.maybe_retrain().expect("fit");
+            let retained = s.window_indices();
+            let xs: Vec<X> = retained
+                .iter()
+                .map(|&i| s.observation(i).0.clone())
+                .collect();
+            let ys: Vec<f64> = retained.iter().map(|&i| s.observation(i).1).collect();
+            let mut fitted = kernel.clone();
+            fitted.set_params(s.params());
+            let scratch = Gp::fit(fitted, xs, ys, 1e-4).expect("fit");
+            let carried = s.gp().expect("fitted");
+            for (p, probe) in probes.iter().enumerate() {
+                let (m_c, v_c) = carried.predict(probe);
+                let (m_s, v_s) = scratch.predict(probe);
+                assert_eq!(
+                    (m_c.to_bits(), v_c.to_bits()),
+                    (m_s.to_bits(), v_s.to_bits()),
+                    "probe {p} after {} observations: carried ({m_c}, {v_c}) vs scratch \
+                     ({m_s}, {v_s})",
+                    s.observations()
+                );
+            }
+        }
+        let diagnostics = s.diagnostics();
+        assert!(diagnostics.retrains_at.len() >= 3, "{diagnostics:?}");
+        assert!(diagnostics.extends > 0, "{diagnostics:?}");
+    }
+
+    #[test]
+    fn unwindowed_extends_are_bit_identical_to_scratch_fits() {
+        let ssk_points: Vec<(Vec<u8>, f64)> = (0..24)
+            .map(|i| {
+                let x = (0..6)
+                    .map(|j| ((i * 7 + j * 3 + i * j * j) % 11) as u8)
+                    .collect();
+                (x, (i as f64 * 0.9).sin())
+            })
+            .collect();
+        let ssk_probes: Vec<Vec<u8>> = (0..4).map(|i| seq(i * 5 + 1)).collect();
+        let se_points: Vec<(Vec<f64>, f64)> = (0..24)
+            .map(|i| {
+                let t = i as f64;
+                let x = vec![(t * 0.37).sin() * 2.0, (t * 0.61).cos(), t * 0.05];
+                (x, (t * 0.9).sin())
+            })
+            .collect();
+        let se_probes: Vec<Vec<f64>> = (0..4)
+            .map(|i| vec![i as f64 * 0.4 - 0.6, 0.3, i as f64 * 0.3])
+            .collect();
+        for batch in [1, 4] {
+            assert_carried_model_is_a_scratch_fit(
+                SskKernel::new(3),
+                &ssk_points,
+                batch,
+                &ssk_probes,
+            );
+            assert_carried_model_is_a_scratch_fit(
+                SquaredExponential::new(3),
+                &se_points,
+                batch,
+                &se_probes,
+            );
+        }
     }
 
     #[test]
     fn windowed_posterior_matches_scratch_fit_on_the_retained_window() {
         let mut s: Surrogate<SskKernel, Vec<u8>> =
-            Surrogate::new(SskKernel::new(3), config(Some(5), 1000, true));
+            Surrogate::new(SskKernel::new(3), config(Some(5), 1000));
         for i in 0..12 {
             s.observe(seq(i), (i as f64 * 0.9).sin());
             s.maybe_retrain().expect("fit");
@@ -458,7 +529,7 @@ mod tests {
     #[test]
     fn seeds_enter_the_model_without_advancing_the_retrain_cadence() {
         let mut s: Surrogate<SskKernel, Vec<u8>> =
-            Surrogate::new(SskKernel::new(3), config(None, 4, true));
+            Surrogate::new(SskKernel::new(3), config(None, 4));
         for i in 0..3 {
             s.seed(seq(i + 20), -1.0 - i as f64 * 0.1);
         }
@@ -482,7 +553,7 @@ mod tests {
     #[test]
     fn batch_observations_cost_one_update_pass() {
         let mut s: Surrogate<SskKernel, Vec<u8>> =
-            Surrogate::new(SskKernel::new(3), config(None, 1000, true));
+            Surrogate::new(SskKernel::new(3), config(None, 1000));
         for i in 0..4 {
             s.observe(seq(i), i as f64 * 0.2);
         }

@@ -265,7 +265,6 @@ proptest! {
             SurrogateConfig {
                 noise: 1e-4,
                 retrain_every: 1_000_000, // isolate the extend/forget path
-                incremental: true,
                 window: Some(window),
                 train: TrainConfig { steps: 2, ..TrainConfig::default() },
             },

@@ -470,6 +470,9 @@ fn serve_and_submit_run_a_mixed_batch_end_to_end() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--budget"));
 
     // One last job proves the daemon survived the bad batch, then stops it.
+    // Random search over 20,000 sequences outlives the deadline in any
+    // build; greedy would stop after k·11 = 66 evaluations, which an
+    // unloaded debug build finishes in under 0.3 s.
     let out = boils()
         .args([
             "submit",
@@ -480,13 +483,13 @@ fn serve_and_submit_run_a_mixed_batch_end_to_end() {
             "--bits",
             "4",
             "--method",
-            "greedy",
+            "rs",
             "--budget",
-            "100000",
+            "20000",
             "--k",
             "6",
             "--deadline-secs",
-            "0.3",
+            "1",
             "--shutdown",
         ])
         .output()
