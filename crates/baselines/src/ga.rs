@@ -94,7 +94,7 @@ pub fn genetic_algorithm_controlled<O: SequenceObjective>(
     // Initial population via Latin hypercube, scored as one batch.
     let mut seeds: Vec<Vec<u8>> = space.latin_hypercube(pop_size, &mut rng);
     seeds.truncate(budget);
-    let outcome = engine.evaluate_controlled(objective, &seeds, control);
+    let outcome = engine.evaluate(objective, &seeds, control);
     quarantined.extend(outcome.quarantined.iter().cloned());
     let mut stop = outcome.stopped;
     let mut population: Vec<(Vec<u8>, f64)> = Vec::with_capacity(pop_size);
@@ -141,7 +141,7 @@ pub fn genetic_algorithm_controlled<O: SequenceObjective>(
             };
             offspring.push(mutate(&space, &child, config.mutation_rate, &mut rng));
         }
-        let outcome = engine.evaluate_controlled(objective, &offspring, control);
+        let outcome = engine.evaluate(objective, &offspring, control);
         quarantined.extend(outcome.quarantined.iter().cloned());
         for (mutated, point) in outcome.resolved_prefix(&offspring) {
             history.push(EvalRecord {

@@ -178,7 +178,7 @@ pub fn reinforcement_learning_controlled<O: SequenceObjective + RolloutCircuit>(
             probs.push(pi);
         }
         // --- Official evaluation (one tested sequence).
-        let outcome = engine.evaluate_controlled(objective, std::slice::from_ref(&tokens), control);
+        let outcome = engine.evaluate(objective, std::slice::from_ref(&tokens), control);
         quarantined.extend(outcome.quarantined.iter().cloned());
         let Some(point) = outcome.points[0] else {
             stop = outcome.stopped;

@@ -56,7 +56,7 @@ pub fn random_search_controlled<O: SequenceObjective>(
     let samples = space.latin_hypercube(budget, &mut rng);
     // The whole design is one independent batch — random search is the
     // embarrassingly parallel end of the method spectrum.
-    let outcome = BatchEvaluator::new(threads).evaluate_controlled(objective, &samples, control);
+    let outcome = BatchEvaluator::new(threads).evaluate(objective, &samples, control);
     let history: Vec<EvalRecord> = outcome
         .resolved_prefix(&samples)
         .into_iter()
@@ -119,7 +119,7 @@ pub fn greedy_controlled<O: SequenceObjective>(
             })
             .collect();
         let truncated = candidates.len() < space.alphabet();
-        let outcome = engine.evaluate_controlled(objective, &candidates, control);
+        let outcome = engine.evaluate(objective, &candidates, control);
         quarantined.extend(outcome.quarantined.iter().cloned());
         let resolved = outcome.resolved_prefix(&candidates);
         let interrupted = outcome.stopped.is_some();

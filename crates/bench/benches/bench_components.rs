@@ -19,7 +19,7 @@ fn bench_ssk(c: &mut Criterion) {
     let a = space.sample(&mut rng);
     let b = space.sample(&mut rng);
     c.bench_function("ssk_eval_k20", |bencher| {
-        bencher.iter(|| Kernel::<[u8]>::eval(&kernel, black_box(&a), black_box(&b)))
+        bencher.iter(|| kernel.eval(black_box(&a), black_box(&b)))
     });
 }
 

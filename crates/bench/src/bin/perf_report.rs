@@ -123,6 +123,9 @@ fn main() {
     eprintln!("perf_report: wrote {out}");
 }
 
+/// Timed runs per `eval_throughput` row.
+const THROUGHPUT_REPEATS: usize = 3;
+
 /// Throughput of batched QoR evaluation, prefix cache on vs off, serial
 /// vs parallel, over two workloads that bracket what the optimisers
 /// actually submit:
@@ -137,6 +140,13 @@ fn main() {
 ///   and differ only in the final two positions (the greedy sweep /
 ///   exploitation shape). Here the cache's reuse dominates and the
 ///   speedup is real (`passes_saved` says why).
+///
+/// One timed run per row is too noisy to rank the rows: a row's batch
+/// takes about two seconds, and the first work of a process runs slower
+/// than the rest. So a discarded warm-up batch goes first; then every row
+/// runs [`THROUGHPUT_REPEATS`] times, round-robin, each time on a fresh
+/// evaluator, and reports the median time with the min and max. Pass
+/// counts come from the first repetition.
 fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String {
     let seq_len = if smoke { 8 } else { 20 };
     let count = if smoke { 24 } else { 96 };
@@ -172,54 +182,81 @@ fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String 
         ("trust_region", &trust_region),
         ("shared_prefix", &shared_prefix),
     ] {
-        let mut reference: Option<Vec<boils_core::QorPoint>> = None;
         for &prefix_cache in &[false, true] {
             for &t in &thread_settings {
-                let evaluator = QorEvaluator::new(aig).expect("non-degenerate reference");
-                let evaluator = if prefix_cache {
-                    evaluator
-                } else {
-                    evaluator.without_prefix_cache()
-                };
-                let engine = boils_core::BatchEvaluator::new(t);
-                let start = Instant::now();
-                let points = engine.evaluate(&evaluator, batch);
-                let seconds = start.elapsed().as_secs_f64();
-                match &reference {
-                    Some(r) => assert_eq!(r, &points, "prefix cache or threads changed values"),
-                    None => reference = Some(points),
-                }
-                let stats = evaluator.prefix_stats();
-                if prefix_cache && workload == "shared_prefix" {
-                    assert!(
-                        stats.passes_saved > 0,
-                        "the shared-prefix workload must exercise prefix reuse"
-                    );
-                }
-                rows.push(format!(
-                    "    {{\"workload\": \"{}\", \"seq_len\": {}, \"threads\": {}, \
-                     \"prefix_cache\": {}, \"evals\": {}, \"seconds\": {:.6}, \
-                     \"evals_per_sec\": {:.2}, \"passes_applied\": {}, \"passes_saved\": {}}}",
-                    workload,
-                    seq_len,
-                    t,
-                    prefix_cache,
-                    count,
-                    seconds,
-                    count as f64 / seconds,
-                    stats.passes_applied,
-                    stats.passes_saved
-                ));
-                eprintln!(
-                    "  eval throughput [{workload}]: cache={prefix_cache} threads={t}: \
-                     {:.2} evals/s ({} passes saved)",
-                    count as f64 / seconds,
-                    stats.passes_saved
-                );
+                rows.push((workload, batch, prefix_cache, t));
             }
         }
     }
-    format!("  \"eval_throughput\": [\n{}\n  ]", rows.join(",\n"))
+    let run = |batch: &[Vec<u8>], prefix_cache: bool, threads: usize| {
+        let evaluator = QorEvaluator::new(aig).expect("non-degenerate reference");
+        let evaluator = if prefix_cache {
+            evaluator
+        } else {
+            evaluator.without_prefix_cache()
+        };
+        let engine = boils_core::BatchEvaluator::new(threads);
+        let start = Instant::now();
+        let outcome = engine.evaluate(&evaluator, batch, &RunControl::new());
+        (
+            start.elapsed().as_secs_f64(),
+            outcome.points,
+            evaluator.prefix_stats(),
+        )
+    };
+    run(&trust_region, false, 1); // the warm-up
+    let mut runs = vec![Vec::new(); rows.len()];
+    for _ in 0..THROUGHPUT_REPEATS {
+        for (r, &(_, batch, prefix_cache, t)) in rows.iter().enumerate() {
+            runs[r].push(run(batch, prefix_cache, t));
+        }
+    }
+
+    let mut lines = Vec::new();
+    for (r, &(workload, _, prefix_cache, t)) in rows.iter().enumerate() {
+        let first_of_workload = rows.iter().position(|row| row.0 == workload);
+        let reference = &runs[first_of_workload.expect("the row itself")][0].1;
+        for (_, points, stats) in &runs[r] {
+            assert_eq!(reference, points, "prefix cache or threads changed values");
+            if prefix_cache && workload == "shared_prefix" {
+                assert!(
+                    stats.passes_saved > 0,
+                    "the shared-prefix workload must exercise prefix reuse"
+                );
+            }
+        }
+        let mut secs: Vec<f64> = runs[r].iter().map(|run| run.0).collect();
+        secs.sort_by(f64::total_cmp);
+        let (min, median, max) = (secs[0], secs[secs.len() / 2], secs[secs.len() - 1]);
+        let stats = runs[r][0].2;
+        lines.push(format!(
+            "    {{\"workload\": \"{}\", \"seq_len\": {}, \"threads\": {}, \
+             \"prefix_cache\": {}, \"evals\": {}, \"repeats\": {}, \"seconds\": {:.6}, \
+             \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \"evals_per_sec\": {:.2}, \
+             \"passes_applied\": {}, \"passes_saved\": {}}}",
+            workload,
+            seq_len,
+            t,
+            prefix_cache,
+            count,
+            THROUGHPUT_REPEATS,
+            median,
+            min,
+            max,
+            count as f64 / median,
+            stats.passes_applied,
+            stats.passes_saved
+        ));
+        eprintln!(
+            "  eval throughput [{workload}]: cache={prefix_cache} threads={t}: \
+             {:.2} evals/s (median of {THROUGHPUT_REPEATS}; {:.2}–{:.2}), {} passes saved",
+            count as f64 / median,
+            count as f64 / max,
+            count as f64 / min,
+            stats.passes_saved
+        );
+    }
+    format!("  \"eval_throughput\": [\n{}\n  ]", lines.join(",\n"))
 }
 
 /// The bit-parallel simulation tier, isolated from the optimisers:
@@ -926,15 +963,15 @@ impl Kernel<Vec<u8>> for PerPairSsk {
     }
 
     fn params(&self) -> Vec<f64> {
-        Kernel::<Vec<u8>>::params(&self.0)
+        self.0.params()
     }
 
     fn set_params(&mut self, params: &[f64]) {
-        Kernel::<Vec<u8>>::set_params(&mut self.0, params)
+        self.0.set_params(params)
     }
 
     fn param_bounds(&self) -> Vec<(f64, f64)> {
-        Kernel::<Vec<u8>>::param_bounds(&self.0)
+        self.0.param_bounds()
     }
 }
 

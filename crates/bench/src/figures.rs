@@ -318,7 +318,7 @@ pub fn gp_figure(seed: u64) -> String {
     let kernel = SquaredExponential::new(1);
     // Prior samples: N(0, K).
     let cov = Matrix::from_fn(grid.len(), grid.len(), |i, j| {
-        Kernel::<Vec<f64>>::eval(&kernel, &grid[i], &grid[j])
+        kernel.eval(&grid[i], &grid[j])
     });
     let zero = vec![0.0; grid.len()];
     let priors: Vec<Vec<f64>> = (0..3)

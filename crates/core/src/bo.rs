@@ -1,17 +1,14 @@
 //! The one Bayesian-optimisation loop behind [`Boils`](crate::Boils) and
 //! [`Sbo`](crate::Sbo): paper Algorithm 2 with three parts left open.
 //!
-//! * The **surrogate**: a kernel plus the [`Embedding`] that feeds it (the
-//!   SSK over tokens for BOiLS, an isotropic SE kernel over one-hot
-//!   vectors for SBO).
+//! * The **surrogate**: a kernel over token sequences (the SSK for BOiLS,
+//!   the SE kernel of the one-hot embedding for SBO).
 //! * The **region**: BOiLS's Hamming [`TrustRegion`], or none.
 //! * The **scalariser**: [`Scalariser::Identity`] or [`Scalariser::ParEgo`].
 //!
 //! The rest is shared: the Latin-hypercube design with warm-start seeds,
 //! constant-liar batches, the freshness guard, and evaluation through the
 //! prefix-aware engine under a [`RunControl`].
-
-use std::borrow::Cow;
 
 use boils_gp::{
     expected_improvement, hypervolume_improvement_2d, ConstantLiar, Gp, Kernel, Scalarisation,
@@ -27,40 +24,7 @@ use crate::boils::{
 use crate::control::{RunControl, StopReason};
 use crate::eval::{BatchEvaluator, SequenceObjective, QUARANTINE_QOR};
 use crate::result::{EvalRecord, OptimizationResult, Termination};
-use crate::sbo::one_hot;
 use crate::space::SequenceSpace;
-
-/// How a token sequence enters the surrogate's input space.
-pub(crate) trait Embedding {
-    type Input: Clone;
-
-    /// Borrows when the kernel reads tokens directly, so an acquisition
-    /// probe copies nothing.
-    #[allow(clippy::ptr_arg)] // the SSK's GP stores and predicts `Vec<u8>`
-    fn embed<'a>(&self, tokens: &'a Vec<u8>) -> Cow<'a, Self::Input>;
-}
-
-/// The SSK's embedding: the token sequence itself.
-pub(crate) struct Tokens;
-
-impl Embedding for Tokens {
-    type Input = Vec<u8>;
-
-    fn embed<'a>(&self, tokens: &'a Vec<u8>) -> Cow<'a, Vec<u8>> {
-        Cow::Borrowed(tokens)
-    }
-}
-
-/// [`one_hot`] vectors in `R^{K·n}` over an alphabet of `n` tokens.
-pub(crate) struct OneHot(pub usize);
-
-impl Embedding for OneHot {
-    type Input = Vec<f64>;
-
-    fn embed<'a>(&self, tokens: &'a Vec<u8>) -> Cow<'a, Vec<f64>> {
-        Cow::Owned(one_hot(tokens, self.0))
-    }
-}
 
 /// BOiLS's Hamming trust region (lines 4 and 10 of Algorithm 2). The
 /// radius starts at `K`, grows after `success_tolerance` consecutive
@@ -89,10 +53,9 @@ pub(crate) enum Scalariser {
 }
 
 /// One BO run's parts and settings; [`BoLoop::run`] executes it.
-pub(crate) struct BoLoop<'a, K, E> {
+pub(crate) struct BoLoop<'a, K> {
     /// The kernel template every fit clones.
     pub kernel: K,
-    pub embedding: E,
     /// `None` searches the whole space: no radius, no restarts.
     pub region: Option<TrustRegion>,
     pub scalariser: Scalariser,
@@ -116,8 +79,8 @@ pub(crate) struct BoLoop<'a, K, E> {
 
 /// The scalariser's state across iterations.
 #[allow(clippy::large_enum_variant)] // one per run
-enum Model<K, X> {
-    Carried(Surrogate<K, X>),
+enum Model<K> {
+    Carried(Surrogate<K, Vec<u8>>),
     ParEgo {
         kernel: K,
         /// Every evaluation's cost vector, in history order.
@@ -129,11 +92,7 @@ enum Model<K, X> {
     },
 }
 
-impl<K, E> BoLoop<'_, K, E>
-where
-    K: Kernel<E::Input> + Clone,
-    E: Embedding,
-{
+impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
     /// Runs the loop against `objective`, polling `control` before every
     /// batch and every evaluation, and resets `diagnostics` to this run's
     /// counters.
@@ -160,7 +119,7 @@ where
 
         // -- Initial design (line 3), evaluated as one prefix-aware batch.
         let initial = self.design(&mut rng);
-        let outcome = engine.evaluate_grouped_controlled(objective, &initial, control);
+        let outcome = engine.evaluate_grouped(objective, &initial, control);
         diagnostics
             .quarantined
             .extend(outcome.quarantined.iter().cloned());
@@ -188,10 +147,10 @@ where
                     {
                         continue;
                     }
-                    surrogate.seed(self.embedding.embed(tokens).into_owned(), -qor);
+                    surrogate.seed(tokens.clone(), -qor);
                 }
                 let mut model = Model::Carried(surrogate);
-                model.observe(objective, &self.embedding, &history);
+                model.observe(objective, &history);
                 model
             }
             Scalariser::ParEgo => {
@@ -248,10 +207,7 @@ where
                         .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scalarised cost"))
                         .map(|(i, _)| i)
                         .expect("non-empty history");
-                    let xs = history
-                        .iter()
-                        .map(|r| self.embedding.embed(&r.tokens).into_owned())
-                        .collect();
+                    let xs = history.iter().map(|r| r.tokens.clone()).collect();
                     fitted = Gp::fit(kernel.clone(), xs, ys, self.surrogate.noise)?;
                     (&fitted, incumbent, history[best].tokens.as_slice())
                 }
@@ -267,7 +223,7 @@ where
             for proposed in 0..q {
                 let posterior = liar.model();
                 let score = |tokens: &Vec<u8>| {
-                    let (mean, var) = posterior.predict(&self.embedding.embed(tokens));
+                    let (mean, var) = posterior.predict(tokens);
                     match self.acquisition {
                         Acquisition::ExpectedImprovement => {
                             expected_improvement(mean, var, incumbent)
@@ -297,7 +253,7 @@ where
                 if proposed + 1 < q {
                     // A failed lie leaves the scratch model at the base GP;
                     // the freshness guard still keeps proposals distinct.
-                    let _ = liar.accept(self.embedding.embed(&candidate).into_owned());
+                    let _ = liar.accept(candidate.clone());
                 }
                 batch.push(candidate);
             }
@@ -306,7 +262,7 @@ where
 
             // -- Evaluate and update data (line 9): the lies are gone, so
             // the model sees only real outcomes.
-            let outcome = engine.evaluate_grouped_controlled(objective, &batch, control);
+            let outcome = engine.evaluate_grouped(objective, &batch, control);
             diagnostics
                 .quarantined
                 .extend(outcome.quarantined.iter().cloned());
@@ -314,7 +270,7 @@ where
             for (tokens, point) in outcome.resolved_prefix(&batch) {
                 history.push(EvalRecord { tokens, point });
             }
-            model.observe(objective, &self.embedding, &history[batch_start..]);
+            model.observe(objective, &history[batch_start..]);
             if outcome.stopped.is_some() {
                 stop = outcome.stopped;
                 break;
@@ -379,15 +335,14 @@ where
             if objective.is_cached(&tokens) {
                 continue;
             }
-            let outcome =
-                engine.evaluate_controlled(objective, std::slice::from_ref(&tokens), control);
+            let outcome = engine.evaluate(objective, std::slice::from_ref(&tokens), control);
             diagnostics
                 .quarantined
                 .extend(outcome.quarantined.iter().cloned());
             match outcome.points[0] {
                 Some(point) => {
                     history.push(EvalRecord { tokens, point });
-                    model.observe(objective, &self.embedding, &history[history.len() - 1..]);
+                    model.observe(objective, &history[history.len() - 1..]);
                     center = history.last().expect("just pushed").clone();
                 }
                 None => stop = outcome.stopped,
@@ -441,18 +396,14 @@ where
     }
 }
 
-impl<K: Kernel<X> + Clone, X: Clone> Model<K, X> {
+impl<K: Kernel<Vec<u8>> + Clone> Model<K> {
     /// Feeds evaluated records to the model: `−cost` to the surrogate, or
     /// the cost vectors to ParEGO's archive.
-    fn observe<O, E>(&mut self, objective: &O, embedding: &E, records: &[EvalRecord])
-    where
-        O: SequenceObjective,
-        E: Embedding<Input = X>,
-    {
+    fn observe<O: SequenceObjective>(&mut self, objective: &O, records: &[EvalRecord]) {
         match self {
             Model::Carried(surrogate) => {
                 for r in records {
-                    surrogate.observe(embedding.embed(&r.tokens).into_owned(), -r.point.qor);
+                    surrogate.observe(r.tokens.clone(), -r.point.qor);
                 }
             }
             Model::ParEgo { vectors, .. } => {

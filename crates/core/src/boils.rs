@@ -8,7 +8,7 @@ use boils_gp::{
 };
 use rand::Rng;
 
-use crate::bo::{BoLoop, Scalariser, Tokens, TrustRegion};
+use crate::bo::{BoLoop, Scalariser, TrustRegion};
 use crate::control::{RunControl, StopReason};
 use crate::eval::SequenceObjective;
 use crate::result::{OptimizationResult, Termination};
@@ -453,7 +453,6 @@ impl Boils {
         };
         BoLoop {
             kernel,
-            embedding: Tokens,
             region: cfg.use_trust_region.then_some(TrustRegion {
                 success_tolerance: cfg.success_tolerance,
                 fail_tolerance: cfg.fail_tolerance,

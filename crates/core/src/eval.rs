@@ -373,27 +373,17 @@ impl BatchEvaluator {
         self.threads
     }
 
-    /// Evaluates every sequence in `batch`, returning points in input
-    /// order. See the type-level guarantees. A panicking evaluation is
-    /// quarantined to the [`QUARANTINE_QOR`] sentinel (use
-    /// [`BatchEvaluator::evaluate_controlled`] to also learn *which*
-    /// sequences were quarantined).
-    pub fn evaluate<O: SequenceObjective + ?Sized>(
-        &self,
-        objective: &O,
-        batch: &[Vec<u8>],
-    ) -> Vec<QorPoint> {
-        resolve_all(self.run_batch(objective, batch, false, &RunControl::new()))
-    }
-
-    /// [`BatchEvaluator::evaluate`] under a [`RunControl`]: the control is
-    /// polled before every evaluation (and between synthesis passes by
-    /// objectives that override
+    /// Evaluates every sequence in `batch` under a [`RunControl`],
+    /// returning points in input order (see the type-level guarantees).
+    /// The control is polled before every evaluation (and between
+    /// synthesis passes by objectives that override
     /// [`SequenceObjective::evaluate_tokens_controlled`]); once it fires,
     /// no further evaluations start and the outcome reports which
-    /// positions resolved. With a default control this is exactly
-    /// [`BatchEvaluator::evaluate`] plus quarantine reporting.
-    pub fn evaluate_controlled<O: SequenceObjective + ?Sized>(
+    /// positions resolved. A panicking evaluation is quarantined to the
+    /// [`QUARANTINE_QOR`] sentinel and listed in
+    /// [`BatchOutcome::quarantined`]. With a default control every
+    /// position resolves.
+    pub fn evaluate<O: SequenceObjective + ?Sized>(
         &self,
         objective: &O,
         batch: &[Vec<u8>],
@@ -423,16 +413,6 @@ impl BatchEvaluator {
     /// unique-evaluation count advances identically. Only wall-clock time
     /// and [`prefix_stats`](crate::QorEvaluator::prefix_stats) can differ.
     pub fn evaluate_grouped<O: SequenceObjective + ?Sized>(
-        &self,
-        objective: &O,
-        batch: &[Vec<u8>],
-    ) -> Vec<QorPoint> {
-        resolve_all(self.run_batch(objective, batch, true, &RunControl::new()))
-    }
-
-    /// [`BatchEvaluator::evaluate_grouped`] under a [`RunControl`] (see
-    /// [`BatchEvaluator::evaluate_controlled`]).
-    pub fn evaluate_grouped_controlled<O: SequenceObjective + ?Sized>(
         &self,
         objective: &O,
         batch: &[Vec<u8>],
@@ -579,17 +559,6 @@ impl BatchEvaluator {
     }
 }
 
-/// Unwraps an outcome of an uncontrolled batch, where every position must
-/// have resolved (quarantined positions hold their sentinel).
-fn resolve_all(outcome: BatchOutcome) -> Vec<QorPoint> {
-    debug_assert!(outcome.stopped.is_none());
-    outcome
-        .points
-        .into_iter()
-        .map(|point| point.expect("uncontrolled batch resolves every sequence"))
-        .collect()
-}
-
 impl Default for BatchEvaluator {
     fn default() -> Self {
         BatchEvaluator::serial()
@@ -649,13 +618,28 @@ mod tests {
             .collect()
     }
 
+    /// The points of a batch evaluated under a default control, which
+    /// resolves every position.
+    fn resolved(outcome: BatchOutcome) -> Vec<QorPoint> {
+        assert_eq!(outcome.stopped, None);
+        outcome
+            .points
+            .into_iter()
+            .map(|point| point.expect("a default control resolves every position"))
+            .collect()
+    }
+
     #[test]
     fn results_are_in_input_order_for_any_thread_count() {
         let expected: Vec<QorPoint> = batch_of(40).iter().map(|t| fake_point(t)).collect();
         for threads in [1, 2, 3, 8, 64] {
             let objective = FakeObjective::default();
-            let got = BatchEvaluator::new(threads).evaluate(&objective, &batch_of(40));
-            assert_eq!(got, expected, "threads = {threads}");
+            let got = BatchEvaluator::new(threads).evaluate(
+                &objective,
+                &batch_of(40),
+                &RunControl::new(),
+            );
+            assert_eq!(resolved(got), expected, "threads = {threads}");
         }
     }
 
@@ -665,7 +649,7 @@ mod tests {
         let batch: Vec<Vec<u8>> = (0..30).map(|i| vec![(i % 10) as u8]).collect();
         for threads in [1, 4, 16] {
             let objective = FakeObjective::default();
-            BatchEvaluator::new(threads).evaluate(&objective, &batch);
+            BatchEvaluator::new(threads).evaluate(&objective, &batch, &RunControl::new());
             assert_eq!(objective.num_evaluations(), 10, "threads = {threads}");
         }
     }
@@ -674,13 +658,14 @@ mod tests {
     fn memoised_sequences_are_not_recomputed() {
         let objective = FakeObjective::default();
         let engine = BatchEvaluator::new(4);
-        engine.evaluate(&objective, &batch_of(12));
+        let control = RunControl::new();
+        engine.evaluate(&objective, &batch_of(12), &control);
         assert_eq!(objective.num_evaluations(), 12);
         // Re-evaluating the same batch costs zero new evaluations …
-        let again = engine.evaluate(&objective, &batch_of(12));
+        let again = engine.evaluate(&objective, &batch_of(12), &control);
         assert_eq!(objective.num_evaluations(), 12);
         assert_eq!(
-            again,
+            resolved(again),
             batch_of(12)
                 .iter()
                 .map(|t| fake_point(t))
@@ -694,7 +679,8 @@ mod tests {
     fn duplicates_within_a_batch_are_computed_once() {
         let objective = FakeObjective::default();
         let batch = vec![vec![1u8, 2], vec![1u8, 2], vec![3u8], vec![1u8, 2]];
-        let points = BatchEvaluator::new(8).evaluate(&objective, &batch);
+        let points =
+            resolved(BatchEvaluator::new(8).evaluate(&objective, &batch, &RunControl::new()));
         assert_eq!(objective.num_evaluations(), 2);
         assert_eq!(points[0], points[1]);
         assert_eq!(points[1], points[3]);
@@ -704,12 +690,12 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let objective = FakeObjective::default();
-        let points = BatchEvaluator::new(8).evaluate(&objective, &[]);
-        assert!(points.is_empty());
+        let control = RunControl::new();
+        let outcome = BatchEvaluator::new(8).evaluate(&objective, &[], &control);
+        assert!(resolved(outcome).is_empty());
         assert_eq!(objective.num_evaluations(), 0);
-        assert!(BatchEvaluator::new(8)
-            .evaluate_grouped(&objective, &[])
-            .is_empty());
+        let outcome = BatchEvaluator::new(8).evaluate_grouped(&objective, &[], &control);
+        assert!(resolved(outcome).is_empty());
     }
 
     #[test]
@@ -723,9 +709,10 @@ mod tests {
         for threads in [1, 2, 3, 8, 64] {
             let plain = FakeObjective::default();
             let grouped = FakeObjective::default();
-            let a = BatchEvaluator::new(threads).evaluate(&plain, &batch);
-            let b = BatchEvaluator::new(threads).evaluate_grouped(&grouped, &batch);
-            assert_eq!(a, b, "threads = {threads}");
+            let control = RunControl::new();
+            let a = BatchEvaluator::new(threads).evaluate(&plain, &batch, &control);
+            let b = BatchEvaluator::new(threads).evaluate_grouped(&grouped, &batch, &control);
+            assert_eq!(resolved(a), resolved(b), "threads = {threads}");
             assert_eq!(
                 plain.num_evaluations(),
                 grouped.num_evaluations(),
@@ -738,12 +725,13 @@ mod tests {
     fn grouped_skips_memoised_sequences_too() {
         let objective = FakeObjective::default();
         let engine = BatchEvaluator::new(4);
-        engine.evaluate_grouped(&objective, &batch_of(12));
+        let control = RunControl::new();
+        engine.evaluate_grouped(&objective, &batch_of(12), &control);
         assert_eq!(objective.num_evaluations(), 12);
-        let again = engine.evaluate_grouped(&objective, &batch_of(12));
+        let again = engine.evaluate_grouped(&objective, &batch_of(12), &control);
         assert_eq!(objective.num_evaluations(), 12);
         assert_eq!(
-            again,
+            resolved(again),
             batch_of(12)
                 .iter()
                 .map(|t| fake_point(t))
@@ -823,8 +811,12 @@ mod tests {
         let expected: Vec<QorPoint> = batch.iter().map(|t| fake_point(t)).collect();
         for threads in [1, 2, 3, 4, 16] {
             let objective = FakeObjective::default();
-            let got = BatchEvaluator::new(threads).evaluate_grouped(&objective, &batch);
-            assert_eq!(got, expected, "threads = {threads}");
+            let got = BatchEvaluator::new(threads).evaluate_grouped(
+                &objective,
+                &batch,
+                &RunControl::new(),
+            );
+            assert_eq!(resolved(got), expected, "threads = {threads}");
             assert_eq!(
                 objective.num_evaluations(),
                 batch.len(),
@@ -871,13 +863,12 @@ mod tests {
                 inner: FakeObjective::default(),
                 poison: poison.clone(),
             };
-            let control = RunControl::new();
             let outcome =
-                BatchEvaluator::new(threads).evaluate_controlled(&objective, &batch, &control);
+                BatchEvaluator::new(threads).evaluate(&objective, &batch, &RunControl::new());
             assert_eq!(outcome.stopped, None, "threads = {threads}");
             assert_eq!(outcome.quarantined, vec![poison.clone()]);
             for (i, (tokens, point)) in batch.iter().zip(&outcome.points).enumerate() {
-                let point = point.expect("uncontrolled batch resolves everything");
+                let point = point.expect("a default control resolves every position");
                 if i == 7 {
                     assert_eq!(point.qor, QUARANTINE_QOR, "threads = {threads}");
                 } else {
@@ -891,28 +882,13 @@ mod tests {
     }
 
     #[test]
-    fn plain_evaluate_substitutes_the_quarantine_sentinel() {
-        let batch = batch_of(6);
-        let objective = PanickyObjective {
-            inner: FakeObjective::default(),
-            poison: batch[2].clone(),
-        };
-        let points = BatchEvaluator::new(4).evaluate(&objective, &batch);
-        assert_eq!(points[2].qor, QUARANTINE_QOR);
-        assert_eq!(points[3], fake_point(&batch[3]));
-    }
-
-    #[test]
     fn cancelled_control_stops_the_batch_before_any_evaluation() {
         for threads in [1, 8] {
             let objective = FakeObjective::default();
             let control = RunControl::new();
             control.cancel();
-            let outcome = BatchEvaluator::new(threads).evaluate_controlled(
-                &objective,
-                &batch_of(10),
-                &control,
-            );
+            let outcome =
+                BatchEvaluator::new(threads).evaluate(&objective, &batch_of(10), &control);
             assert_eq!(outcome.stopped, Some(StopReason::Cancelled));
             assert!(outcome.points.iter().all(Option::is_none));
             assert_eq!(objective.num_evaluations(), 0, "threads = {threads}");
@@ -927,10 +903,10 @@ mod tests {
         let objective = FakeObjective::default();
         let engine = BatchEvaluator::new(2);
         let batch = batch_of(6);
-        engine.evaluate(&objective, &batch[..3]);
+        engine.evaluate(&objective, &batch[..3], &RunControl::new());
         let control = RunControl::new();
         control.cancel();
-        let outcome = engine.evaluate_controlled(&objective, &batch, &control);
+        let outcome = engine.evaluate(&objective, &batch, &control);
         assert_eq!(outcome.stopped, Some(StopReason::Cancelled));
         let resolved = outcome.resolved_prefix(&batch);
         assert_eq!(resolved.len(), 3);

@@ -61,6 +61,6 @@ pub use crate::prefix::{
 };
 pub use crate::qor::{DegenerateReferenceError, Objective, QorEvaluator, QorPoint};
 pub use crate::result::{EvalRecord, OptimizationResult, Termination};
-pub use crate::sbo::{one_hot, IsotropicSe, Sbo, SboConfig};
+pub use crate::sbo::{Sbo, SboConfig};
 pub use crate::space::SequenceSpace;
 pub use boils_mapper::SynthStats;

@@ -1,11 +1,11 @@
 //! Standard Bayesian optimisation (the paper's SBO baseline): the same BO
-//! loop as BOiLS, but with a one-hot continuous embedding and a squared-
-//! exponential kernel instead of the SSK, and no trust region — isolating
-//! the contribution of the sequence-aware machinery.
+//! loop as BOiLS, but with the squared-exponential kernel of the one-hot
+//! embedding instead of the SSK, and no trust region — isolating the
+//! contribution of the sequence-aware machinery.
 
-use boils_gp::{SurrogateConfig, TrainConfig};
+use boils_gp::{Kernel, SurrogateConfig, TrainConfig};
 
-use crate::bo::{BoLoop, OneHot, Scalariser};
+use crate::bo::{BoLoop, Scalariser};
 use crate::boils::{Acquisition, RunBoilsError, RunDiagnostics};
 use crate::control::RunControl;
 use crate::eval::SequenceObjective;
@@ -53,8 +53,8 @@ pub struct SboConfig {
     pub seed: u64,
     /// Optimise the objective's cost *vector* instead of its scalar cost
     /// (see [`BoilsConfig::multi_objective`](crate::BoilsConfig)): ParEGO
-    /// random-weight Chebyshev scalarisations over the same one-hot
-    /// embedding, refitting the SE surrogate per iteration.
+    /// random-weight Chebyshev scalarisations, refitting the SE surrogate
+    /// per iteration.
     pub multi_objective: bool,
 }
 
@@ -84,7 +84,8 @@ impl Default for SboConfig {
 
 /// The standard-BO baseline optimiser.
 ///
-/// Sequences are embedded one-hot into `R^{K·n}`; a single isotropic
+/// The surrogate is an SE kernel on the one-hot embedding of sequences in
+/// `R^{K·n}`, computed from their Hamming distance; a single isotropic
 /// lengthscale keeps hyperparameter training tractable at this
 /// dimensionality (the paper's SBO uses the HEBO library \[25\]; the
 /// qualitative behaviour — a competent but sequence-blind surrogate — is
@@ -140,7 +141,6 @@ impl Sbo {
         let cfg = &self.config;
         BoLoop {
             kernel: isotropic_kernel(),
-            embedding: OneHot(cfg.space.alphabet()),
             region: None,
             scalariser: if cfg.multi_objective {
                 Scalariser::ParEgo
@@ -169,10 +169,13 @@ impl Sbo {
     }
 }
 
-/// An SE kernel with one shared lengthscale (keeps NLML training cheap in
-/// the K·n-dimensional one-hot space).
+/// The isotropic SE kernel `σ²·exp(−½·‖onehot(a) − onehot(b)‖² / ℓ²)` of
+/// the one-hot embedding in `R^{K·n}`, read from the tokens: the one-hot
+/// vectors differ in two coordinates per differing position, so the
+/// squared distance is twice the Hamming distance. One shared lengthscale
+/// keeps NLML training cheap.
 #[derive(Clone, Debug)]
-pub struct IsotropicSe {
+pub(crate) struct IsotropicSe {
     lengthscale: f64,
     variance: f64,
 }
@@ -184,16 +187,21 @@ fn isotropic_kernel() -> IsotropicSe {
     }
 }
 
-impl boils_gp::Kernel<[f64]> for IsotropicSe {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r2: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| {
-                let d = (x - y) / self.lengthscale;
-                d * d
-            })
-            .sum();
+impl Kernel<Vec<u8>> for IsotropicSe {
+    /// Adds `(1/ℓ)²` to `r²` twice per differing position, in position
+    /// order: the nonzero terms of the one-hot sum in its own order, so
+    /// every value is bit-identical to the embedding's (`2h·(1/ℓ)²` rounds
+    /// differently).
+    fn eval(&self, a: &Vec<u8>, b: &Vec<u8>) -> f64 {
+        let d = 1.0 / self.lengthscale;
+        let term = d * d;
+        let mut r2 = 0.0;
+        for (x, y) in a.iter().zip(b) {
+            if x != y {
+                r2 += term;
+                r2 += term;
+            }
+        }
         self.variance * (-0.5 * r2).exp()
     }
 
@@ -212,27 +220,82 @@ impl boils_gp::Kernel<[f64]> for IsotropicSe {
     }
 }
 
-/// One-hot embedding of a token sequence into `R^{K·n}`.
-pub fn one_hot(tokens: &[u8], alphabet: usize) -> Vec<f64> {
-    let mut out = vec![0.0; tokens.len() * alphabet];
-    for (i, &t) in tokens.iter().enumerate() {
-        out[i * alphabet + t as usize] = 1.0;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::qor::QorEvaluator;
     use crate::space::SequenceSpace;
     use boils_aig::random_aig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One-hot embedding of a token sequence into `R^{K·n}`.
+    fn one_hot(tokens: &[u8], alphabet: usize) -> Vec<f64> {
+        let mut out = vec![0.0; tokens.len() * alphabet];
+        for (i, &t) in tokens.iter().enumerate() {
+            out[i * alphabet + t as usize] = 1.0;
+        }
+        out
+    }
+
+    /// [`IsotropicSe`] by its definition, summed over every one-hot
+    /// coordinate: the bit-exact reference for the token path.
+    fn one_hot_kernel(k: &IsotropicSe, a: &[f64], b: &[f64]) -> f64 {
+        let r2: f64 = a
+            .iter()
+            .zip(b)
+            .map(|(x, y)| {
+                let d = (x - y) / k.lengthscale;
+                d * d
+            })
+            .sum();
+        k.variance * (-0.5 * r2).exp()
+    }
 
     #[test]
     fn one_hot_embedding_shape() {
         let x = one_hot(&[0, 2, 1], 3);
         assert_eq!(x.len(), 9);
         assert_eq!(x, vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn token_kernel_is_bit_identical_to_the_one_hot_kernel() {
+        let mut rng = StdRng::seed_from_u64(17);
+        // Each hyperparameter sits on one of its box bounds half the time,
+        // else log-uniform inside the box.
+        let draw = |rng: &mut StdRng, (lo, hi): (f64, f64)| match rng.gen_range(0..4u8) {
+            0 => lo,
+            1 => hi,
+            _ => (lo.ln() + (hi.ln() - lo.ln()) * rng.gen::<f64>()).exp(),
+        };
+        let mut kernel = isotropic_kernel();
+        let bounds = kernel.param_bounds();
+        for case in 0..20_000 {
+            let len = rng.gen_range(1..=24usize);
+            let alphabet = rng.gen_range(1..=12u8);
+            let a: Vec<u8> = (0..len).map(|_| rng.gen_range(0..alphabet)).collect();
+            // Half the pairs are near neighbours, so small Hamming
+            // distances are as common as large ones.
+            let b: Vec<u8> = if rng.gen_bool(0.5) {
+                (0..len).map(|_| rng.gen_range(0..alphabet)).collect()
+            } else {
+                let mut b = a.clone();
+                for _ in 0..rng.gen_range(0..=3u8) {
+                    b[rng.gen_range(0..len)] = rng.gen_range(0..alphabet);
+                }
+                b
+            };
+            kernel.set_params(&[draw(&mut rng, bounds[0]), draw(&mut rng, bounds[1])]);
+            let n = usize::from(alphabet);
+            let reference = one_hot_kernel(&kernel, &one_hot(&a, n), &one_hot(&b, n));
+            assert_eq!(
+                kernel.eval(&a, &b).to_bits(),
+                reference.to_bits(),
+                "case {case}: a={a:?} b={b:?} params={:?}",
+                kernel.params()
+            );
+        }
     }
 
     #[test]

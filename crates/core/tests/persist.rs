@@ -27,8 +27,8 @@ use std::sync::Arc;
 use boils_baselines::greedy;
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
-    BatchEvaluator, Boils, BoilsConfig, EvalRecord, PersistentPrefixStore, QorEvaluator, Sbo,
-    SboConfig, SequenceSpace,
+    BatchEvaluator, Boils, BoilsConfig, EvalRecord, PersistentPrefixStore, QorEvaluator,
+    RunControl, Sbo, SboConfig, SequenceSpace,
 };
 use boils_gp::TrainConfig;
 use boils_sat::{check_equivalence_with, EquivConfig, EquivResult, EquivStats};
@@ -383,11 +383,11 @@ fn two_batch_evaluators_share_one_store_directory_concurrently() {
     let reference = QorEvaluator::new(&aig).expect("ok");
     let expect_a: Vec<_> = batch_a
         .iter()
-        .map(|t| reference.evaluate_tokens(t))
+        .map(|t| Some(reference.evaluate_tokens(t)))
         .collect();
     let expect_b: Vec<_> = batch_b
         .iter()
-        .map(|t| reference.evaluate_tokens(t))
+        .map(|t| Some(reference.evaluate_tokens(t)))
         .collect();
 
     let eval_a = Arc::new(
@@ -407,12 +407,20 @@ fn two_batch_evaluators_share_one_store_directory_concurrently() {
         let a = scope.spawn({
             let eval_a = Arc::clone(&eval_a);
             let batch_a = batch_a.clone();
-            move || BatchEvaluator::new(2).evaluate_grouped(&*eval_a, &batch_a)
+            move || {
+                BatchEvaluator::new(2)
+                    .evaluate_grouped(&*eval_a, &batch_a, &RunControl::new())
+                    .points
+            }
         });
         let b = scope.spawn({
             let eval_b = Arc::clone(&eval_b);
             let batch_b = batch_b.clone();
-            move || BatchEvaluator::new(2).evaluate_grouped(&*eval_b, &batch_b)
+            move || {
+                BatchEvaluator::new(2)
+                    .evaluate_grouped(&*eval_b, &batch_b, &RunControl::new())
+                    .points
+            }
         });
         (a.join().expect("worker a"), b.join().expect("worker b"))
     });

@@ -4,7 +4,7 @@
 use boils_aig::random_aig;
 use boils_core::{
     BatchEvaluator, Boils, BoilsConfig, EvalRecord, OptimizationResult, QorEvaluator, QorPoint,
-    Sbo, SboConfig, SequenceSpace,
+    RunControl, Sbo, SboConfig, SequenceSpace,
 };
 use boils_gp::TrainConfig;
 use boils_synth::Transform;
@@ -137,10 +137,11 @@ proptest! {
         let aig = random_aig(seed + 20_000, 8, 250, 3);
         let Ok(batched) = QorEvaluator::new(&aig) else { return Ok(()); };
         let pointwise = QorEvaluator::new(&aig).expect("same circuit");
-        let points = BatchEvaluator::new(threads).evaluate(&batched, &batch);
-        prop_assert_eq!(points.len(), batch.len());
-        for (tokens, point) in batch.iter().zip(&points) {
-            prop_assert_eq!(*point, pointwise.evaluate_tokens(tokens), "{:?}", tokens);
+        let outcome = BatchEvaluator::new(threads).evaluate(&batched, &batch, &RunControl::new());
+        prop_assert_eq!(outcome.stopped, None);
+        prop_assert_eq!(outcome.points.len(), batch.len());
+        for (tokens, point) in batch.iter().zip(&outcome.points) {
+            prop_assert_eq!(*point, Some(pointwise.evaluate_tokens(tokens)), "{:?}", tokens);
         }
         // Unique-evaluation accounting matches a serial evaluation loop.
         prop_assert_eq!(batched.num_evaluations(), pointwise.num_evaluations());
@@ -158,9 +159,11 @@ proptest! {
         let Ok(grouped) = QorEvaluator::new(&aig) else { return Ok(()); };
         let plain = QorEvaluator::new(&aig).expect("same circuit");
         let engine = BatchEvaluator::new(threads);
-        let a = engine.evaluate_grouped(&grouped, &batch);
-        let b = engine.evaluate(&plain, &batch);
-        prop_assert_eq!(a, b);
+        let control = RunControl::new();
+        let a = engine.evaluate_grouped(&grouped, &batch, &control);
+        let b = engine.evaluate(&plain, &batch, &control);
+        prop_assert_eq!(a.stopped, None);
+        prop_assert_eq!(a.points, b.points);
         prop_assert_eq!(grouped.num_evaluations(), plain.num_evaluations());
     }
 

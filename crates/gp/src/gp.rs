@@ -311,7 +311,8 @@ where
         let bounds = kernel.param_bounds();
         let mut params = kernel.params();
         project(&mut params, &bounds);
-        let y_for_nlml = standardise(&y);
+        let (y_mean, y_std) = mean_std(&y);
+        let y_for_nlml: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
 
         let objective = |kernel: &mut K, p: &[f64]| -> Option<f64> {
             kernel.set_params(p);
@@ -458,13 +459,6 @@ where
     }
 }
 
-fn standardise(y: &[f64]) -> Vec<f64> {
-    let mean = y.iter().sum::<f64>() / y.len() as f64;
-    let var = y.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / y.len() as f64;
-    let std = var.sqrt().max(1e-9);
-    y.iter().map(|v| (v - mean) / std).collect()
-}
-
 fn project(params: &mut [f64], bounds: &[(f64, f64)]) {
     for (p, &(lo, hi)) in params.iter_mut().zip(bounds) {
         *p = p.clamp(lo, hi);
@@ -600,7 +594,7 @@ mod tests {
             "SSK GP failed to learn the trend: {m_many} vs {m_few}"
         );
         // Decays must have stayed in the projected box.
-        let p = Kernel::<[u8]>::params(gp.kernel());
+        let p = gp.kernel().params();
         assert!(p.iter().all(|&v| (0.01..=1.0).contains(&v)), "{p:?}");
     }
 

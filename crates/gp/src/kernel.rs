@@ -5,7 +5,7 @@
 ///
 /// Hyperparameters are exposed as a flat vector with box bounds so a single
 /// projected-gradient trainer serves every kernel.
-pub trait Kernel<X: ?Sized> {
+pub trait Kernel<X> {
     /// Evaluates `k(a, b)`.
     fn eval(&self, a: &X, b: &X) -> f64;
 
@@ -41,10 +41,7 @@ pub trait Kernel<X: ?Sized> {
     /// # Panics
     ///
     /// Panics if `xs`, `infos` and `out` differ in length.
-    fn eval_column(&self, xs: &[X], infos: &[f64], b: &X, info_b: f64, out: &mut [f64])
-    where
-        X: Sized,
-    {
+    fn eval_column(&self, xs: &[X], infos: &[f64], b: &X, info_b: f64, out: &mut [f64]) {
         assert!(
             xs.len() == infos.len() && xs.len() == out.len(),
             "column inputs, summaries and outputs differ in length"
@@ -68,34 +65,6 @@ pub trait Kernel<X: ?Sized> {
     fn param_bounds(&self) -> Vec<(f64, f64)>;
 }
 
-/// Owned-vector convenience: any kernel over `[f64]` slices also works on
-/// `Vec<f64>` inputs (as stored by [`crate::Gp`]).
-impl<K: Kernel<[f64]>> Kernel<Vec<f64>> for K {
-    fn eval(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
-        Kernel::<[f64]>::eval(self, a, b)
-    }
-
-    fn self_info(&self, x: &Vec<f64>) -> f64 {
-        Kernel::<[f64]>::self_info(self, x)
-    }
-
-    fn eval_with_info(&self, a: &Vec<f64>, info_a: f64, b: &Vec<f64>, info_b: f64) -> f64 {
-        Kernel::<[f64]>::eval_with_info(self, a, info_a, b, info_b)
-    }
-
-    fn params(&self) -> Vec<f64> {
-        Kernel::<[f64]>::params(self)
-    }
-
-    fn set_params(&mut self, params: &[f64]) {
-        Kernel::<[f64]>::set_params(self, params)
-    }
-
-    fn param_bounds(&self) -> Vec<(f64, f64)> {
-        Kernel::<[f64]>::param_bounds(self)
-    }
-}
-
 /// The squared-exponential (RBF) kernel with ARD lengthscales:
 /// `k(x, x') = σ² exp(−½ Σ_d (x_d − x'_d)² / ℓ_d²)`.
 ///
@@ -103,8 +72,8 @@ impl<K: Kernel<[f64]>> Kernel<Vec<f64>> for K {
 /// use boils_gp::{Kernel, SquaredExponential};
 ///
 /// let k = SquaredExponential::new(3);
-/// assert!((k.eval(&[0.0, 0.0, 0.0][..], &[0.0, 0.0, 0.0][..]) - 1.0).abs() < 1e-12);
-/// assert!(k.eval(&[0.0, 0.0, 0.0][..], &[9.0, 9.0, 9.0][..]) < 1e-6);
+/// assert!((k.eval(&vec![0.0; 3], &vec![0.0; 3]) - 1.0).abs() < 1e-12);
+/// assert!(k.eval(&vec![0.0; 3], &vec![9.0; 3]) < 1e-6);
 /// ```
 #[derive(Clone, Debug)]
 pub struct SquaredExponential {
@@ -127,15 +96,10 @@ impl SquaredExponential {
         self.variance = variance;
         self
     }
-
-    /// The input dimensionality.
-    pub fn dims(&self) -> usize {
-        self.lengthscales.len()
-    }
 }
 
-impl Kernel<[f64]> for SquaredExponential {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+impl Kernel<Vec<f64>> for SquaredExponential {
+    fn eval(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
         assert_eq!(a.len(), self.lengthscales.len());
         assert_eq!(b.len(), self.lengthscales.len());
         let r2: f64 = a
@@ -177,19 +141,19 @@ mod tests {
     #[test]
     fn se_is_symmetric_and_bounded() {
         let k = SquaredExponential::new(2).with_variance(2.5);
-        let a = [0.3, -1.0];
-        let b = [1.2, 0.5];
-        assert!((k.eval(&a[..], &b[..]) - k.eval(&b[..], &a[..])).abs() < 1e-15);
-        assert!(k.eval(&a[..], &b[..]) <= 2.5);
-        assert!((k.eval(&a[..], &a[..]) - 2.5).abs() < 1e-12);
+        let a = vec![0.3, -1.0];
+        let b = vec![1.2, 0.5];
+        assert!((k.eval(&a, &b) - k.eval(&b, &a)).abs() < 1e-15);
+        assert!(k.eval(&a, &b) <= 2.5);
+        assert!((k.eval(&a, &a) - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn lengthscales_control_decay() {
         let mut k = SquaredExponential::new(1);
-        let near = Kernel::<[f64]>::eval(&k, &[0.0], &[1.0]);
-        Kernel::<[f64]>::set_params(&mut k, &[10.0, 1.0]); // longer → slower decay
-        let far = Kernel::<[f64]>::eval(&k, &[0.0], &[1.0]);
+        let near = k.eval(&vec![0.0], &vec![1.0]);
+        k.set_params(&[10.0, 1.0]); // longer → slower decay
+        let far = k.eval(&vec![0.0], &vec![1.0]);
         assert!(far > near);
     }
 
@@ -197,8 +161,8 @@ mod tests {
     fn params_round_trip() {
         let mut k = SquaredExponential::new(3);
         let p = vec![0.5, 2.0, 1.5, 3.0];
-        Kernel::<[f64]>::set_params(&mut k, &p);
-        assert_eq!(Kernel::<[f64]>::params(&k), p);
-        assert_eq!(Kernel::<[f64]>::param_bounds(&k).len(), 4);
+        k.set_params(&p);
+        assert_eq!(k.params(), p);
+        assert_eq!(k.param_bounds().len(), 4);
     }
 }

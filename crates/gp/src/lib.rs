@@ -3,8 +3,8 @@
 //! The probabilistic machinery of BOiLS: exact [GP regression](Gp) on top of
 //! an in-crate dense [linear algebra layer](Matrix), the
 //! [sub-sequence string kernel](SskKernel) of the paper's Section III-B1
-//! (with the Table I semantics, validated against brute force), a
-//! [squared-exponential kernel](SquaredExponential) for the SBO baseline,
+//! (with the Table I semantics, validated against brute force), an ARD
+//! [squared-exponential kernel](SquaredExponential) over real vectors,
 //! projected-Adam hyperparameter training (paper Eq. 4) and the
 //! [expected-improvement](expected_improvement) acquisition, plus
 //! [`ConstantLiar`] fantasy models for batched (q-EI) proposals.

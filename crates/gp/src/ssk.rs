@@ -52,16 +52,16 @@ fn normalized(raw: f64, ks: f64, kt: f64, same: bool) -> f64 {
     raw / (ks * kt).sqrt()
 }
 
-/// The BOiLS sub-sequence string kernel over token sequences (`[u8]`).
+/// The BOiLS sub-sequence string kernel over token sequences.
 ///
 /// ```
 /// use boils_gp::{Kernel, SskKernel};
 ///
 /// let k = SskKernel::new(3).with_decays(0.8, 0.5);
-/// let a = [1u8, 2, 3];
-/// let b = [1u8, 2, 4];
-/// let sim_ab = k.eval(&a[..], &b[..]);
-/// let sim_aa = k.eval(&a[..], &a[..]);
+/// let a = vec![1u8, 2, 3];
+/// let b = vec![1u8, 2, 4];
+/// let sim_ab = k.eval(&a, &b);
+/// let sim_aa = k.eval(&a, &a);
 /// assert!(sim_ab > 0.0 && sim_ab < sim_aa); // normalised: k(a,a) = 1
 /// assert!((sim_aa - 1.0).abs() < 1e-12);
 /// ```
@@ -308,18 +308,29 @@ impl SskKernel {
     }
 }
 
-/// Owned-vector convenience for GP storage, and the lane-blocked columns.
 impl Kernel<Vec<u8>> for SskKernel {
     fn eval(&self, a: &Vec<u8>, b: &Vec<u8>) -> f64 {
-        Kernel::<[u8]>::eval(self, a, b)
+        let raw = self.eval_raw(a, b);
+        if !self.normalize {
+            return raw;
+        }
+        let ka = self.eval_raw(a, a);
+        let kb = self.eval_raw(b, b);
+        normalized(raw, ka, kb, a == b)
     }
 
+    /// The raw self-similarity `k̃(x, x)` — the quantity a normalised Gram
+    /// fill recomputes for every pair unless cached per point.
     fn self_info(&self, x: &Vec<u8>) -> f64 {
-        Kernel::<[u8]>::self_info(self, x)
+        if self.normalize {
+            self.eval_raw(x, x)
+        } else {
+            0.0
+        }
     }
 
     fn eval_with_info(&self, a: &Vec<u8>, info_a: f64, b: &Vec<u8>, info_b: f64) -> f64 {
-        Kernel::<[u8]>::eval_with_info(self, a, info_a, b, info_b)
+        self.finish(self.eval_raw(a, b), a, info_a, b, info_b)
     }
 
     /// Runs each block of four equal-length `xs` through one
@@ -348,49 +359,11 @@ impl Kernel<Vec<u8>> for SskKernel {
                 }
                 _ => {
                     for ((o, x), &info) in out.iter_mut().zip(xs).zip(infos) {
-                        *o = Kernel::<[u8]>::eval_with_info(self, x, info, b, info_b);
+                        *o = self.eval_with_info(x, info, b, info_b);
                     }
                 }
             }
         }
-    }
-
-    fn params(&self) -> Vec<f64> {
-        Kernel::<[u8]>::params(self)
-    }
-
-    fn set_params(&mut self, params: &[f64]) {
-        Kernel::<[u8]>::set_params(self, params)
-    }
-
-    fn param_bounds(&self) -> Vec<(f64, f64)> {
-        Kernel::<[u8]>::param_bounds(self)
-    }
-}
-
-impl Kernel<[u8]> for SskKernel {
-    fn eval(&self, a: &[u8], b: &[u8]) -> f64 {
-        let raw = self.eval_raw(a, b);
-        if !self.normalize {
-            return raw;
-        }
-        let ka = self.eval_raw(a, a);
-        let kb = self.eval_raw(b, b);
-        normalized(raw, ka, kb, a == b)
-    }
-
-    /// The raw self-similarity `k̃(x, x)` — the quantity a normalised Gram
-    /// fill recomputes for every pair unless cached per point.
-    fn self_info(&self, x: &[u8]) -> f64 {
-        if self.normalize {
-            self.eval_raw(x, x)
-        } else {
-            0.0
-        }
-    }
-
-    fn eval_with_info(&self, a: &[u8], info_a: f64, b: &[u8], info_b: f64) -> f64 {
-        self.finish(self.eval_raw(a, b), a, info_a, b, info_b)
     }
 
     fn params(&self) -> Vec<f64> {
@@ -496,12 +469,12 @@ mod tests {
     #[test]
     fn normalised_kernel_is_a_similarity() {
         let k = SskKernel::new(4);
-        let a = [0u8, 1, 2, 3, 4];
-        let b = [0u8, 1, 2, 4, 3];
-        let c = [5u8, 6, 7, 8, 9];
-        assert!((k.eval(&a[..], &a[..]) - 1.0).abs() < 1e-12);
-        let ab = k.eval(&a[..], &b[..]);
-        let ac = k.eval(&a[..], &c[..]);
+        let a = vec![0u8, 1, 2, 3, 4];
+        let b = vec![0u8, 1, 2, 4, 3];
+        let c = vec![5u8, 6, 7, 8, 9];
+        assert!((k.eval(&a, &a) - 1.0).abs() < 1e-12);
+        let ab = k.eval(&a, &b);
+        let ac = k.eval(&a, &c);
         assert!(ab > ac, "shared prefixes must look more similar");
         assert!((0.0..=1.0 + 1e-12).contains(&ab));
         assert_eq!(ac, 0.0, "disjoint alphabets share no sub-sequence");
@@ -529,9 +502,7 @@ mod tests {
             vec![2, 3, 0, 1],
             vec![1, 1, 1, 1],
         ];
-        let gram = Matrix::from_fn(seqs.len(), seqs.len(), |i, j| {
-            k.eval(&seqs[i][..], &seqs[j][..])
-        });
+        let gram = Matrix::from_fn(seqs.len(), seqs.len(), |i, j| k.eval(&seqs[i], &seqs[j]));
         assert!(Cholesky::new(&gram, 1e-8).is_ok(), "gram must be PSD");
     }
 
@@ -539,20 +510,17 @@ mod tests {
     fn empty_sequences_are_handled() {
         let k = SskKernel::new(3);
         assert_eq!(k.eval_raw(&[], &[1, 2]), 0.0);
-        assert_eq!(k.eval(&[][..], &[][..]), 1.0); // identical → similarity 1
-        assert_eq!(k.eval(&[][..], &[1][..]), 0.0);
+        assert_eq!(k.eval(&vec![], &vec![]), 1.0); // identical → similarity 1
+        assert_eq!(k.eval(&vec![], &vec![1]), 0.0);
         // Columns share the degenerate conventions, in a lane block (the
         // four empty sequences) and on the one-lane tail.
         let xs: Vec<Vec<u8>> = vec![vec![], vec![], vec![], vec![], vec![1]];
-        let infos: Vec<f64> = xs
-            .iter()
-            .map(|x| Kernel::<Vec<u8>>::self_info(&k, x))
-            .collect();
+        let infos: Vec<f64> = xs.iter().map(|x| k.self_info(x)).collect();
         let mut out = [f64::NAN; 5];
-        Kernel::<Vec<u8>>::eval_column(&k, &xs, &infos, &vec![], 0.0, &mut out);
+        k.eval_column(&xs, &infos, &vec![], 0.0, &mut out);
         assert_eq!(out, [1.0, 1.0, 1.0, 1.0, 0.0]);
-        let info = Kernel::<Vec<u8>>::self_info(&k, &vec![1]);
-        Kernel::<Vec<u8>>::eval_column(&k, &xs, &infos, &vec![1], info, &mut out);
+        let info = k.self_info(&vec![1]);
+        k.eval_column(&xs, &infos, &vec![1], info, &mut out);
         assert_eq!(out, [0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 

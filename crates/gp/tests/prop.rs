@@ -63,9 +63,9 @@ proptest! {
         t in prop::collection::vec(0u8..11, 1..12),
     ) {
         let k = SskKernel::new(4);
-        let v = Kernel::<[u8]>::eval(&k, &s, &t);
+        let v = k.eval(&s, &t);
         prop_assert!((-1e-9..=1.0 + 1e-9).contains(&v), "out of range: {v}");
-        let same = Kernel::<[u8]>::eval(&k, &s, &s);
+        let same = k.eval(&s, &s);
         prop_assert!((same - 1.0).abs() < 1e-9);
     }
 
@@ -205,7 +205,7 @@ proptest! {
         for b in &targets {
             let _ = column(&warm, &xs, b);
         }
-        Kernel::<Vec<u8>>::set_params(&mut warm, &[tm, tg]);
+        warm.set_params(&[tm, tg]);
         for b in &targets {
             let info_b = cold.self_info(b);
             for p in 0..=xs.len() {
