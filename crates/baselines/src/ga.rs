@@ -48,36 +48,28 @@ impl Default for GaConfig {
     }
 }
 
-/// Runs the GA until the evaluation budget is exhausted.
+/// Runs the GA until the evaluation budget is exhausted, or until
+/// `control`'s cancel or deadline stops the evolution at the next
+/// evaluation boundary with best-so-far; `None` only when nothing at all
+/// was evaluated.
 ///
 /// ```no_run
 /// use boils_circuits::{Benchmark, CircuitSpec};
-/// use boils_core::{QorEvaluator, SequenceSpace};
+/// use boils_core::{QorEvaluator, RunControl, SequenceSpace};
 /// use boils_baselines::{genetic_algorithm, GaConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let aig = CircuitSpec::new(Benchmark::Square).build();
 /// let evaluator = QorEvaluator::new(&aig)?;
+/// let config = GaConfig::default();
 /// let result =
-///     genetic_algorithm(&evaluator, SequenceSpace::paper(), 100, &GaConfig::default());
+///     genetic_algorithm(&evaluator, SequenceSpace::paper(), 100, &config, &RunControl::new())
+///         .expect("an uncontrolled run evaluates");
 /// println!("best {:.4}", result.best_qor);
 /// # Ok(())
 /// # }
 /// ```
 pub fn genetic_algorithm<O: SequenceObjective>(
-    objective: &O,
-    space: SequenceSpace,
-    budget: usize,
-    config: &GaConfig,
-) -> OptimizationResult {
-    genetic_algorithm_controlled(objective, space, budget, config, &RunControl::new())
-        .expect("uncontrolled run cannot be interrupted")
-}
-
-/// [`genetic_algorithm`] under a [`RunControl`]: a cancel or deadline
-/// stops the evolution at the next evaluation boundary and returns
-/// best-so-far; `None` only when nothing at all was evaluated.
-pub fn genetic_algorithm_controlled<O: SequenceObjective>(
     objective: &O,
     space: SequenceSpace,
     budget: usize,
@@ -212,7 +204,9 @@ mod tests {
                 seed: 1,
                 ..GaConfig::default()
             },
-        );
+            &RunControl::new(),
+        )
+        .expect("uncontrolled run");
         assert_eq!(r.num_evaluations(), 30);
     }
 
@@ -228,7 +222,9 @@ mod tests {
                 seed: 2,
                 ..GaConfig::default()
             },
-        );
+            &RunControl::new(),
+        )
+        .expect("uncontrolled run");
         let initial_best = r.history[..10]
             .iter()
             .map(|h| h.point.qor)

@@ -25,10 +25,7 @@ mod method;
 mod rl;
 mod simple;
 
-pub use crate::ga::{genetic_algorithm, genetic_algorithm_controlled, GaConfig};
+pub use crate::ga::{genetic_algorithm, GaConfig};
 pub use crate::method::{Method, RunSpec};
-pub use crate::rl::{
-    reinforcement_learning, reinforcement_learning_controlled, RlAlgorithm, RlConfig, RlFeatures,
-    RolloutCircuit,
-};
+pub use crate::rl::{reinforcement_learning, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit};
 pub use crate::simple::{greedy, greedy_controlled, random_search, random_search_controlled};

@@ -1,8 +1,8 @@
 //! A uniform interface over every optimiser in the paper's comparison.
 
 use crate::{
-    genetic_algorithm_controlled, greedy_controlled, random_search_controlled,
-    reinforcement_learning_controlled, GaConfig, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit,
+    genetic_algorithm, greedy_controlled, random_search_controlled, reinforcement_learning,
+    GaConfig, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit,
 };
 use boils_core::{
     Boils, BoilsConfig, OptimizationResult, RunBoilsError, RunControl, Sbo, SboConfig,
@@ -173,7 +173,7 @@ impl Method {
             ..
         } = *spec;
         let rl = |algorithm, features| {
-            reinforcement_learning_controlled(
+            reinforcement_learning(
                 objective,
                 space,
                 budget,
@@ -200,7 +200,7 @@ impl Method {
                 random_search_controlled(objective, space, budget, seed, threads, control)
             }
             Method::Greedy => greedy_controlled(objective, space, budget, threads, control),
-            Method::Ga => genetic_algorithm_controlled(
+            Method::Ga => genetic_algorithm(
                 objective,
                 space,
                 budget,

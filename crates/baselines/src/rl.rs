@@ -94,35 +94,27 @@ impl RolloutCircuit for boils_core::QorEvaluator {
 /// directly (a degenerate batch); its sample-inefficiency relative to the
 /// batched methods is part of the paper's point.
 ///
+/// `control` is polled before each episode (and inside the official
+/// evaluation), so a cancel or deadline stops the run at an episode
+/// boundary with best-so-far; `None` only when no episode completed.
+///
 /// ```no_run
 /// use boils_circuits::{Benchmark, CircuitSpec};
-/// use boils_core::{QorEvaluator, SequenceSpace};
+/// use boils_core::{QorEvaluator, RunControl, SequenceSpace};
 /// use boils_baselines::{reinforcement_learning, RlAlgorithm, RlConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let aig = CircuitSpec::new(Benchmark::Max).build();
 /// let evaluator = QorEvaluator::new(&aig)?;
 /// let config = RlConfig { algorithm: RlAlgorithm::Ppo, ..RlConfig::default() };
-/// let result = reinforcement_learning(&evaluator, SequenceSpace::paper(), 100, &config);
+/// let space = SequenceSpace::paper();
+/// let result = reinforcement_learning(&evaluator, space, 100, &config, &RunControl::new())
+///     .expect("an uncontrolled run completes an episode");
 /// println!("best {:.4}", result.best_qor);
 /// # Ok(())
 /// # }
 /// ```
 pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
-    objective: &O,
-    space: SequenceSpace,
-    budget: usize,
-    config: &RlConfig,
-) -> OptimizationResult {
-    reinforcement_learning_controlled(objective, space, budget, config, &RunControl::new())
-        .expect("uncontrolled run cannot be interrupted")
-}
-
-/// [`reinforcement_learning`] under a [`RunControl`]: the control is
-/// polled before each episode (and inside the official evaluation), so a
-/// cancel or deadline stops the run at an episode boundary with
-/// best-so-far; `None` only when no episode completed.
-pub fn reinforcement_learning_controlled<O: SequenceObjective + RolloutCircuit>(
     objective: &O,
     space: SequenceSpace,
     budget: usize,
@@ -419,7 +411,9 @@ mod tests {
                 seed: 4,
                 ..RlConfig::default()
             };
-            let r = reinforcement_learning(&e, SequenceSpace::new(4, 11), 6, &cfg);
+            let space = SequenceSpace::new(4, 11);
+            let r = reinforcement_learning(&e, space, 6, &cfg, &RunControl::new())
+                .expect("uncontrolled run");
             assert_eq!(r.num_evaluations(), 6, "{alg:?}");
         }
     }

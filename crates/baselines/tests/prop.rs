@@ -6,7 +6,7 @@ use boils_baselines::{
     genetic_algorithm, greedy, random_search, reinforcement_learning, GaConfig, RlAlgorithm,
     RlConfig, RlFeatures,
 };
-use boils_core::{QorEvaluator, SequenceSpace};
+use boils_core::{QorEvaluator, RunControl, SequenceSpace};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,6 +24,7 @@ proptest! {
 
         // Thread counts vary per method on purpose: budgets and traces are
         // engine-parallelism invariant.
+        let control = RunControl::new();
         let results = [
             random_search(&evaluator, space, budget, seed, 1 + (seed as usize % 4)),
             greedy(&evaluator, space, budget, 2),
@@ -32,18 +33,18 @@ proptest! {
                 seed,
                 threads: 3,
                 ..GaConfig::default()
-            }),
+            }, &control).expect("uncontrolled run"),
             reinforcement_learning(&evaluator, space, budget, &RlConfig {
                 algorithm: RlAlgorithm::A2c,
                 seed,
                 ..RlConfig::default()
-            }),
+            }, &control).expect("uncontrolled run"),
             reinforcement_learning(&evaluator, space, budget, &RlConfig {
                 algorithm: RlAlgorithm::Ppo,
                 features: RlFeatures::Graph,
                 seed,
                 ..RlConfig::default()
-            }),
+            }, &control).expect("uncontrolled run"),
         ];
         for r in &results {
             prop_assert_eq!(r.num_evaluations(), budget);
@@ -68,11 +69,14 @@ proptest! {
         let Ok(e1) = QorEvaluator::new(&aig) else { return Ok(()); };
         let e2 = QorEvaluator::new(&aig).expect("same circuit");
         let space = SequenceSpace::new(4, 11);
-        let a = genetic_algorithm(&e1, space, 14, &GaConfig { population: 5, seed, ..GaConfig::default() });
-        let b = genetic_algorithm(&e2, space, 14, &GaConfig { population: 5, seed, ..GaConfig::default() });
+        let control = RunControl::new();
+        let ga = GaConfig { population: 5, seed, ..GaConfig::default() };
+        let a = genetic_algorithm(&e1, space, 14, &ga, &control).expect("uncontrolled run");
+        let b = genetic_algorithm(&e2, space, 14, &ga, &control).expect("uncontrolled run");
         prop_assert_eq!(a.best_tokens, b.best_tokens);
-        let ra = reinforcement_learning(&e1, space, 6, &RlConfig { seed, ..RlConfig::default() });
-        let rb = reinforcement_learning(&e2, space, 6, &RlConfig { seed, ..RlConfig::default() });
+        let rl = RlConfig { seed, ..RlConfig::default() };
+        let ra = reinforcement_learning(&e1, space, 6, &rl, &control).expect("uncontrolled run");
+        let rb = reinforcement_learning(&e2, space, 6, &rl, &control).expect("uncontrolled run");
         prop_assert_eq!(ra.best_tokens, rb.best_tokens);
     }
 }

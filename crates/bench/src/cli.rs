@@ -57,6 +57,22 @@ impl BenchArgs {
         self.entries.iter().any(|(flag, _)| flag == name)
     }
 
+    /// `Err` naming the first argument that is not one of `known`, so a
+    /// mistyped or retired flag fails instead of being silently ignored.
+    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .entries
+            .iter()
+            .find(|(flag, _)| !known.contains(&flag.as_str()))
+        {
+            Some((flag, _)) => Err(format!(
+                "unknown flag {flag} (accepted: {})",
+                known.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Parses the value of `--name`. `Ok(None)` when the flag is absent;
     /// `Err` with a one-line usage message on malformed input — never a
     /// panic, so a daemon can relay the diagnostic instead of unwinding a
@@ -196,6 +212,9 @@ mod tests {
         let a = args(&["--paper", "--budget", "9"]);
         assert!(a.flag("--paper"));
         assert_eq!(a.parse::<usize>("--budget"), Ok(Some(9)));
+        assert_eq!(a.only(&["--paper", "--budget"]), Ok(()));
+        let err = a.only(&["--paper"]).unwrap_err();
+        assert!(err.contains("unknown flag --budget"), "{err}");
     }
 
     #[test]

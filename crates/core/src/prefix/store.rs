@@ -1805,6 +1805,76 @@ mod tests {
     }
 
     #[test]
+    fn a_reader_gets_exact_entries_or_misses_while_another_instance_evicts() {
+        // Two instances on one directory, each with its own index, as two
+        // processes would have. One keeps writing and evicting under a
+        // budget of a few entries while the other loads the same prefixes.
+        // A load may miss (its pointer or payload was evicted first), but
+        // whatever it restores must be that prefix's synthesis, byte for
+        // byte.
+        use boils_synth::Transform;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let dir = temp_store_dir("crossproc");
+        let base = random_aig(350, 7, 160, 3);
+        let binary = |aig: &Aig| {
+            let mut bytes = Vec::new();
+            aig.write_aig_binary(&mut bytes).expect("encode");
+            bytes
+        };
+        // Every prefix of three sequences, synthesised from scratch.
+        let mut entries: Vec<(Vec<u8>, Aig, Vec<u8>)> = Vec::new();
+        for tokens in [[0u8, 3, 6, 9], [2, 5, 8, 1], [4, 7, 10, 3]] {
+            let mut aig = base.clone();
+            for len in 1..=tokens.len() {
+                aig = Transform::from_index(tokens[len - 1] as usize).apply(&aig);
+                entries.push((tokens[..len].to_vec(), aig.clone(), binary(&aig)));
+            }
+        }
+        let writer = PersistentPrefixStore::open_for(&dir, &base).expect("open writer");
+        let reader = PersistentPrefixStore::open_for(&dir, &base).expect("open reader");
+
+        // Sequential warm phase: the reader hits what the writer wrote.
+        for (prefix, aig, bytes) in &entries[..3] {
+            writer.store(prefix, aig);
+            let restored = reader.load(prefix).expect("a written entry loads");
+            assert_eq!(&binary(&restored), bytes, "prefix {prefix:?}");
+        }
+        let one_entry = writer.total_bytes() / writer.len() as u64;
+        let writer = writer.with_byte_budget(4 * one_entry);
+
+        // The barrier starts both sides together; `done` publishes nothing
+        // but itself.
+        let start = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..20 {
+                    for (prefix, aig, _) in &entries {
+                        writer.store(prefix, aig);
+                    }
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            start.wait();
+            while !done.load(Ordering::Relaxed) {
+                for (prefix, _, bytes) in &entries {
+                    if let Some(restored) = reader.load(prefix) {
+                        assert_eq!(&binary(&restored), bytes, "prefix {prefix:?}");
+                    }
+                }
+            }
+        });
+        assert!(
+            writer.stats().disk_evictions > 0,
+            "the writer never evicted"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn transfer_metadata_round_trips_and_picks_the_most_similar_donor() {
         let dir = temp_store_dir("transfer");
         let a = random_aig(350, 8, 200, 4);

@@ -15,10 +15,6 @@
 //! cones of sim-indistinguishable candidate pairs. A budget-exhausted
 //! query is tracked as *unknown* — not refuted — and retried in later
 //! rounds once learned clauses or refined classes give it another chance.
-//!
-//! The pre-tier implementation is kept verbatim as
-//! [`fraig_reference_with`]; property tests assert the two produce
-//! bit-identical output AIGs.
 
 use std::collections::{HashMap, HashSet};
 
@@ -229,100 +225,6 @@ fn rebuild_merged(aig: &Aig, proven: &HashMap<usize, Lit>) -> Aig {
         out.add_po(lit);
     }
     out.cleanup()
-}
-
-/// The pre-simulation-tier fraig implementation, kept verbatim as the
-/// bit-identity oracle for the rewritten sweep: full re-simulation of the
-/// whole pattern set every round through [`Aig::simulate_nodes`], classes
-/// keyed by cloned canonical signature vectors, eager whole-AIG CNF, and
-/// budget-exhausted queries conflated with refutations.
-pub fn fraig_reference_with(aig: &Aig, config: &FraigConfig) -> Aig {
-    let aig = aig.cleanup();
-    if aig.num_ands() == 0 {
-        return aig;
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut patterns: Vec<Vec<u64>> = (0..aig.num_pis())
-        .map(|_| (0..config.sim_words).map(|_| rng.gen()).collect())
-        .collect();
-    let mut cnf = AigCnf::new(&aig);
-    cnf.solver_mut().set_conflict_budget(None);
-
-    // node → (replacement literal in old space)
-    let mut proven: HashMap<usize, Lit> = HashMap::new();
-    let mut refuted: HashSet<(usize, usize)> = HashSet::new();
-
-    for _round in 0..config.max_rounds {
-        let words = patterns[0].len();
-        let table = aig.simulate_nodes(&patterns, words);
-        // Group nodes by canonical signature (min of sig, ~sig).
-        let mut classes: HashMap<Vec<u64>, Vec<(usize, bool)>> = HashMap::new();
-        for var in (0..=aig.num_pis()).chain(aig.ands()) {
-            if proven.contains_key(&var) {
-                continue;
-            }
-            let sig = &table[var];
-            let neg: Vec<u64> = sig.iter().map(|w| !w).collect();
-            let (canon, phase) = if *sig <= neg {
-                (sig.clone(), false)
-            } else {
-                (neg, true)
-            };
-            classes.entry(canon).or_default().push((var, phase));
-        }
-        // Try to prove members equal to their class representative.
-        let mut new_cex: Vec<Vec<bool>> = Vec::new();
-        let mut progress = false;
-        for members in classes.values() {
-            if members.len() < 2 {
-                continue;
-            }
-            let (repr, repr_phase) = members[0];
-            for &(m, m_phase) in &members[1..] {
-                if refuted.contains(&(repr, m)) || proven.contains_key(&m) {
-                    continue;
-                }
-                let complement = repr_phase != m_phase;
-                let target = Lit::from_var(repr, complement);
-                cnf.solver_mut()
-                    .set_conflict_budget(Some(config.conflict_budget));
-                match cnf.prove_equal(Lit::from_var(m, false), target) {
-                    Some(true) => {
-                        proven.insert(m, target);
-                        progress = true;
-                    }
-                    Some(false) => {
-                        new_cex.push(cnf.counterexample());
-                        refuted.insert((repr, m));
-                        progress = true;
-                    }
-                    None => {
-                        refuted.insert((repr, m));
-                    }
-                }
-            }
-        }
-        if new_cex.is_empty() {
-            break;
-        }
-        // Fold counterexamples into the pattern set (new words as needed).
-        let mut extra_words = vec![vec![0u64; new_cex.len().div_ceil(64)]; aig.num_pis()];
-        for (bit, cex) in new_cex.iter().enumerate() {
-            for (i, &v) in cex.iter().enumerate() {
-                if v {
-                    extra_words[i][bit / 64] |= 1u64 << (bit % 64);
-                }
-            }
-        }
-        for (row, extra) in patterns.iter_mut().zip(extra_words) {
-            row.extend(extra);
-        }
-        if !progress {
-            break;
-        }
-    }
-
-    rebuild_merged(&aig, &proven)
 }
 
 #[cfg(test)]

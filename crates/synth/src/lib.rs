@@ -44,9 +44,7 @@ mod transform;
 pub mod tt;
 
 pub use crate::balance::balance;
-pub use crate::fraig::{
-    fraig, fraig_reference_with, fraig_with, fraig_with_stats, FraigConfig, FraigStats,
-};
+pub use crate::fraig::{fraig, fraig_with, fraig_with_stats, FraigConfig, FraigStats};
 pub use crate::mapping_balance::{blut_balance, dsd_balance, sop_balance};
 pub use crate::refactor::refactor;
 pub use crate::resub::resub;

@@ -4,7 +4,7 @@
 use boils::aig::Aig;
 use boils::baselines::{genetic_algorithm, random_search, GaConfig};
 use boils::circuits::{Benchmark, CircuitSpec};
-use boils::core::{QorEvaluator, SequenceSpace};
+use boils::core::{QorEvaluator, RunControl, SequenceSpace};
 use boils::sat::{check_equivalence, EquivResult};
 
 #[test]
@@ -46,24 +46,12 @@ fn optimisers_are_deterministic_across_processes() {
     assert_eq!(a.best_tokens, b.best_tokens);
     assert_eq!(a.best_qor, b.best_qor);
 
-    let g1 = genetic_algorithm(
-        &e1,
-        space,
-        16,
-        &GaConfig {
-            seed: 9,
-            ..GaConfig::default()
-        },
-    );
-    let g2 = genetic_algorithm(
-        &e2,
-        space,
-        16,
-        &GaConfig {
-            seed: 9,
-            ..GaConfig::default()
-        },
-    );
+    let config = GaConfig {
+        seed: 9,
+        ..GaConfig::default()
+    };
+    let g1 = genetic_algorithm(&e1, space, 16, &config, &RunControl::new()).expect("evaluated");
+    let g2 = genetic_algorithm(&e2, space, 16, &config, &RunControl::new()).expect("evaluated");
     assert_eq!(g1.best_tokens, g2.best_tokens);
 }
 
