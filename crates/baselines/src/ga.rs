@@ -48,6 +48,9 @@ impl Default for GaConfig {
     }
 }
 
+/// The smallest budget the GA runs at: a population of two.
+pub(crate) const MIN_BUDGET: usize = 2;
+
 /// Runs the GA until the evaluation budget is exhausted, or until
 /// `control`'s cancel or deadline stops the evolution at the next
 /// evaluation boundary with best-so-far; `None` only when nothing at all
@@ -76,7 +79,7 @@ pub fn genetic_algorithm<O: SequenceObjective>(
     config: &GaConfig,
     control: &RunControl,
 ) -> Option<OptimizationResult> {
-    assert!(budget >= 2, "budget too small for a population");
+    assert!(budget >= MIN_BUDGET, "budget too small for a population");
     let engine = BatchEvaluator::new(config.threads);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let pop_size = config.population.clamp(2, budget);

@@ -18,7 +18,8 @@
 //! trace as BOiLS itself, so the experiment harness treats every method
 //! uniformly. [`Method`] wraps the whole comparison — baselines plus the
 //! BO methods from `boils-core` — behind one id-addressable enum, which is
-//! what the experiment harness and the optimisation daemon dispatch on.
+//! what the experiment harness and the optimisation daemon dispatch on,
+//! with [`Method::check_run`] as the bounds every front end checks.
 
 mod ga;
 mod method;
@@ -26,6 +27,6 @@ mod rl;
 mod simple;
 
 pub use crate::ga::{genetic_algorithm, GaConfig};
-pub use crate::method::{Method, RunSpec};
+pub use crate::method::{InputError, Method, RunSpec, MAX_BUDGET, MAX_SEQUENCE_LENGTH};
 pub use crate::rl::{reinforcement_learning, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit};
 pub use crate::simple::{greedy, greedy_controlled, random_search, random_search_controlled};

@@ -1,14 +1,49 @@
 //! A uniform interface over every optimiser in the paper's comparison.
 
+use std::time::Duration;
+
 use crate::{
     genetic_algorithm, greedy_controlled, random_search_controlled, reinforcement_learning,
     GaConfig, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit,
 };
 use boils_core::{
-    Boils, BoilsConfig, OptimizationResult, RunBoilsError, RunControl, Sbo, SboConfig,
-    SequenceObjective, SequenceSpace, WarmStart,
+    Boils, BoilsConfig, OptimizationResult, QorEvaluator, RunBoilsError, RunControl, Sbo,
+    SboConfig, SequenceObjective, SequenceSpace, WarmStart,
 };
 use boils_gp::TrainConfig;
+
+/// Largest budget a run may ask for: 500× the paper's 200 evaluations.
+/// Random search draws its whole design up front, `budget × k` bytes, so
+/// together with [`MAX_SEQUENCE_LENGTH`] this keeps that in megabytes.
+pub const MAX_BUDGET: usize = 100_000;
+
+/// Largest sequence length `k` a run may ask for: over 10× the paper's 20.
+pub const MAX_SEQUENCE_LENGTH: usize = 256;
+
+/// Smallest initial design of the BO methods.
+const MIN_INITIAL_DESIGN: usize = 4;
+
+/// A run input outside [`Method::check_run`]'s bounds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InputError {
+    /// The input's daemon field name: `budget`, `k` or `deadline_secs`.
+    pub field: &'static str,
+    /// Why it is refused, starting with its value where it has one.
+    pub reason: String,
+}
+
+impl InputError {
+    /// The diagnostic naming the command-line flag (`--deadline-secs`).
+    pub fn for_flag(&self) -> String {
+        format!("--{} {}", self.field.replace('_', "-"), self.reason)
+    }
+}
+
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {}", self.field, self.reason)
+    }
+}
 
 /// The shape of one optimisation run, shared by every [`Method`].
 ///
@@ -40,6 +75,23 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
+    /// The configuration [`Method::Boils`] runs under this spec.
+    pub fn boils_config(&self) -> BoilsConfig {
+        BoilsConfig {
+            max_evaluations: self.budget,
+            initial_samples: initial_design(self.budget),
+            space: self.space,
+            seed: self.seed,
+            threads: self.threads,
+            batch_size: self.batch_size,
+            surrogate_window: self.surrogate_window,
+            multi_objective: self.multi_objective,
+            warm_start: self.warm_start.clone(),
+            train: bo_training(),
+            ..BoilsConfig::default()
+        }
+    }
+
     /// A single-threaded, sequential, unbounded, scalar run with no warm
     /// start.
     pub fn new(space: SequenceSpace, budget: usize, seed: u64) -> RunSpec {
@@ -123,15 +175,14 @@ impl Method {
         Method::ALL.into_iter().find(|m| m.id() == id)
     }
 
-    /// [`Method::from_id`] with a one-line diagnostic listing the valid
-    /// ids — the shared validation used by both the experiment CLI and
-    /// the daemon's job decoder.
+    /// [`Method::from_id`] plus `rl` for `a2c`, with a one-line diagnostic
+    /// listing the valid ids — the one method parser of every front end.
     ///
     /// # Errors
     ///
     /// Returns a message naming every known id for unknown input.
     pub fn parse(id: &str) -> Result<Method, String> {
-        Method::from_id(id).ok_or_else(|| {
+        Method::from_id(if id == "rl" { "a2c" } else { id }).ok_or_else(|| {
             let known: Vec<&str> = Method::ALL.iter().map(|m| m.id()).collect();
             format!(
                 "unknown method {id:?} (expected one of: {})",
@@ -144,6 +195,62 @@ impl Method {
     /// the smaller budget in the paper's protocol).
     pub fn is_bayesian(self) -> bool {
         matches!(self, Method::Sbo | Method::Boils)
+    }
+
+    /// The smallest budget the method runs at on `space`: a GA population,
+    /// a greedy step, or a BO initial design plus one acquisition.
+    pub fn min_budget(self, space: SequenceSpace) -> usize {
+        match self {
+            Method::Ga => crate::ga::MIN_BUDGET,
+            Method::Greedy => space.alphabet(),
+            Method::Sbo | Method::Boils => MIN_INITIAL_DESIGN + 1,
+            Method::Rs | Method::DrillsPpo | Method::DrillsA2c | Method::GraphRl => 1,
+        }
+    }
+
+    /// The run check every front end shares: `budget` from
+    /// [`Method::min_budget`] to [`MAX_BUDGET`], `k` from 1 to
+    /// [`MAX_SEQUENCE_LENGTH`], and a positive deadline that fits the
+    /// returned [`Duration`]; the error names the first input out of bounds.
+    pub fn check_run(
+        self,
+        budget: usize,
+        k: usize,
+        deadline_secs: Option<f64>,
+    ) -> Result<Option<Duration>, InputError> {
+        let min = self.min_budget(SequenceSpace::paper());
+        let (field, reason) = if budget == 0 {
+            ("budget", "takes a positive evaluation count".to_string())
+        } else if budget < min {
+            let id = self.id();
+            (
+                "budget",
+                format!("{budget} is below {id}'s minimum of {min}"),
+            )
+        } else if budget > MAX_BUDGET {
+            (
+                "budget",
+                format!("{budget} exceeds the limit of {MAX_BUDGET}"),
+            )
+        } else if k == 0 {
+            ("k", "takes a positive sequence length".to_string())
+        } else if k > MAX_SEQUENCE_LENGTH {
+            (
+                "k",
+                format!("{k} exceeds the limit of {MAX_SEQUENCE_LENGTH}"),
+            )
+        } else if deadline_secs.is_some_and(|secs| !secs.is_finite() || secs <= 0.0) {
+            ("deadline_secs", "takes a positive duration".to_string())
+        } else {
+            let Some(secs) = deadline_secs else {
+                return Ok(None);
+            };
+            match Duration::try_from_secs_f64(secs) {
+                Ok(deadline) => return Ok(Some(deadline)),
+                Err(_) => ("deadline_secs", format!("{secs:e} is out of range")),
+            }
+        };
+        Err(InputError { field, reason })
     }
 
     /// Runs the method under `spec` against an objective, spending
@@ -191,10 +298,6 @@ impl Method {
             Err(RunBoilsError::Interrupted(_)) => None,
             Err(err) => panic!("{self} run failed: {err}"),
         };
-        let train = TrainConfig {
-            steps: 10,
-            ..TrainConfig::default()
-        };
         match self {
             Method::Rs => {
                 random_search_controlled(objective, space, budget, seed, threads, control)
@@ -223,25 +326,37 @@ impl Method {
                 batch_size: spec.batch_size,
                 surrogate_window: spec.surrogate_window,
                 multi_objective: spec.multi_objective,
-                train,
+                train: bo_training(),
                 ..SboConfig::default()
             })
             .run_with_control(objective, control)),
-            Method::Boils => bo(Boils::new(BoilsConfig {
-                max_evaluations: budget,
-                initial_samples: initial_design(budget),
-                space,
-                seed,
-                threads,
-                batch_size: spec.batch_size,
-                surrogate_window: spec.surrogate_window,
-                multi_objective: spec.multi_objective,
-                warm_start: spec.warm_start.clone(),
-                train,
-                ..BoilsConfig::default()
-            })
-            .run_with_control(objective, control)),
+            Method::Boils => {
+                bo(Boils::new(spec.boils_config()).run_with_control(objective, control))
+            }
         }
+    }
+
+    /// [`Method::run`], with `transfer` through `evaluator`'s store: the
+    /// warm start comes from the most similar recorded circuit (see
+    /// [`WarmStart::from_donor`]), and the run's history is recorded after.
+    pub fn run_with_transfer(
+        self,
+        spec: &mut RunSpec,
+        evaluator: &QorEvaluator,
+        control: &RunControl,
+        transfer: bool,
+    ) -> Option<OptimizationResult> {
+        if transfer {
+            spec.warm_start = evaluator
+                .transfer_donor()
+                .map(|donor| WarmStart::from_donor(&donor, 3))
+                .filter(|warm| !warm.is_empty());
+        }
+        let result = self.run(spec, evaluator, control)?;
+        if transfer {
+            evaluator.record_transfer_history(&result.history);
+        }
+        Some(result)
     }
 }
 
@@ -251,9 +366,17 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// Initial design size: 20% of the budget, at least 4.
+/// The BO methods' surrogate training: 10 Adam steps per retrain.
+fn bo_training() -> TrainConfig {
+    TrainConfig {
+        steps: 10,
+        ..TrainConfig::default()
+    }
+}
+
+/// Initial design size: 20% of the budget, at least [`MIN_INITIAL_DESIGN`].
 fn initial_design(budget: usize) -> usize {
-    (budget / 5).clamp(4, budget.saturating_sub(1).max(1))
+    (budget / 5).clamp(MIN_INITIAL_DESIGN, budget.saturating_sub(1).max(1))
 }
 
 #[cfg(test)]
@@ -272,6 +395,38 @@ mod tests {
             assert_eq!(Method::from_id(m.id()), Some(m));
         }
         assert_eq!(Method::from_id("nope"), None);
+    }
+
+    #[test]
+    fn rl_parses_as_a2c() {
+        assert_eq!(Method::parse("rl"), Ok(Method::DrillsA2c));
+        assert_eq!(Method::from_id("rl"), None);
+    }
+
+    #[test]
+    fn every_method_runs_at_its_minimum_budget_and_the_check_refuses_one_less() {
+        let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
+        let space = SequenceSpace::new(4, 11);
+        for m in Method::ALL {
+            let min = m.min_budget(space);
+            assert_eq!(m.check_run(min, space.length(), None), Ok(None), "{m}");
+            let r = run(m, &RunSpec::new(space, min, 0), &evaluator);
+            assert_eq!(r.num_evaluations(), min, "{m}");
+            let refused = m
+                .check_run(min - 1, space.length(), None)
+                .expect_err("below");
+            assert_eq!(refused.field, "budget", "{m}");
+            // The method itself cannot run one evaluation less, so the
+            // minimum cannot drift from the code that asserts it.
+            let below = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.run(
+                    &RunSpec::new(space, min - 1, 0),
+                    &evaluator,
+                    &RunControl::new(),
+                )
+            }));
+            assert!(below.is_err(), "{m} ran at {} evaluations", min - 1);
+        }
     }
 
     #[test]

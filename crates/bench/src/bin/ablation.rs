@@ -4,7 +4,8 @@
 //!
 //! ```text
 //! cargo run -p boils-bench --bin ablation --release -- \
-//!     [--budget 25] [--seeds 2] [--circuits adder,max] [--k 20]
+//!     [--budget 25] [--seeds 2] [--circuits adder,max] [--k 20] \
+//!     [--threads 1] [--paper]
 //! ```
 
 use boils_baselines::{Method, RunSpec};
@@ -12,32 +13,22 @@ use boils_bench::cli::{self, BenchArgs};
 use boils_bench::figures::improvement_percent;
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{Boils, BoilsConfig, QorEvaluator, RunControl, SequenceSpace};
-use boils_gp::TrainConfig;
 
+/// A BOiLS variant: a change to the configuration `Method::Boils` runs.
 struct Variant {
     name: &'static str,
-    make: fn(usize, usize, SequenceSpace, u64) -> BoilsConfig,
-}
-
-fn base_config(budget: usize, init: usize, space: SequenceSpace, seed: u64) -> BoilsConfig {
-    BoilsConfig {
-        max_evaluations: budget,
-        initial_samples: init,
-        space,
-        seed,
-        train: TrainConfig {
-            steps: 10,
-            ..TrainConfig::default()
-        },
-        ..BoilsConfig::default()
-    }
+    make: fn(BoilsConfig) -> BoilsConfig,
 }
 
 fn main() {
-    let args = BenchArgs::from_env();
-    let cfg = cli::run_or_exit(cli::sweep_config_from(&args));
+    let args = cli::run_or_exit(BenchArgs::from_env(
+        "--budget= --seeds= --circuits= --k= --threads= --paper",
+    ));
+    let mut cfg = cli::run_or_exit(cli::sweep_config_from(&args));
+    // The variants run BOiLS; the kernel end-point runs SBO.
+    cfg.methods = vec![Method::Sbo, Method::Boils];
+    cli::run_or_exit(cfg.validate());
     let budget = cfg.budget;
-    let init = (budget / 5).clamp(4, budget - 1);
     let space = SequenceSpace::new(cfg.sequence_length, 11);
     let circuits = if args.value("--circuits").is_some() {
         cfg.circuits.clone()
@@ -48,35 +39,29 @@ fn main() {
     let variants: Vec<Variant> = vec![
         Variant {
             name: "BOiLS (full)",
-            make: base_config,
+            make: |c| c,
         },
         Variant {
             name: "no trust region",
-            make: |b, i, s, seed| BoilsConfig {
+            make: |c| BoilsConfig {
                 use_trust_region: false,
-                ..base_config(b, i, s, seed)
+                ..c
             },
         },
         Variant {
             name: "unnormalised SSK",
-            make: |b, i, s, seed| BoilsConfig {
+            make: |c| BoilsConfig {
                 normalize_kernel: false,
-                ..base_config(b, i, s, seed)
+                ..c
             },
         },
         Variant {
             name: "ssk order 2",
-            make: |b, i, s, seed| BoilsConfig {
-                ssk_order: 2,
-                ..base_config(b, i, s, seed)
-            },
+            make: |c| BoilsConfig { ssk_order: 2, ..c },
         },
         Variant {
             name: "ssk order 6",
-            make: |b, i, s, seed| BoilsConfig {
-                ssk_order: 6,
-                ..base_config(b, i, s, seed)
-            },
+            make: |c| BoilsConfig { ssk_order: 6, ..c },
         },
     ];
 
@@ -93,9 +78,11 @@ fn main() {
             let evaluator = QorEvaluator::new(&aig).expect("non-degenerate");
             let mut sum = 0.0;
             for seed in 0..cfg.seeds as u64 {
-                let mut config = (v.make)(budget, init, space, seed);
-                config.threads = cfg.threads;
-                let mut boils = Boils::new(config);
+                let spec = RunSpec {
+                    threads: cfg.threads,
+                    ..RunSpec::new(space, budget, seed)
+                };
+                let mut boils = Boils::new((v.make)(spec.boils_config()));
                 let r = boils.run(&evaluator).expect("run");
                 sum += improvement_percent(r.best_qor);
             }

@@ -7,14 +7,12 @@
 //!     [--budget 25] [--seeds 2] [--multiplier 3] [--from results/raw.csv]
 //! ```
 
-use boils_bench::cli::{self, BenchArgs};
+use boils_bench::cli;
 use boils_bench::figures::sample_efficiency;
 
 fn main() {
-    let args = BenchArgs::from_env();
-    let cfg = cli::run_or_exit(cli::sweep_config_from(&args));
+    let (_, cfg, sweep) = cli::sweep_main();
     let budget = cfg.budget;
-    let sweep = cli::run_or_exit(cli::sweep_from(&args));
     println!("\n== Figure 1: sample efficiency (target = 97.5% of BOiLS@{budget}) ==\n");
     println!("{}", sample_efficiency(&sweep, budget));
 }

@@ -9,7 +9,8 @@ use boils_bench::cli::{run_or_exit, BenchArgs};
 use boils_bench::figures::gp_figure;
 
 fn main() {
-    let seed: u64 = run_or_exit(BenchArgs::from_env().parse("--seed")).unwrap_or(0);
+    let args = run_or_exit(BenchArgs::from_env("--seed="));
+    let seed: u64 = run_or_exit(args.parse("--seed")).unwrap_or(0);
     println!("== Figure 2: GP prior and posterior samples (SE kernel) ==");
     println!("{}", gp_figure(seed));
 }

@@ -11,29 +11,13 @@
 //!     [--circuits hyp,div,log2,multiplier] [--from results/raw.csv]
 //! ```
 
-use boils_bench::cli::{self, BenchArgs};
+use boils_bench::cli;
 use boils_bench::figures::{hypervolume_trace, pareto_report};
-use boils_circuits::Benchmark;
 
 fn main() {
-    let args = BenchArgs::from_env();
-    let cfg = cli::run_or_exit(cli::sweep_config_from(&args));
+    let (args, cfg, sweep) = cli::sweep_main();
     let budget = cfg.budget;
-    let sweep = cli::run_or_exit(cli::sweep_from(&args));
-    let default_circuits = [
-        Benchmark::Hypotenuse,
-        Benchmark::Divisor,
-        Benchmark::Log2,
-        Benchmark::Multiplier,
-    ];
-    let circuits: Vec<Benchmark> = if args.value("--circuits").is_some() {
-        cfg.circuits.clone()
-    } else {
-        default_circuits
-            .into_iter()
-            .filter(|c| sweep.runs.iter().any(|r| r.circuit == *c))
-            .collect()
-    };
+    let circuits = cli::figure3_circuits(&args, &cfg, &sweep);
     for c in circuits {
         println!("{}", pareto_report(&sweep, c, budget));
         println!("{}", hypervolume_trace(&sweep, c, budget));

@@ -19,11 +19,12 @@
 //! come from quietly changing or shrinking the search.
 //!
 //! ```text
-//! perf_report [--out BENCH_eval.json] [--smoke] [--threads N]
+//! perf_report [--out FILE] [--smoke] [--threads N]
 //! ```
 //!
-//! Any other flag is an error. `--smoke` shrinks every workload for CI;
-//! the committed numbers come from a full run.
+//! Any other argument is an error. `--smoke` shrinks every workload for
+//! CI and writes `BENCH_smoke.json` by default, never the committed
+//! full-run `BENCH_eval.json`.
 
 use std::time::Instant;
 
@@ -38,10 +39,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let args = BenchArgs::from_env();
-    run_or_exit(args.only(&["--smoke", "--out", "--threads"]));
+    let args = run_or_exit(BenchArgs::from_env("--out= --threads= --smoke"));
     let smoke = args.flag("--smoke");
-    let out = args.value("--out").unwrap_or("BENCH_eval.json").to_string();
+    let default_out = if smoke {
+        "BENCH_smoke.json"
+    } else {
+        "BENCH_eval.json"
+    };
+    let out = args.value("--out").unwrap_or(default_out).to_string();
     let threads = run_or_exit(args.parse("--threads"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()

@@ -7,14 +7,12 @@
 //!     [--circuits adder,bar] [--methods rs,boils] [--out results/raw.csv]
 //! ```
 
-use boils_bench::cli::{self, BenchArgs};
+use boils_bench::cli;
 use boils_bench::figures::qor_table;
 
 fn main() {
-    let args = BenchArgs::from_env();
-    let cfg = cli::run_or_exit(cli::sweep_config_from(&args));
+    let (_, cfg, sweep) = cli::sweep_main();
     let budget = cfg.budget;
-    let sweep = cli::run_or_exit(cli::sweep_from(&args));
     println!("\n== Figure 3 (top): QoR improvement % at N = {budget} ==\n");
     println!("{}", qor_table(&sweep, budget));
 }

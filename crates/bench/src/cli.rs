@@ -1,10 +1,12 @@
-//! Minimal flag parsing shared by the experiment binaries (no external
-//! dependency needed). The command line is collected once per call into a
-//! parsed view supporting both `--flag value` and `--flag=value`.
+//! The one flag parser of `boils` and the experiment binaries (no external
+//! dependency needed): each command names the flags it reads, as
+//! `--flag value` or `--flag=value`, and [`BenchArgs::strict`] refuses the rest.
+
+use std::path::Path;
 
 use boils_circuits::Benchmark;
 
-use crate::suite::SweepConfig;
+use crate::suite::{Sweep, SweepConfig};
 use boils_baselines::Method;
 
 /// A parsed command line: `--flag value` / `--flag=value` pairs and bare
@@ -15,12 +17,40 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process's own command line.
-    pub fn from_env() -> BenchArgs {
-        BenchArgs::from_list(std::env::args().skip(1))
+    /// Parses the process's own command line (see [`BenchArgs::strict`]).
+    pub fn from_env(flags: &str) -> Result<BenchArgs, String> {
+        BenchArgs::strict(std::env::args().skip(1), flags)
     }
 
-    /// Parses an explicit argument list (for tests).
+    /// Parses `args` against the space-separated `flags` a command reads
+    /// (one ending in `=` takes a value): a stray word, an unlisted or
+    /// repeated flag, or a missing or surplus value is an error naming it.
+    pub fn strict(
+        args: impl IntoIterator<Item = String>,
+        flags: &str,
+    ) -> Result<BenchArgs, String> {
+        let parsed = BenchArgs::from_list(args);
+        let known: Vec<&str> = flags
+            .split_whitespace()
+            .map(|f| f.trim_end_matches('='))
+            .collect();
+        parsed.only(&known)?;
+        for (i, (flag, value)) in parsed.entries.iter().enumerate() {
+            let takes_value = flags.split_whitespace().any(|f| f == format!("{flag}="));
+            match (takes_value, value) {
+                (true, None) => return Err(format!("{flag} takes a value")),
+                (false, Some(v)) => return Err(format!("{flag} takes no value, got {v:?}")),
+                _ => {}
+            }
+            if parsed.entries[..i].iter().any(|(seen, _)| seen == flag) {
+                return Err(format!("{flag} is given twice"));
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Splits an argument list into flags and values, unchecked: a word
+    /// after a flag is its value.
     pub fn from_list(args: impl IntoIterator<Item = String>) -> BenchArgs {
         let mut entries: Vec<(String, Option<String>)> = Vec::new();
         let mut iter = args.into_iter().peekable();
@@ -57,6 +87,12 @@ impl BenchArgs {
         self.entries.iter().any(|(flag, _)| flag == name)
     }
 
+    /// The value of `--name`, or an error naming the missing flag.
+    pub fn required(&self, name: &str) -> Result<&str, String> {
+        self.value(name)
+            .ok_or_else(|| format!("missing required flag {name}"))
+    }
+
     /// `Err` naming the first argument that is not one of `known`, so a
     /// mistyped or retired flag fails instead of being silently ignored.
     pub fn only(&self, known: &[&str]) -> Result<(), String> {
@@ -65,6 +101,12 @@ impl BenchArgs {
             .iter()
             .find(|(flag, _)| !known.contains(&flag.as_str()))
         {
+            Some((word, _)) if !word.starts_with("--") => {
+                Err(format!("unexpected argument {word:?}"))
+            }
+            Some((flag, _)) if known.is_empty() => {
+                Err(format!("unknown flag {flag} (the command takes none)"))
+            }
             Some((flag, _)) => Err(format!(
                 "unknown flag {flag} (accepted: {})",
                 known.join(", ")
@@ -102,90 +144,81 @@ pub fn run_or_exit<T>(result: Result<T, String>) -> T {
 /// flags `--budget N --seeds N --multiplier N --k N --bits N --threads N
 /// --batch-size N --surrogate-window W --cache-dir DIR --circuits a,b
 /// --methods rs,boils --deadline-secs S --fault-plan PLAN
-/// --objective NAME --mo --paper`.
+/// --objective NAME --mo --paper`. Run bounds are [`SweepConfig::validate`]'s.
 pub fn sweep_config_from(args: &BenchArgs) -> Result<SweepConfig, String> {
     let mut cfg = if args.flag("--paper") {
         SweepConfig::paper()
     } else {
         SweepConfig::default()
     };
-    if let Some(v) = args.parse("--budget")? {
-        cfg.budget = v;
-    }
-    if let Some(v) = args.parse("--seeds")? {
-        cfg.seeds = v;
-    }
-    if let Some(v) = args.parse("--multiplier")? {
-        cfg.others_multiplier = v;
-    }
-    if let Some(v) = args.parse("--k")? {
-        cfg.sequence_length = v;
-    }
-    if let Some(v) = args.parse("--bits")? {
-        cfg.bits = Some(v);
-    }
-    if let Some(v) = args.parse("--threads")? {
-        cfg.threads = v;
-    }
-    if let Some(v) = args.parse("--batch-size")? {
-        cfg.batch_size = v;
-    }
-    if let Some(v) = args.parse("--surrogate-window")? {
-        cfg.surrogate_window = Some(v);
-    }
-    if let Some(v) = args.value("--cache-dir") {
-        cfg.cache_dir = Some(std::path::PathBuf::from(v));
-    }
-    if let Some(v) = args.parse("--deadline-secs")? {
-        cfg.deadline_secs = Some(v);
-    }
+    cfg.budget = args.parse("--budget")?.unwrap_or(cfg.budget);
+    cfg.seeds = args.parse("--seeds")?.unwrap_or(cfg.seeds);
+    cfg.others_multiplier = args.parse("--multiplier")?.unwrap_or(cfg.others_multiplier);
+    cfg.sequence_length = args.parse("--k")?.unwrap_or(cfg.sequence_length);
+    cfg.bits = args.parse("--bits")?.or(cfg.bits);
+    cfg.threads = args.parse("--threads")?.unwrap_or(cfg.threads);
+    cfg.batch_size = args.parse("--batch-size")?.unwrap_or(cfg.batch_size);
+    cfg.surrogate_window = args.parse("--surrogate-window")?.or(cfg.surrogate_window);
+    cfg.cache_dir = args.parse("--cache-dir")?.or(cfg.cache_dir);
+    cfg.deadline_secs = args.parse("--deadline-secs")?.or(cfg.deadline_secs);
     if let Some(v) = args.value("--fault-plan") {
+        crate::suite::fault_injector(Some(v))?;
         cfg.fault_plan = Some(v.to_string());
     }
     if let Some(v) = args.value("--objective") {
+        crate::suite::objective(Some(v))?;
         cfg.objective = Some(v.to_string());
     }
-    if args.flag("--mo") {
-        cfg.multi_objective = true;
-    }
+    cfg.multi_objective |= args.flag("--mo");
     if let Some(v) = args.value("--circuits") {
-        cfg.circuits = v.split(',').map(parse_circuit).collect::<Result<_, _>>()?;
+        cfg.circuits = v
+            .split(',')
+            .map(Benchmark::parse)
+            .collect::<Result<_, _>>()?;
     }
     if let Some(v) = args.value("--methods") {
-        cfg.methods = v.split(',').map(parse_method).collect::<Result<_, _>>()?;
+        cfg.methods = v.split(',').map(Method::parse).collect::<Result<_, _>>()?;
     }
-    // Validate the config-level fields (objective grammar, fault-plan
-    // grammar) eagerly so a typo fails before any circuit is built — the
-    // same check a daemon runs before accepting a job.
-    cfg.validate()?;
     Ok(cfg)
 }
 
-/// Resolves a benchmark name, listing the valid names on failure.
-pub fn parse_circuit(name: &str) -> Result<Benchmark, String> {
-    Benchmark::parse(name)
+/// The circuits a Figure 3 binary plots: `--circuits` when given, else the
+/// paper's four largest that `sweep` ran.
+pub fn figure3_circuits(args: &BenchArgs, cfg: &SweepConfig, sweep: &Sweep) -> Vec<Benchmark> {
+    use Benchmark::{Divisor, Hypotenuse, Log2, Multiplier};
+    let largest = [Hypotenuse, Divisor, Log2, Multiplier];
+    match args.value("--circuits") {
+        Some(_) => cfg.circuits.clone(),
+        None => largest
+            .into_iter()
+            .filter(|c| sweep.runs.iter().any(|r| r.circuit == *c))
+            .collect(),
+    }
 }
 
-/// Resolves a method id, listing the valid ids on failure.
-pub fn parse_method(id: &str) -> Result<Method, String> {
-    Method::parse(id)
-}
-
-/// Loads a sweep from `--from <csv>` or runs one with the flag-derived
-/// config, saving to `--out <csv>` when requested.
-pub fn sweep_from(args: &BenchArgs) -> Result<crate::suite::Sweep, String> {
+/// A sweep binary's command line: its flags, its config, and its sweep,
+/// loaded from `--from <csv>` or run and saved to `--out <csv>` when asked.
+/// A bad flag or run exits with a one-line error.
+pub fn sweep_main() -> (BenchArgs, SweepConfig, Sweep) {
+    let args = run_or_exit(BenchArgs::from_env(
+        "--budget= --seeds= --multiplier= --k= --bits= --threads= --batch-size= \
+         --surrogate-window= --cache-dir= --deadline-secs= --fault-plan= --objective= \
+         --circuits= --methods= --out= --from= --mo --paper",
+    ));
+    let cfg = run_or_exit(sweep_config_from(&args));
     if let Some(path) = args.value("--from") {
-        return crate::suite::Sweep::load(std::path::Path::new(path))
-            .map_err(|e| format!("--from {path}: {e}"));
+        let sweep = Sweep::load(Path::new(path)).map_err(|e| format!("--from {path}: {e}"));
+        return (args, cfg, run_or_exit(sweep));
     }
-    let cfg = sweep_config_from(args)?;
-    let sweep = crate::suite::Sweep::try_run(&cfg)?;
+    let sweep = run_or_exit(Sweep::try_run(&cfg));
     if let Some(path) = args.value("--out") {
-        sweep
-            .save(std::path::Path::new(path))
-            .map_err(|e| format!("--out {path}: {e}"))?;
+        run_or_exit(
+            sweep
+                .save(Path::new(path))
+                .map_err(|e| format!("--out {path}: {e}")),
+        );
     }
-    Ok(sweep)
+    (args, cfg, sweep)
 }
 
 #[cfg(test)]
@@ -215,6 +248,29 @@ mod tests {
         assert_eq!(a.only(&["--paper", "--budget"]), Ok(()));
         let err = a.only(&["--paper"]).unwrap_err();
         assert!(err.contains("unknown flag --budget"), "{err}");
+    }
+
+    #[test]
+    fn strict_parsing_refuses_what_the_command_does_not_read() {
+        let strict =
+            |list: &[&str]| BenchArgs::strict(list.iter().map(|s| s.to_string()), "--k= --mo");
+        let ok = strict(&["--k=4", "--mo"]).expect("known flags");
+        assert_eq!(ok.parse::<usize>("--k"), Ok(Some(4)));
+        assert!(ok.flag("--mo"));
+        for (list, reason) in [
+            (&["stray"][..], "unexpected argument \"stray\""),
+            (&["--k", "4", "stray"], "unexpected argument \"stray\""),
+            (&["--kk", "4"], "unknown flag --kk (accepted: --k, --mo)"),
+            (&["--mo", "stray"], "--mo takes no value, got \"stray\""),
+            (&["--mo=true"], "--mo takes no value, got \"true\""),
+            (&["--k"], "--k takes a value"),
+            (&["--k", "--mo"], "--k takes a value"),
+            (&["--k", "4", "--k", "0"], "--k is given twice"),
+        ] {
+            assert_eq!(strict(list).unwrap_err(), reason, "{list:?}");
+        }
+        let none = BenchArgs::strict(["--x".to_string()], "").unwrap_err();
+        assert_eq!(none, "unknown flag --x (the command takes none)");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! | `table1_ssk` | Table I (SSK contributions) |
 //! | `ablation` | design-choice ablations (ours) |
 //!
-//! All sweep-based binaries accept `--budget`, `--seeds`, `--multiplier`,
-//! `--k`, `--bits`, `--threads`, `--circuits`, `--methods`, `--paper`, and
-//! can persist / reuse raw traces with `--out file.csv` / `--from file.csv`.
+//! The sweep binaries accept `--budget`, `--seeds`, `--multiplier`, `--k`,
+//! `--bits`, `--threads`, `--circuits`, `--methods`, `--paper`, and can
+//! persist / reuse raw traces with `--out file.csv` / `--from file.csv`
+//! (`ablation` reads a subset); any other flag is an error.
 //! Defaults are scaled down so the full suite runs in minutes; `--paper`
 //! restores the paper's protocol (200/1000 evaluations, 5 seeds).
 

@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use boils_aig::Aig;
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
     FaultInjector, FaultPlan, Objective, QorEvaluator, RunControl, SequenceSpace, Termination,
@@ -114,37 +115,104 @@ impl SweepConfig {
         if method.is_bayesian() {
             self.budget
         } else {
-            self.budget * self.others_multiplier
+            self.budget.saturating_mul(self.others_multiplier)
         }
     }
 
-    /// Checks every field with a grammar (`objective`, `fault_plan`) and
-    /// the basic run-shape invariants, returning a one-line diagnostic on
-    /// the first violation. Both the CLI layer and the daemon's job
-    /// decoder run this before any circuit is built, so a typo costs a
-    /// `Rejected`/nonzero-exit instead of a worker backtrace.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.budget == 0 {
-            return Err("--budget takes a positive evaluation count".to_string());
-        }
+    /// Checks every field with the grammars and bounds `boils optimize`
+    /// and the daemon use ([`Benchmark::check_bits`], [`Method::check_run`])
+    /// and returns what it parsed, or a one-line diagnostic naming the flag.
+    pub fn validate(&self) -> Result<Checked, String> {
+        let objective = objective(self.objective.as_deref())?;
+        // One injector for the whole sweep: its operation ordinals span
+        // every circuit, method and seed, so a plan like `write:enospc@10+`
+        // means "the tenth disk write of the sweep", wherever it lands.
+        let injector = fault_injector(self.fault_plan.as_deref())?;
         if self.seeds == 0 {
             return Err("--seeds takes a positive seed count".to_string());
         }
-        if self.sequence_length == 0 {
-            return Err("--k takes a positive sequence length".to_string());
-        }
-        if let Some(name) = self.objective.as_deref() {
-            Objective::parse(name).map_err(|e| format!("--objective: {e}"))?;
-        }
-        if let Some(spec) = self.fault_plan.as_deref() {
-            FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-        }
-        if let Some(secs) = self.deadline_secs {
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err("--deadline-secs takes a positive duration".to_string());
+        if let Some(bits) = self.bits {
+            for &circuit in &self.circuits {
+                let bits = suitable_bits(circuit, bits);
+                circuit
+                    .check_bits(bits)
+                    .map_err(|e| format!("--bits {e}"))?;
             }
         }
-        Ok(())
+        let mut deadline = None;
+        for &method in &self.methods {
+            deadline = method
+                .check_run(
+                    self.budget_for(method),
+                    self.sequence_length,
+                    self.deadline_secs,
+                )
+                .map_err(|e| e.for_flag())?;
+        }
+        Ok((objective, injector, deadline))
+    }
+}
+
+/// What [`SweepConfig::validate`] parses.
+pub type Checked = (Objective, Option<Arc<FaultInjector>>, Option<Duration>);
+
+/// The cost an `--objective` names (see [`Objective::parse`]), or QoR.
+pub fn objective(name: Option<&str>) -> Result<Objective, String> {
+    let parsed = name.map_or(Ok(Objective::Qor), Objective::parse);
+    parsed.map_err(|e| format!("--objective: {e}"))
+}
+
+/// The fault injector for a `--fault-plan` (see [`FaultPlan::parse`]).
+pub fn fault_injector(plan: Option<&str>) -> Result<Option<Arc<FaultInjector>>, String> {
+    let injector = |spec| FaultPlan::parse(spec).map(|plan| Arc::new(FaultInjector::new(plan)));
+    plan.map(injector)
+        .transpose()
+        .map_err(|e| format!("--fault-plan: {e}"))
+}
+
+/// What `evaluator`'s persistent store did, as `boils optimize` prints it
+/// and the sweep logs it; `None` without a store.
+pub fn describe_store(evaluator: &QorEvaluator) -> Option<String> {
+    let store = evaluator.persistent_store()?;
+    let stats = evaluator.prefix_stats();
+    let degraded = match stats.store_disabled_at {
+        Some(op) => format!(", memory-only after op {op}"),
+        None => String::new(),
+    };
+    Some(format!(
+        "{} ({} disk hits, {} writes, {} corrupt dropped, {} entries, {} KiB, \
+         {} write failures, {} retries{degraded})",
+        store.dir().display(),
+        stats.disk_hits,
+        stats.disk_writes,
+        stats.disk_corrupt_dropped,
+        store.len(),
+        store.total_bytes() / 1024,
+        stats.disk_write_failures,
+        stats.disk_retries,
+    ))
+}
+
+/// The evaluator `boils optimize` and the sweep run on: `fault` overrides
+/// any `BOILS_FAULT_PLAN` plan, and `cache_dir` holds a persistent store.
+pub fn evaluator(
+    aig: &Aig,
+    objective: Objective,
+    fault: Option<Arc<FaultInjector>>,
+    cache_dir: Option<&Path>,
+) -> Result<QorEvaluator, String> {
+    let evaluator = QorEvaluator::new(aig)
+        .map_err(|e| e.to_string())?
+        .with_objective(objective);
+    let evaluator = match fault {
+        Some(fault) => evaluator.with_fault_injector(Some(fault)),
+        None => evaluator,
+    };
+    match cache_dir {
+        Some(dir) => evaluator
+            .with_persistent_store(dir)
+            .map_err(|e| format!("--cache-dir {}: {e}", dir.display())),
+        None => Ok(evaluator),
     }
 }
 
@@ -210,62 +278,35 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Runs the sweep, panicking on a malformed config (callers that need
-    /// a diagnostic instead use [`Sweep::try_run`]).
-    pub fn run(config: &SweepConfig) -> Sweep {
-        Sweep::try_run(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Runs the sweep, printing one progress line per run to stderr.
     /// Returns a one-line diagnostic if the config fails
     /// [`SweepConfig::validate`] or the cache directory cannot be opened.
     pub fn try_run(config: &SweepConfig) -> Result<Sweep, String> {
-        config.validate()?;
+        let (objective, injector, deadline) = config.validate()?;
         let mut runs = Vec::new();
         let space = SequenceSpace::new(config.sequence_length, 11);
-        let objective = config
-            .objective
-            .as_deref()
-            .map(|name| Objective::parse(name).expect("validated above"));
-        // One injector for the whole sweep: its operation ordinals span
-        // every circuit, method and seed, so a plan like `write:enospc@10+`
-        // means "the tenth disk write of the sweep", wherever it lands.
-        let injector: Option<Arc<FaultInjector>> = config.fault_plan.as_deref().map(|spec| {
-            let plan = FaultPlan::parse(spec).expect("validated above");
-            Arc::new(FaultInjector::new(plan))
-        });
         for &circuit in &config.circuits {
             let mut spec = CircuitSpec::new(circuit);
             if let Some(bits) = config.bits {
                 spec = spec.bits(suitable_bits(circuit, bits));
             }
-            let aig = spec.build();
             // One evaluator per circuit: its sharded memo cache is shared
             // across every method and seed on that circuit, so a sequence
             // synthesised once is never recomputed by a later method. With
             // a cache directory, the prefix store extends that sharing
             // across sweep *processes* (other seeds, methods, restarts).
-            let evaluator = QorEvaluator::new(&aig).expect("benchmark circuits are non-trivial");
-            let evaluator = match objective {
-                Some(objective) => evaluator.with_objective(objective),
-                None => evaluator,
-            };
-            let evaluator = match &injector {
-                Some(fault) => evaluator.with_fault_injector(Some(fault.clone())),
-                None => evaluator,
-            };
-            let evaluator = match &config.cache_dir {
-                Some(dir) => evaluator
-                    .with_persistent_store(dir)
-                    .map_err(|e| format!("--cache-dir {}: {e}", dir.display()))?,
-                None => evaluator,
-            };
+            let evaluator = evaluator(
+                &spec.build(),
+                objective,
+                injector.clone(),
+                config.cache_dir.as_deref(),
+            )?;
             for &method in &config.methods {
                 let budget = config.budget_for(method);
                 for seed in 0..config.seeds as u64 {
                     let t0 = std::time::Instant::now();
-                    let control = match config.deadline_secs {
-                        Some(secs) => RunControl::with_deadline(Duration::from_secs_f64(secs)),
+                    let control = match deadline {
+                        Some(deadline) => RunControl::with_deadline(deadline),
                         None => RunControl::new(),
                     };
                     let spec = RunSpec {
@@ -312,22 +353,8 @@ impl Sweep {
                     });
                 }
             }
-            if config.cache_dir.is_some() {
-                let stats = evaluator.prefix_stats();
-                let degraded = match stats.store_disabled_at {
-                    Some(op) => format!(", memory-only after op {op}"),
-                    None => String::new(),
-                };
-                eprintln!(
-                    "[sweep] {:<10} persistent store: {} disk hits, {} writes, \
-                     {} corrupt dropped, {} write failures, {} retries{degraded}",
-                    circuit.name(),
-                    stats.disk_hits,
-                    stats.disk_writes,
-                    stats.disk_corrupt_dropped,
-                    stats.disk_write_failures,
-                    stats.disk_retries,
-                );
+            if let Some(store) = describe_store(&evaluator) {
+                eprintln!("[sweep] {:<10} persistent store: {store}", circuit.name());
             }
         }
         Ok(Sweep { runs })

@@ -50,3 +50,34 @@ fn malformed_flags_fail_with_diagnostics_not_panics() {
         "--seed takes a u64",
     );
 }
+
+#[test]
+fn hostile_sweep_inputs_fail_before_any_run() {
+    let qor_table = env!("CARGO_BIN_EXE_qor_table");
+    for (args, expect) in [
+        (&["--deadline-secs", "1e300"][..], "--deadline-secs 1e300"),
+        (&["--budget", "3", "--methods", "boils"], "--budget 3"),
+        (
+            &["--methods", "greedy", "--multiplier", "1", "--budget", "5"],
+            "--budget 5",
+        ),
+        (&["--bits", "100"], "--bits 100"),
+        (&["--budjet", "5"], "unknown flag --budjet"),
+        (&["--budget", "5", "stray"], "unexpected argument \"stray\""),
+        (&["--k", "4", "--k", "0"], "--k is given twice"),
+    ] {
+        assert_one_error_line(qor_table, args, expect);
+    }
+    assert_one_error_line(
+        env!("CARGO_BIN_EXE_perf_report"),
+        &["--smoke", "stray"],
+        "--smoke takes no value",
+    );
+}
+
+/// [`assert_clean_failure`], and the diagnostic is the only line printed.
+fn assert_one_error_line(bin: &str, args: &[&str], expect: &str) {
+    assert_clean_failure(bin, args, expect);
+    let (_, stderr) = run(bin, args);
+    assert_eq!(stderr.lines().count(), 1, "{args:?}\nstderr: {stderr}");
+}

@@ -106,6 +106,29 @@ impl Benchmark {
             })
     }
 
+    /// Checks an operand width against the generator (2 to 64 bits, as the
+    /// reference models compute in `u128`) and [`Benchmark::paper_bits`].
+    /// The error starts with the width; callers prefix the flag or field.
+    pub fn check_bits(self, bits: usize) -> Result<(), String> {
+        let (min, max) = match self {
+            Benchmark::Sine | Benchmark::Log2 => (4, self.paper_bits().min(64)),
+            _ => (2, self.paper_bits().min(64)),
+        };
+        let (shape, fits_shape) = match self {
+            Benchmark::BarrelShifter => (", a power of two", bits.is_power_of_two()),
+            Benchmark::SquareRoot => (", even", bits.is_multiple_of(2)),
+            _ => ("", true),
+        };
+        if fits_shape && (min..=max).contains(&bits) {
+            return Ok(());
+        }
+        let paper = self.paper_bits();
+        Err(format!(
+            "{bits} is not a width {self} supports: {min} to {max} bits{shape}, \
+             within {self}'s paper width of {paper}"
+        ))
+    }
+
     /// Operand width of the original EPFL benchmark, for reference.
     pub fn paper_bits(self) -> usize {
         match self {
@@ -158,12 +181,11 @@ impl CircuitSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is out of the benchmark's supported range
-    /// (≥ 2 everywhere; powers of two for the barrel shifter; even widths
-    /// for the square root; ≥ 4 for sine and log2; ≤ 64 overall because the
-    /// reference models use `u128` intermediates).
+    /// Panics if [`Benchmark::check_bits`] rejects `bits`.
     pub fn bits(mut self, bits: usize) -> CircuitSpec {
-        validate_bits(self.benchmark, bits);
+        if let Err(reason) = self.benchmark.check_bits(bits) {
+            panic!("bits {reason}");
+        }
         self.bits = bits;
         self
     }
@@ -195,19 +217,6 @@ impl CircuitSpec {
         };
         aig.set_name(format!("{}_{}", self.benchmark.name(), n));
         aig
-    }
-}
-
-fn validate_bits(benchmark: Benchmark, bits: usize) {
-    assert!(bits >= 2, "need at least 2 bits");
-    assert!(bits <= 64, "reference models support at most 64 bits");
-    match benchmark {
-        Benchmark::BarrelShifter => {
-            assert!(bits.is_power_of_two(), "barrel shifter width must be 2^k")
-        }
-        Benchmark::SquareRoot => assert!(bits.is_multiple_of(2), "sqrt width must be even"),
-        Benchmark::Sine | Benchmark::Log2 => assert!(bits >= 4, "width too small"),
-        _ => {}
     }
 }
 
@@ -825,6 +834,34 @@ mod tests {
                 rad.sin()
             );
         }
+    }
+
+    #[test]
+    fn check_bits_takes_the_defaults_and_refuses_what_a_generator_cannot_build() {
+        for b in Benchmark::ALL {
+            assert_eq!(b.check_bits(b.default_bits()), Ok(()), "{b}");
+        }
+        assert_eq!(
+            Benchmark::BarrelShifter.check_bits(6).unwrap_err(),
+            "6 is not a width bar supports: 2 to 64 bits, a power of two, \
+             within bar's paper width of 128"
+        );
+        for (b, bits, rule) in [
+            (Benchmark::Adder, 0, "2 to 64 bits, within"),
+            (Benchmark::Adder, 1, "2 to 64 bits, within"),
+            (Benchmark::Adder, 65, "2 to 64 bits, within"),
+            (Benchmark::Adder, 129, "within adder's paper width of 128"),
+            (Benchmark::SquareRoot, 7, "2 to 64 bits, even"),
+            (Benchmark::Sine, 3, "4 to 24 bits, within"),
+            (Benchmark::Sine, 25, "4 to 24 bits, within"),
+            (Benchmark::Log2, 33, "4 to 32 bits, within"),
+        ] {
+            let err = b.check_bits(bits).expect_err(rule);
+            let head = format!("{bits} is not a width {b} supports");
+            assert!(err.starts_with(&head) && err.contains(rule), "{err}");
+        }
+        assert_eq!(Benchmark::Log2.check_bits(32), Ok(()));
+        assert_eq!(Benchmark::BarrelShifter.check_bits(64), Ok(()));
     }
 
     #[test]

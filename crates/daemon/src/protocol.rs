@@ -21,21 +21,11 @@
 //! a `rejected` event with the same one-line diagnostics the experiment
 //! CLI prints, and the daemon keeps serving.
 
-use std::time::Duration;
-
 use boils_baselines::Method;
 use boils_circuits::Benchmark;
 use boils_core::{JobId, Objective, PrefixStats, Priority};
 
 use crate::json::Value;
-
-/// Largest `budget` a job may ask for: 500× the paper's 200 evaluations.
-/// Random search draws its whole design up front, `budget × k` bytes, so
-/// together with [`MAX_SEQUENCE_LENGTH`] this keeps that in megabytes.
-pub const MAX_BUDGET: usize = 100_000;
-
-/// Largest sequence length `k` a job may ask for: over 10× the paper's 20.
-pub const MAX_SEQUENCE_LENGTH: usize = 256;
 
 /// A validated optimisation job.
 #[derive(Clone, Debug)]
@@ -68,82 +58,44 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// Decodes and validates a `submit` object, reusing the same
-    /// validation surfaces as the experiment CLI ([`Benchmark::parse`],
-    /// [`Method::parse`], [`Objective::parse`], [`Priority::parse`]).
+    /// Decodes and validates a `submit` object with the command line's
+    /// parsers and checks ([`Benchmark::check_bits`], [`Method::check_run`]).
     ///
     /// # Errors
     ///
     /// Returns the one-line reason carried by the `rejected` event.
     pub fn from_json(value: &Value) -> Result<JobRequest, String> {
-        let circuit = Benchmark::parse(require_str(value, "circuit")?)?;
-        let method = Method::parse(require_str(value, "method")?)?;
-        let objective = match value.get("objective") {
-            None | Some(Value::Null) => Objective::Qor,
-            Some(v) => Objective::parse(v.as_str().ok_or("objective takes a string")?)
-                .map_err(|e| format!("objective: {e}"))?,
+        let request = JobRequest {
+            circuit: Benchmark::parse(require_str(value, "circuit")?)?,
+            method: Method::parse(require_str(value, "method")?)?,
+            objective: match value.get("objective") {
+                None | Some(Value::Null) => Objective::Qor,
+                Some(v) => Objective::parse(v.as_str().ok_or("objective takes a string")?)
+                    .map_err(|e| format!("objective: {e}"))?,
+            },
+            budget: saturating_usize(require_u64(value, "budget")?),
+            seed: optional_u64(value, "seed")?.unwrap_or(0),
+            sequence_length: saturating_usize(optional_u64(value, "k")?.unwrap_or(20)),
+            bits: optional_u64(value, "bits")?.map(saturating_usize),
+            priority: match value.get("priority") {
+                None | Some(Value::Null) => Priority::Normal,
+                Some(v) => Priority::parse(v.as_str().ok_or("priority takes a string")?)?,
+            },
+            deadline_secs: match value.get("deadline_secs") {
+                None | Some(Value::Null) => None,
+                Some(v) => Some(v.as_f64().ok_or("deadline_secs takes a number")?),
+            },
+            multi_objective: optional_bool(value, "mo")?,
+            transfer: optional_bool(value, "transfer")?,
         };
-        let budget = require_u64(value, "budget")?;
-        if budget == 0 {
-            return Err("budget takes a positive evaluation count".to_string());
+        if let Some(bits) = request.bits {
+            let circuit = request.circuit;
+            circuit.check_bits(bits).map_err(|e| format!("bits {e}"))?;
         }
-        if budget > MAX_BUDGET as u64 {
-            return Err(format!("budget {budget} exceeds the limit of {MAX_BUDGET}"));
-        }
-        let seed = optional_u64(value, "seed")?.unwrap_or(0);
-        let sequence_length = optional_u64(value, "k")?.unwrap_or(20);
-        if sequence_length == 0 {
-            return Err("k takes a positive sequence length".to_string());
-        }
-        if sequence_length > MAX_SEQUENCE_LENGTH as u64 {
-            return Err(format!(
-                "k {sequence_length} exceeds the limit of {MAX_SEQUENCE_LENGTH}"
-            ));
-        }
-        let bits = optional_u64(value, "bits")?;
-        if let Some(bits) = bits.filter(|&b| b > circuit.paper_bits() as u64) {
-            return Err(format!(
-                "bits {bits} exceeds {circuit}'s paper width of {}",
-                circuit.paper_bits()
-            ));
-        }
-        let priority = match value.get("priority") {
-            None | Some(Value::Null) => Priority::Normal,
-            Some(v) => Priority::parse(v.as_str().ok_or("priority takes a string")?)?,
-        };
-        let deadline_secs = match value.get("deadline_secs") {
-            None | Some(Value::Null) => None,
-            Some(v) => {
-                let secs = v.as_f64().ok_or("deadline_secs takes a number")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("deadline_secs takes a positive duration".to_string());
-                }
-                Duration::try_from_secs_f64(secs)
-                    .map_err(|_| format!("deadline_secs {secs:e} is out of range"))?;
-                Some(secs)
-            }
-        };
-        let multi_objective = match value.get("mo") {
-            None | Some(Value::Null) => false,
-            Some(v) => v.as_bool().ok_or("mo takes a boolean")?,
-        };
-        let transfer = match value.get("transfer") {
-            None | Some(Value::Null) => false,
-            Some(v) => v.as_bool().ok_or("transfer takes a boolean")?,
-        };
-        Ok(JobRequest {
-            circuit,
-            bits: bits.map(|b| b as usize),
-            method,
-            objective,
-            budget: budget as usize,
-            seed,
-            sequence_length: sequence_length as usize,
-            priority,
-            deadline_secs,
-            multi_objective,
-            transfer,
-        })
+        let (method, secs) = (request.method, request.deadline_secs);
+        let checked = method.check_run(request.budget, request.sequence_length, secs);
+        checked.map_err(|e| e.to_string())?;
+        Ok(request)
     }
 
     /// Encodes the request as a `submit` line.
@@ -389,6 +341,18 @@ fn require_u64(value: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{key} takes a non-negative integer"))
 }
 
+/// A count from the wire; a value past `usize` stays past every bound.
+fn saturating_usize(count: u64) -> usize {
+    usize::try_from(count).unwrap_or(usize::MAX)
+}
+
+fn optional_bool(value: &Value, key: &str) -> Result<bool, String> {
+    match value.get(key) {
+        None | Some(Value::Null) => Ok(false),
+        Some(v) => v.as_bool().ok_or_else(|| format!("{key} takes a boolean")),
+    }
+}
+
 fn optional_u64(value: &Value, key: &str) -> Result<Option<u64>, String> {
     match value.get(key) {
         None | Some(Value::Null) => Ok(None),
@@ -402,6 +366,7 @@ fn optional_u64(value: &Value, key: &str) -> Result<Option<u64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boils_baselines::{MAX_BUDGET, MAX_SEQUENCE_LENGTH};
 
     #[test]
     fn submit_round_trips() {
@@ -573,7 +538,51 @@ mod tests {
     fn bits_past_the_paper_width_are_rejected() {
         let reason = submit_with(r#""budget":5,"bits":129"#).expect_err("wide adder");
         assert!(reason.contains("adder's paper width of 128"), "{reason}");
-        assert!(submit_with(r#""budget":5,"bits":128"#).is_ok());
+        assert!(submit_with(r#""budget":5,"bits":128"#).is_err());
+        assert!(submit_with(r#""budget":5,"bits":64"#).is_ok());
+    }
+
+    #[test]
+    fn jobs_the_generator_or_the_method_cannot_run_are_rejected() {
+        for (fields, reason) in [
+            (
+                r#""circuit":"adder","method":"boils","budget":3"#,
+                "budget 3 is below boils's minimum of 5",
+            ),
+            (
+                r#""circuit":"adder","method":"greedy","budget":5,"k":4"#,
+                "budget 5 is below greedy's minimum of 11",
+            ),
+            (
+                r#""circuit":"adder","method":"rs","budget":5,"bits":1"#,
+                "bits 1 is not a width adder supports",
+            ),
+            (
+                r#""circuit":"adder","method":"rs","budget":5,"bits":100"#,
+                "bits 100 is not a width adder supports: 2 to 64 bits",
+            ),
+            (
+                r#""circuit":"bar","method":"rs","budget":5,"bits":6"#,
+                "bits 6 is not a width bar supports",
+            ),
+            (
+                r#""circuit":"sqrt","method":"rs","budget":5,"bits":7"#,
+                "bits 7 is not a width sqrt supports",
+            ),
+        ] {
+            let line = format!(r#"{{"op":"submit",{fields}}}"#);
+            let err = Request::parse_line(&line).expect_err(&line);
+            assert!(err.starts_with(reason), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn rl_is_an_alias_of_a2c() {
+        let line = r#"{"op":"submit","circuit":"adder","method":"rl","budget":5}"#;
+        let Request::Submit(req) = Request::parse_line(line).expect("parses") else {
+            panic!("wrong variant");
+        };
+        assert_eq!(req.method, Method::DrillsA2c);
     }
 
     #[test]

@@ -249,32 +249,18 @@ fn execute(
     let aig = spec.build();
     let evaluator = evaluators.checkout(&aig, request.objective)?;
     let space = SequenceSpace::new(request.sequence_length, 11);
-    // Transfer is opt-in per job: a donor only changes the run when one
-    // exists in the store, and never contributes a cost — every seed is
-    // re-evaluated on this circuit.
-    let warm_start = if request.transfer {
-        evaluator
-            .transfer_donor()
-            .map(|donor| boils_core::WarmStart::from_donor(&donor, 3))
-            .filter(|warm| !warm.is_empty())
-    } else {
-        None
-    };
     // Jobs are single-threaded internally: concurrency comes from the
     // pool, and a sequential run keeps each job's trajectory
     // bit-identical to the same run performed solo.
-    let spec = RunSpec {
+    let mut spec = RunSpec {
         multi_objective: request.multi_objective,
-        warm_start,
         ..RunSpec::new(space, request.budget, request.seed)
     };
-    let result = request.method.run(&spec, &evaluator, control);
-    let Some(result) = result else {
+    let method = request.method;
+    let transfer = request.transfer;
+    let Some(result) = method.run_with_transfer(&mut spec, &evaluator, control, transfer) else {
         return Ok(None);
     };
-    if request.transfer {
-        evaluator.record_transfer_history(&result.history);
-    }
     // Unique = synthesis work this job's cache inserts won; the rest of
     // its history entries were served by tiers warmed by other tenants
     // (or by earlier entries of its own run).

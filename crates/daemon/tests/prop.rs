@@ -6,7 +6,8 @@
 
 use std::time::Duration;
 
-use boils_daemon::protocol::{MAX_BUDGET, MAX_SEQUENCE_LENGTH};
+use boils_baselines::{MAX_BUDGET, MAX_SEQUENCE_LENGTH};
+use boils_core::SequenceSpace;
 use boils_daemon::Request;
 use proptest::prelude::*;
 
@@ -95,9 +96,10 @@ proptest! {
         line.push('}');
         decode_without_panic(&line)?;
         if let Ok(Request::Submit(job)) = Request::parse_line(&line) {
-            prop_assert!((1..=MAX_BUDGET).contains(&job.budget), "{line}");
+            let min = job.method.min_budget(SequenceSpace::paper());
+            prop_assert!((min..=MAX_BUDGET).contains(&job.budget), "{line}");
             prop_assert!((1..=MAX_SEQUENCE_LENGTH).contains(&job.sequence_length), "{line}");
-            prop_assert!(job.bits.is_none_or(|b| b <= job.circuit.paper_bits()), "{line}");
+            prop_assert!(job.bits.is_none_or(|b| job.circuit.check_bits(b).is_ok()), "{line}");
             prop_assert!(
                 job.deadline_secs.is_none_or(|s| Duration::try_from_secs_f64(s).is_ok()),
                 "{line}"

@@ -30,4 +30,5 @@ mod mapper;
 pub use crate::cut::{cut_function, Cut};
 pub use crate::mapper::{
     map_aig, map_stats, synth_stats, MapStats, MappedLut, MapperConfig, Mapping, SynthStats,
+    LUT_SIZES,
 };

@@ -42,15 +42,21 @@ impl MapperConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `lut_size` is not in `2..=6`.
+    /// Panics if `lut_size` is not in [`LUT_SIZES`].
     pub fn with_lut_size(lut_size: usize) -> MapperConfig {
-        assert!((2..=6).contains(&lut_size), "lut size must be 2..=6");
+        assert!(
+            LUT_SIZES.contains(&lut_size),
+            "lut size must be {LUT_SIZES:?}"
+        );
         MapperConfig {
             lut_size,
             ..MapperConfig::default()
         }
     }
 }
+
+/// The LUT sizes the mapper supports: 2 up to [`Cut::MAX_LEAVES`] inputs.
+pub const LUT_SIZES: std::ops::RangeInclusive<usize> = 2..=Cut::MAX_LEAVES;
 
 /// One LUT of a derived mapping.
 #[derive(Clone, Debug)]

@@ -9,151 +9,100 @@
 //! boils optimize --input mult.aag [--budget 40] [--method boils] [--seed 0] [--threads 8] [--batch-size 4] [--surrogate-window 32] [--cache-dir .boils-cache] [--deadline-secs 300] [--fault-plan "write:enospc@3"]
 //! ```
 //!
-//! Flags may be written `--flag value` or `--flag=value`.
+//! Flags may be written `--flag value` or `--flag=value`; a command refuses
+//! any flag it does not read (`boils_bench::cli::BenchArgs`).
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::process::ExitCode;
+use std::path::Path;
+use std::time::Duration;
 
 use boils::aig::Aig;
 use boils::baselines::{Method, RunSpec};
 use boils::circuits::{Benchmark, CircuitSpec};
-use boils::core::{
-    FaultInjector, FaultPlan, Objective, QorEvaluator, RunControl, SequenceSpace, Termination,
-    WarmStart,
-};
-use boils::gp::SurrogateDiagnostics;
-use boils::mapper::{map_stats, MapperConfig};
+use boils::core::{Objective, Priority, RunControl, SequenceSpace, Termination};
+use boils::daemon::{Client, DaemonConfig, JobRequest, Server, Value};
+use boils::mapper::{map_stats, MapperConfig, LUT_SIZES};
 use boils::sat::{check_equivalence, EquivResult};
 use boils::synth::{apply_sequence, Transform};
+use boils_bench::cli::{run_or_exit, BenchArgs};
+use boils_bench::suite::{describe_store, evaluator, fault_injector, objective};
 
-/// The command line, parsed exactly once: a subcommand plus `--flag value`
-/// / `--flag=value` pairs.
-struct Args {
-    command: String,
-    values: HashMap<String, String>,
+/// Each command and the flags it reads (see [`BenchArgs::strict`]: a flag
+/// ending in `=` takes a value, any other is a switch).
+const COMMANDS: [&str; 8] = [
+    "generate --input= --circuit= --bits= --output=",
+    "stats    --input= --circuit= --bits=",
+    "synth    --input= --circuit= --bits= --ops= --output= --verilog=",
+    "map      --input= --circuit= --bits= --lut-size=",
+    "check    --golden= --revised=",
+    "optimize --input= --circuit= --bits= --method= --budget= --k= --seed= --objective=\n\
+     \x20          --deadline-secs= --threads= --batch-size= --surrogate-window=\n\
+     \x20          --cache-dir= --fault-plan= --mo --transfer",
+    "serve    --addr= --workers= --queue-cap= --cache-dir=",
+    "submit   --addr= --jobs= --store-stats --shutdown --circuit= --bits= --method=\n\
+     \x20          --budget= --k= --seed= --objective= --priority= --deadline-secs=\n\
+     \x20          --mo --transfer",
+];
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    run_or_exit(run(args.next().as_deref(), args));
 }
 
-impl Args {
-    fn from_env() -> Result<Args, String> {
-        Args::from_iter(std::env::args().skip(1))
-    }
-
-    fn from_iter(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
-        let mut iter = args.into_iter();
-        let command = iter.next().unwrap_or_else(|| String::from("help"));
-        let mut values = HashMap::new();
-        let mut iter = iter.peekable();
-        while let Some(arg) = iter.next() {
-            let Some(flag) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument {arg:?}"));
-            };
-            let (name, value) = match flag.split_once('=') {
-                Some((name, value)) => (name.to_string(), value.to_string()),
-                None => {
-                    // `--flag value`, or a bare boolean (`--mo`) when the
-                    // next token is itself a flag or the line ends.
-                    let value = match iter.peek() {
-                        Some(next) if !next.starts_with("--") => iter.next().expect("peeked value"),
-                        _ => String::from("true"),
-                    };
-                    (flag.to_string(), value)
-                }
-            };
-            if values.insert(name.clone(), value).is_some() {
-                return Err(format!("flag --{name} given twice"));
-            }
-        }
-        Ok(Args { command, values })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
-    }
-
-    fn required(&self, name: &str) -> Result<&str, String> {
-        self.get(name)
-            .ok_or_else(|| format!("missing required flag --{name}"))
-    }
-
-    /// Parses `--name`, falling back to `default` when absent.
-    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} takes a value like its default; got {v:?}")),
-        }
-    }
-}
-
-fn main() -> ExitCode {
-    match Args::from_env().and_then(|args| run(&args)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run(args: &Args) -> Result<(), String> {
-    match args.command.as_str() {
-        "generate" => generate(args),
-        "stats" => stats(args),
-        "synth" => synth(args),
-        "map" => map_cmd(args),
-        "check" => check(args),
-        "optimize" => optimize(args),
-        "serve" => serve(args),
-        "submit" => submit(args),
-        _ => {
+/// Runs `command` on `flags`, parsed against the flags it reads. No
+/// command, `help` and `--help` print the usage.
+fn run(command: Option<&str>, flags: impl Iterator<Item = String>) -> Result<(), String> {
+    let command = command.unwrap_or("help");
+    let spec = COMMANDS
+        .iter()
+        .find_map(|c| c.strip_prefix(command)?.strip_prefix(' '));
+    let args = match spec {
+        Some(spec) => BenchArgs::strict(flags, spec)?,
+        None if matches!(command, "help" | "--help") => {
             print_help();
-            Ok(())
+            return Ok(());
         }
+        None => return Err(format!("unknown command {command:?} (see `boils help`)")),
+    };
+    match command {
+        "generate" => generate(&args),
+        "stats" => stats(&args),
+        "synth" => synth(&args),
+        "map" => map_cmd(&args),
+        "check" => check(&args),
+        "optimize" => optimize(&args),
+        "serve" => serve(&args),
+        "submit" => submit(&args),
+        other => unreachable!("{other} is in COMMANDS but has no body"),
     }
 }
 
 fn print_help() {
     println!(
         "boils — Bayesian optimisation for logic synthesis (DATE 2022 reproduction)\n\n\
-         USAGE:\n  boils <command> [flags]   (--flag value or --flag=value)\n\n\
-         COMMANDS:\n\
-         \x20 generate  --circuit <name> [--bits N] --output <file.aag|.aig>\n\
-         \x20 stats     --input <file>\n\
-         \x20 synth     --input <file> --ops \"balance;rewrite;...\" [--output <file>] [--verilog <file.v>]\n\
-         \x20 map       --input <file> [--lut-size K]\n\
-         \x20 check     --golden <file> --revised <file>\n\
-         \x20 optimize  --input <file> | --circuit <name> [--bits N]\n\
-         \x20           [--method boils|sbo|ga|rs|greedy|ppo|a2c|rl|graphrl] [--budget N]\n\
-         \x20           [--k N] [--seed N]\n\
-         \x20           [--threads N] [--batch-size Q] [--surrogate-window W] [--cache-dir DIR]\n\
-         \x20           [--deadline-secs S] [--fault-plan PLAN] [--transfer]\n\
-         \x20           [--objective qor|area|delay|levels|lut|weighted:W] [--mo]\n\n\
-         \x20           --objective swaps the cost function scored over the synthesised\n\
-         \x20           netlist (cached synthesis results are reused across objectives);\n\
-         \x20           --mo makes the BO methods optimise the (area, delay) front\n\
-         \x20           directly and print the nondominated archive.\n\n\
-         \x20           --deadline-secs stops the run at the next evaluation boundary once the\n\
-         \x20           wall-clock budget elapses (best-so-far is kept); --fault-plan injects\n\
-         \x20           deterministic storage/eval faults, e.g. \"seed=1;write:enospc@3+\"\n\
-         \x20           (also read from BOILS_FAULT_PLAN).\n\n\
-         \x20           --transfer (boils, needs --cache-dir) warm-starts the run from the\n\
-         \x20           most similar circuit with recorded history in the store; every\n\
-         \x20           transferred seed is re-evaluated exactly on this circuit.\n\n\
-         \x20 serve     [--addr 127.0.0.1:7171|unix:/path.sock] [--workers N]\n\
-         \x20           [--queue-cap N] [--cache-dir DIR]\n\
-         \x20           multi-tenant daemon: jobs share each circuit's synthesis caches\n\
-         \x20 submit    --addr ADDR (--circuit <name> --method <id> --budget N\n\
-         \x20           [--objective NAME] [--seed N] [--k N] [--bits N]\n\
-         \x20           [--priority low|normal|high] [--deadline-secs S] [--mo] [--transfer]\n\
-         \x20           | --jobs <file with one submit JSON per line>\n\
-         \x20           | --store-stats)\n\
-         \x20           [--shutdown]  streams event JSON lines; nonzero exit on\n\
-         \x20           rejected/failed jobs. --store-stats asks the daemon for its\n\
-         \x20           per-circuit store statistics (dedup hits, bytes saved)\n\n\
-         Circuits: adder bar div hyp log2 max multiplier sin sqrt square"
+         USAGE:\n  boils <command> [--flag value | --flag=value | --switch]...\n\n\
+         COMMANDS (a flag ending in `=` takes a value; any other flag is an error):"
+    );
+    for command in COMMANDS {
+        println!("  {command}");
+    }
+    println!(
+        "\n\
+         --method     boils sbo ga rs greedy ppo a2c rl(=a2c) graphrl\n\
+         --circuit    adder bar div hyp log2 max multiplier sin sqrt square\n\
+         --objective  qor area delay levels lut weighted:W (the cost scored over the\n\
+         \x20            synthesised netlist; cached synthesis is reused across objectives)\n\
+         --mo         the BO methods optimise the (area, delay) front and print it\n\
+         --deadline-secs  stop at the next evaluation boundary, keeping best-so-far\n\
+         --fault-plan     deterministic storage/eval faults, e.g. \"seed=1;write:enospc@3+\"\n\
+         \x20                (also read from BOILS_FAULT_PLAN)\n\
+         --transfer   (boils, needs --cache-dir) warm-start from the most similar circuit\n\
+         \x20            recorded in the store; every seed is re-evaluated here\n\
+         serve        multi-tenant daemon: jobs share each circuit's synthesis caches\n\
+         submit       one job from flags (defaults and bounds as optimize's), a --jobs\n\
+         \x20            file of submit JSON lines, or --store-stats; streams event lines\n\
+         \x20            and exits non-zero on rejected/failed jobs"
     );
 }
 
@@ -179,32 +128,38 @@ fn save_aig(aig: &Aig, path: &str) -> Result<(), String> {
     }
 }
 
-fn circuit_from_flags(args: &Args) -> Result<Aig, String> {
-    if let Some(path) = args.get("input") {
+fn circuit_from_flags(args: &BenchArgs) -> Result<Aig, String> {
+    if let Some(path) = args.value("--input") {
         return load_aig(path);
     }
-    let name = args.required("circuit")?;
-    let benchmark = Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name() == name)
-        .ok_or_else(|| format!("unknown circuit {name:?}"))?;
+    let benchmark = Benchmark::parse(args.required("--circuit")?)?;
     let mut spec = CircuitSpec::new(benchmark);
-    if let Some(bits) = args.get("bits") {
-        let bits: usize = bits.parse().map_err(|_| "--bits takes an integer")?;
+    if let Some(bits) = bits_flag(args, benchmark)? {
         spec = spec.bits(bits);
     }
     Ok(spec.build())
 }
 
-fn generate(args: &Args) -> Result<(), String> {
+/// `--bits`, checked against `benchmark`'s generator.
+fn bits_flag(args: &BenchArgs, benchmark: Benchmark) -> Result<Option<usize>, String> {
+    let bits = args.parse("--bits")?;
+    if let Some(bits) = bits {
+        benchmark
+            .check_bits(bits)
+            .map_err(|e| format!("--bits {e}"))?;
+    }
+    Ok(bits)
+}
+
+fn generate(args: &BenchArgs) -> Result<(), String> {
     let aig = circuit_from_flags(args)?;
-    let output = args.required("output")?;
+    let output = args.required("--output")?;
     save_aig(&aig, output)?;
     println!("wrote {aig} to {output}");
     Ok(())
 }
 
-fn stats(args: &Args) -> Result<(), String> {
+fn stats(args: &BenchArgs) -> Result<(), String> {
     let aig = circuit_from_flags(args)?;
     println!("{aig}");
     let mapping = map_stats(&aig, &MapperConfig::default());
@@ -220,9 +175,9 @@ fn parse_ops(spec: &str) -> Result<Vec<Transform>, String> {
         .collect()
 }
 
-fn synth(args: &Args) -> Result<(), String> {
+fn synth(args: &BenchArgs) -> Result<(), String> {
     let aig = circuit_from_flags(args)?;
-    let ops = parse_ops(args.required("ops")?)?;
+    let ops = parse_ops(args.required("--ops")?)?;
     let before = map_stats(&aig, &MapperConfig::default());
     let out = apply_sequence(&aig, &ops);
     let after = map_stats(&out, &MapperConfig::default());
@@ -230,11 +185,11 @@ fn synth(args: &Args) -> Result<(), String> {
     println!("        {before}");
     println!("after : {out}");
     println!("        {after}");
-    if let Some(path) = args.get("output") {
+    if let Some(path) = args.value("--output") {
         save_aig(&out, path)?;
         println!("wrote {path}");
     }
-    if let Some(path) = args.get("verilog") {
+    if let Some(path) = args.value("--verilog") {
         let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
         out.write_verilog(BufWriter::new(file), "boils_out")
             .map_err(|e| format!("{path}: {e}"))?;
@@ -243,18 +198,21 @@ fn synth(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn map_cmd(args: &Args) -> Result<(), String> {
+fn map_cmd(args: &BenchArgs) -> Result<(), String> {
+    let k = args.parse("--lut-size")?.unwrap_or(6);
+    if !LUT_SIZES.contains(&k) {
+        return Err(format!("--lut-size {k} is outside {LUT_SIZES:?}"));
+    }
     let aig = circuit_from_flags(args)?;
-    let k: usize = args.parse_or("lut-size", 6)?;
     let stats = map_stats(&aig, &MapperConfig::with_lut_size(k));
     println!("{aig}");
     println!("if -K {k}: {stats}");
     Ok(())
 }
 
-fn check(args: &Args) -> Result<(), String> {
-    let golden = load_aig(args.required("golden")?)?;
-    let revised = load_aig(args.required("revised")?)?;
+fn check(args: &BenchArgs) -> Result<(), String> {
+    let golden = load_aig(args.required("--golden")?)?;
+    let revised = load_aig(args.required("--revised")?)?;
     if golden.num_pis() != revised.num_pis() || golden.num_pos() != revised.num_pos() {
         return Err(format!(
             "interface mismatch: {}/{} inputs, {}/{} outputs",
@@ -282,15 +240,15 @@ fn check(args: &Args) -> Result<(), String> {
 
 /// `boils serve`: run the multi-tenant optimisation daemon until a client
 /// sends `{"op":"shutdown"}`.
-fn serve(args: &Args) -> Result<(), String> {
-    let defaults = boils::daemon::DaemonConfig::default();
-    let config = boils::daemon::DaemonConfig {
-        workers: args.parse_or("workers", defaults.workers)?,
-        queue_cap: args.parse_or("queue-cap", defaults.queue_cap)?,
-        cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
+fn serve(args: &BenchArgs) -> Result<(), String> {
+    let defaults = DaemonConfig::default();
+    let config = DaemonConfig {
+        workers: args.parse("--workers")?.unwrap_or(defaults.workers),
+        queue_cap: args.parse("--queue-cap")?.unwrap_or(defaults.queue_cap),
+        cache_dir: args.value("--cache-dir").map(std::path::PathBuf::from),
     };
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7171");
-    let server = boils::daemon::Server::bind(config, addr)?;
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7171");
+    let server = Server::bind(config, addr)?;
     println!("listening on {}", server.local_addr());
     server.run()
 }
@@ -298,15 +256,36 @@ fn serve(args: &Args) -> Result<(), String> {
 /// `boils submit`: send one job (from flags) or a batch (`--jobs FILE`,
 /// one submit JSON object per line) to a running daemon, stream its event
 /// lines to stdout, and exit nonzero if any job was rejected or failed.
-fn submit(args: &Args) -> Result<(), String> {
-    use boils::daemon::{Client, JobRequest, Value};
-    let addr = args.required("addr")?;
-    let store_stats = args.parse_or("store-stats", false)?;
+fn submit(args: &BenchArgs) -> Result<(), String> {
+    let addr = args.required("--addr")?;
+    let store_stats = args.flag("--store-stats");
+    let batch = args.value("--jobs");
+    // A job from flags meets the daemon's checks before anything queues;
+    // `--store-stats` alone is a pure admin query.
+    let job = if batch.is_none() && !(store_stats && args.value("--circuit").is_none()) {
+        let circuit = Benchmark::parse(args.required("--circuit")?)?;
+        let run = RunFlags::read(args)?;
+        Some(JobRequest {
+            circuit,
+            bits: bits_flag(args, circuit)?,
+            method: run.method,
+            objective: run.objective,
+            budget: run.budget,
+            seed: run.seed,
+            sequence_length: run.k,
+            priority: args
+                .value("--priority")
+                .map_or(Ok(Priority::Normal), Priority::parse)?,
+            deadline_secs: run.deadline_secs,
+            multi_objective: run.multi_objective,
+            transfer: run.transfer,
+        })
+    } else {
+        None
+    };
     let mut client = Client::connect(addr)?;
     let mut outstanding = 0usize;
-    if store_stats && args.get("jobs").is_none() && args.get("circuit").is_none() {
-        // Pure admin query: no job rides along.
-    } else if let Some(path) = args.get("jobs") {
+    if let Some(path) = batch {
         let batch = std::fs::read_to_string(path).map_err(|e| format!("--jobs {path}: {e}"))?;
         for line in batch.lines().filter(|l| !l.trim().is_empty()) {
             // Sent verbatim: the daemon validates and answers a malformed
@@ -314,49 +293,23 @@ fn submit(args: &Args) -> Result<(), String> {
             client.send_raw(line)?;
             outstanding += 1;
         }
-    } else {
-        let mut job = Value::object();
-        job.set("op", Value::from("submit"));
-        job.set("circuit", Value::from(args.required("circuit")?));
-        job.set("method", Value::from(args.required("method")?));
-        job.set("budget", Value::Number(args.parse_or("budget", 40.0)?));
-        if let Some(v) = args.get("objective") {
-            job.set("objective", Value::from(v));
-        }
-        job.set("seed", Value::Number(args.parse_or("seed", 0.0)?));
-        job.set("k", Value::Number(args.parse_or("k", 20.0)?));
-        if let Some(bits) = args.get("bits") {
-            let bits: f64 = bits.parse().map_err(|_| "--bits takes an integer")?;
-            job.set("bits", Value::Number(bits));
-        }
-        if let Some(v) = args.get("priority") {
-            job.set("priority", Value::from(v));
-        }
-        if let Some(v) = args.get("deadline-secs") {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| format!("--deadline-secs takes seconds; got {v:?}"))?;
-            job.set("deadline_secs", Value::Number(secs));
-        }
-        if args.parse_or("mo", false)? {
-            job.set("mo", Value::from(true));
-        }
-        if args.parse_or("transfer", false)? {
-            job.set("transfer", Value::from(true));
-        }
-        // Validate locally first — same code path the daemon runs — so a
-        // typo fails with the daemon's diagnostic before anything queues.
-        let request = JobRequest::from_json(&job)?;
-        client.submit(&request)?;
+    } else if let Some(job) = job {
+        client.submit(&job)?;
         outstanding = 1;
     }
     // Every submitted line resolves to exactly one terminal event:
-    // rejected (nothing ran), finished, or failed.
+    // rejected (nothing ran), finished, or failed. The store statistics are
+    // asked for after every job resolved, so they reflect this invocation.
     let mut bad = 0usize;
-    while outstanding > 0 {
+    let mut stats_asked = !store_stats;
+    while outstanding > 0 || !stats_asked {
+        if outstanding == 0 {
+            client.store_stats()?;
+            (stats_asked, outstanding) = (true, 1);
+        }
         let Some(event) = client.next_event()? else {
             return Err(format!(
-                "daemon disconnected with {outstanding} job(s) outstanding"
+                "daemon disconnected with {outstanding} request(s) outstanding"
             ));
         };
         println!("{}", event.to_json());
@@ -365,27 +318,11 @@ fn submit(args: &Args) -> Result<(), String> {
                 outstanding -= 1;
                 bad += 1;
             }
-            Some("finished") => outstanding -= 1,
+            Some("finished" | "store_stats") => outstanding -= 1,
             _ => {}
         }
     }
-    // The stats snapshot is taken after every submitted job resolved, so
-    // it reflects the work this invocation just caused.
-    if store_stats {
-        client.store_stats()?;
-        loop {
-            let Some(event) = client.next_event()? else {
-                return Err(String::from(
-                    "daemon disconnected before answering store-stats",
-                ));
-            };
-            println!("{}", event.to_json());
-            if event.get("event").and_then(Value::as_str) == Some("store_stats") {
-                break;
-            }
-        }
-    }
-    if args.parse_or("shutdown", false)? {
+    if args.flag("--shutdown") {
         client.shutdown()?;
     }
     if bad > 0 {
@@ -394,128 +331,85 @@ fn submit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One human-readable line summarising a BO run's surrogate lifecycle.
-fn describe_surrogate(s: &SurrogateDiagnostics, window: Option<usize>) -> String {
-    let window = match window {
-        Some(w) => format!("window {w}"),
-        None => String::from("unbounded"),
-    };
-    format!(
-        "{window}, {} retrains, {} extends, {} downdates, {} fallback refits",
-        s.retrains_at.len(),
-        s.extends,
-        s.downdates,
-        s.fallback_refits
-    )
+/// The run flags `optimize` and `submit` share, read and checked once.
+struct RunFlags {
+    method: Method,
+    budget: usize,
+    k: usize,
+    seed: u64,
+    deadline_secs: Option<f64>,
+    deadline: Option<Duration>,
+    objective: Objective,
+    multi_objective: bool,
+    transfer: bool,
 }
 
-fn optimize(args: &Args) -> Result<(), String> {
+impl RunFlags {
+    fn read(args: &BenchArgs) -> Result<RunFlags, String> {
+        let method = Method::parse(args.value("--method").unwrap_or("boils"))?;
+        let budget = args.parse("--budget")?.unwrap_or(40);
+        let k = args.parse("--k")?.unwrap_or(20);
+        let deadline_secs = args.parse("--deadline-secs")?;
+        Ok(RunFlags {
+            deadline: method
+                .check_run(budget, k, deadline_secs)
+                .map_err(|e| e.for_flag())?,
+            objective: objective(args.value("--objective"))?,
+            seed: args.parse("--seed")?.unwrap_or(0),
+            multi_objective: args.flag("--mo"),
+            transfer: args.flag("--transfer"),
+            method,
+            budget,
+            k,
+            deadline_secs,
+        })
+    }
+}
+
+fn optimize(args: &BenchArgs) -> Result<(), String> {
     let aig = circuit_from_flags(args)?;
-    let budget: usize = args.parse_or("budget", 40)?;
-    let k: usize = args.parse_or("k", 20)?;
-    let seed: u64 = args.parse_or("seed", 0)?;
-    let threads: usize = args.parse_or("threads", 1)?;
-    let batch_size: usize = args.parse_or("batch-size", 1)?;
-    let surrogate_window: Option<usize> = match args.get("surrogate-window") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--surrogate-window takes a window size; got {v:?}"))?,
-        ),
-    };
-    let deadline_secs: Option<f64> = match args.get("deadline-secs") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--deadline-secs takes seconds; got {v:?}"))?,
-        ),
-    };
-    let fault = match args.get("fault-plan") {
-        Some(spec) => {
-            let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-            Some(std::sync::Arc::new(FaultInjector::new(plan)))
-        }
-        None => None,
-    };
-    let method_id = args.get("method").unwrap_or("boils");
-    // `rl` is an alias of `a2c`: DRiLLS with A2C updates.
-    let method = match method_id {
-        "rl" => Method::DrillsA2c,
-        id => Method::parse(id)?,
-    };
-    let multi_objective: bool = args.parse_or("mo", false)?;
-    let transfer: bool = args.parse_or("transfer", false)?;
-    if transfer && args.get("cache-dir").is_none() {
+    let run = RunFlags::read(args)?;
+    let (method, multi_objective, transfer) = (run.method, run.multi_objective, run.transfer);
+    let threads = args.parse("--threads")?.unwrap_or(1);
+    let batch_size = args.parse("--batch-size")?.unwrap_or(1);
+    let surrogate_window = args.parse("--surrogate-window")?;
+    let fault = fault_injector(args.value("--fault-plan"))?;
+    let cache_dir = args.value("--cache-dir");
+    if transfer && cache_dir.is_none() {
         return Err(String::from(
             "--transfer needs --cache-dir: donor histories live in the persistent store",
         ));
     }
-    let objective = match args.get("objective") {
-        Some(name) => Some(Objective::parse(name).map_err(|e| format!("--objective: {e}"))?),
-        None => None,
-    };
-    let space = SequenceSpace::new(k, 11);
-    let evaluator = QorEvaluator::new(&aig).map_err(|e| e.to_string())?;
-    let evaluator = match objective {
-        Some(objective) => evaluator.with_objective(objective),
-        None => evaluator,
-    };
-    let evaluator = match fault {
-        Some(fault) => evaluator.with_fault_injector(Some(fault)),
-        None => evaluator,
-    };
+    let space = SequenceSpace::new(run.k, 11);
     // Disk-backed prefix store: repeated invocations (other seeds, other
     // methods, interrupted runs) on the same circuit resume from the
     // synthesis work earlier processes already did — bit-identically.
-    let evaluator = match args.get("cache-dir") {
-        Some(dir) => evaluator
-            .with_persistent_store(dir)
-            .map_err(|e| format!("--cache-dir {dir}: {e}"))?,
-        None => evaluator,
-    };
+    let evaluator = evaluator(&aig, run.objective, fault, cache_dir.map(Path::new))?;
     // A deadline stops the run at the next evaluation boundary; what has
     // been evaluated by then is an exact prefix of the undisturbed
     // trajectory, so best-so-far is well-defined and reproducible.
-    let control = match deadline_secs {
-        Some(secs) => RunControl::with_deadline(std::time::Duration::from_secs_f64(secs)),
+    let control = match run.deadline {
+        Some(deadline) => RunControl::with_deadline(deadline),
         None => RunControl::new(),
     };
-    // Warm start: seed the design with the best sequences a structurally
-    // similar circuit already explored. Donor costs are never trusted —
-    // every seed is re-evaluated here — so transfer changes *which*
-    // sequences are tried first, never what any sequence scores.
-    let warm_start = if transfer {
-        evaluator
-            .transfer_donor()
-            .map(|donor| WarmStart::from_donor(&donor, 3))
-            .filter(|warm| !warm.is_empty())
-    } else {
-        None
-    };
-    let transfer_seeds = warm_start.as_ref().map(|warm| warm.seeds.len());
     println!("{aig}");
     println!("reference (resyn2 + if -K 6): {}", evaluator.reference());
-    let spec = RunSpec {
+    let mut spec = RunSpec {
         threads,
         batch_size,
         surrogate_window,
         multi_objective,
-        warm_start,
-        ..RunSpec::new(space, budget, seed)
+        ..RunSpec::new(space, run.budget, run.seed)
     };
     let result = method
-        .run(&spec, &evaluator, &control)
+        .run_with_transfer(&mut spec, &evaluator, &control, transfer)
         .ok_or("run interrupted before any evaluation completed")?;
+    let method_id = method.id();
     if multi_objective && !method.is_bayesian() {
         eprintln!("note: --mo only steers the BO methods; {method_id} ran unchanged");
     }
-    if transfer {
-        if method != Method::Boils {
-            eprintln!("note: --transfer only steers the boils method; {method_id} ran unchanged");
-        }
-        // Record unconditionally so even a cold first run becomes a donor
-        // for the next similar circuit.
-        evaluator.record_transfer_history(&result.history);
+    if transfer && method != Method::Boils {
+        eprintln!("note: --transfer only steers the boils method; {method_id} ran unchanged");
     }
     println!("method        : {method_id}");
     println!(
@@ -543,14 +437,21 @@ fn optimize(args: &Args) -> Result<(), String> {
     // say how the model was updated, and a non-zero fallback count flags
     // numerically-degenerate incremental updates that silently fell back
     // to full refits.
-    if let Some(surrogate) = &result.surrogate {
+    if let Some(s) = &result.surrogate {
+        let window = match surrogate_window {
+            Some(w) => format!("window {w}"),
+            None => String::from("unbounded"),
+        };
         println!(
-            "surrogate     : {}",
-            describe_surrogate(surrogate, surrogate_window)
+            "surrogate     : {window}, {} retrains, {} extends, {} downdates, {} fallback refits",
+            s.retrains_at.len(),
+            s.extends,
+            s.downdates,
+            s.fallback_refits
         );
     }
     if transfer && method == Method::Boils {
-        match transfer_seeds {
+        match spec.warm_start.as_ref().map(|warm| warm.seeds.len()) {
             Some(n) => println!(
                 "transfer      : warm-started with {n} seed(s) from the most similar \
                  recorded circuit (re-evaluated exactly here)"
@@ -563,24 +464,9 @@ fn optimize(args: &Args) -> Result<(), String> {
         evaluator.num_evaluations(),
         evaluator.cache_hits()
     );
-    if let Some(store) = evaluator.persistent_store() {
+    if let Some(store) = describe_store(&evaluator) {
         let stats = evaluator.prefix_stats();
-        let degraded = match stats.store_disabled_at {
-            Some(op) => format!(", memory-only after op {op}"),
-            None => String::new(),
-        };
-        println!(
-            "cache dir     : {} ({} disk hits, {} writes, {} corrupt dropped, {} entries, \
-             {} KiB, {} write failures, {} retries{degraded})",
-            store.dir().display(),
-            stats.disk_hits,
-            stats.disk_writes,
-            stats.disk_corrupt_dropped,
-            store.len(),
-            store.total_bytes() / 1024,
-            stats.disk_write_failures,
-            stats.disk_retries,
-        );
+        println!("cache dir     : {store}");
         println!(
             "dedup         : {} payload hits across circuits, {} KiB not rewritten \
              ({} pointer entries)",

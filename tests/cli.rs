@@ -517,7 +517,141 @@ fn unknown_flags_and_circuits_fail_gracefully() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown circuit"));
 
-    let out = boils().args(["help"]).output().expect("spawn");
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    let out = boils()
+        .args(["generate", "--circuit", "adder", "--bogus", "1"])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus"));
+
+    for args in [&["help"][..], &["--help"], &[]] {
+        let out = boils().args(args).output().expect("spawn");
+        assert!(out.status.success(), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    }
+}
+
+/// Runs `boils args` and asserts it fails with one `error:` line that
+/// contains `expect`, and no panic.
+fn assert_one_error_line(args: &[&str], expect: &str) {
+    let out = boils().args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "{args:?} must fail\nstderr: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "{args:?} panicked\nstderr: {stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{args:?}\nstderr: {stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains(expect),
+        "{args:?} must say `{expect}`\nstderr: {stderr}"
+    );
+}
+
+#[test]
+fn hostile_inputs_get_one_error_line_and_no_panic() {
+    fn optimize<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+        [&["optimize", "--circuit", "adder", "--bits", "4"], extra].concat()
+    }
+    for method in [
+        "boils", "sbo", "ga", "rs", "greedy", "ppo", "a2c", "rl", "graphrl",
+    ] {
+        assert_one_error_line(
+            &optimize(&["--method", method, "--budget", "0"]),
+            "--budget takes a positive evaluation count",
+        );
+    }
+    for (extra, expect) in [
+        (
+            &["--budget", "3"][..],
+            "--budget 3 is below boils's minimum of 5",
+        ),
+        (
+            &["--method", "sbo", "--budget", "4"],
+            "--budget 4 is below sbo's",
+        ),
+        (
+            &["--method", "ga", "--budget", "1"],
+            "--budget 1 is below ga's",
+        ),
+        (
+            &["--method", "greedy", "--k", "4", "--budget", "10"],
+            "--budget 10 is below greedy's minimum of 11",
+        ),
+        (&["--k", "0"], "--k takes a positive sequence length"),
+        (
+            &["--deadline-secs", "-1"],
+            "--deadline-secs takes a positive",
+        ),
+        (
+            &["--deadline-secs", "nan"],
+            "--deadline-secs takes a positive",
+        ),
+        (
+            &["--deadline-secs", "inf"],
+            "--deadline-secs takes a positive",
+        ),
+        (
+            &["--deadline-secs", "1e300"],
+            "--deadline-secs 1e300 is out of range",
+        ),
+        (&["--budjet", "6"], "unknown flag --budjet"),
+    ] {
+        assert_one_error_line(&optimize(extra), expect);
+    }
+    let never_written = tmp("never-written.aag");
+    let never_written = never_written.to_str().expect("utf-8 temp path");
+    for (args, expect) in [
+        (
+            &["optimize", "--circuit", "adder", "--bits", "0"][..],
+            "--bits 0 is not a width adder supports: 2 to 64 bits",
+        ),
+        (
+            &[
+                "generate",
+                "--circuit",
+                "adder",
+                "--bits",
+                "0",
+                "--output",
+                never_written,
+            ],
+            "--bits 0 is not a width adder supports: 2 to 64 bits",
+        ),
+        (
+            &["optimize", "--circuit", "adder", "--bits", "100"],
+            "--bits 100 is not a width adder supports",
+        ),
+        (
+            &["optimize", "--circuit", "bar", "--bits", "6"],
+            "--bits 6 is not a width bar supports: 2 to 64 bits, a power of two",
+        ),
+        (
+            &["optimize", "--circuit", "sqrt", "--bits", "7"],
+            "--bits 7 is not a width sqrt supports: 2 to 64 bits, even",
+        ),
+        (
+            &[
+                "map",
+                "--circuit",
+                "adder",
+                "--bits",
+                "4",
+                "--lut-size",
+                "7",
+            ],
+            "--lut-size 7 is outside 2..=6",
+        ),
+        (
+            &["stats", "--circuit", "adder", "--output", never_written],
+            "unknown flag --output",
+        ),
+        (&["optimise"], "unknown command \"optimise\""),
+    ] {
+        assert_one_error_line(args, expect);
+    }
+    assert!(!std::path::Path::new(never_written).exists());
 }
