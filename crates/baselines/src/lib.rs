@@ -27,6 +27,8 @@ mod rl;
 mod simple;
 
 pub use crate::ga::{genetic_algorithm, GaConfig};
-pub use crate::method::{InputError, Method, RunSpec, MAX_BUDGET, MAX_SEQUENCE_LENGTH};
+pub use crate::method::{
+    check_threads, InputError, Method, RunSpec, MAX_BUDGET, MAX_SEQUENCE_LENGTH, MAX_THREADS,
+};
 pub use crate::rl::{reinforcement_learning, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit};
 pub use crate::simple::{greedy, greedy_controlled, random_search, random_search_controlled};

@@ -20,6 +20,20 @@ pub const MAX_BUDGET: usize = 100_000;
 /// Largest sequence length `k` a run may ask for: over 10× the paper's 20.
 pub const MAX_SEQUENCE_LENGTH: usize = 256;
 
+/// Largest thread count a front end may ask for (`--threads`, the
+/// daemon's `--workers`). Batched evaluation and the daemon's worker pool
+/// start every thread at once, so this bounds what one flag can start.
+pub const MAX_THREADS: usize = 256;
+
+/// The thread-count check every front end shares: `threads` from 1 to
+/// [`MAX_THREADS`]; the error names `flag` (`--threads` or `--workers`).
+pub fn check_threads(flag: &str, threads: usize) -> Result<usize, String> {
+    if (1..=MAX_THREADS).contains(&threads) {
+        return Ok(threads);
+    }
+    Err(format!("{flag} {threads} is outside 1..={MAX_THREADS}"))
+}
+
 /// Smallest initial design of the BO methods.
 const MIN_INITIAL_DESIGN: usize = 4;
 
@@ -387,6 +401,19 @@ mod tests {
     fn run(m: Method, spec: &RunSpec, evaluator: &boils_core::QorEvaluator) -> OptimizationResult {
         m.run(spec, evaluator, &RunControl::new())
             .expect("uncontrolled run completes")
+    }
+
+    #[test]
+    fn thread_counts_are_bounded_on_both_sides() {
+        for threads in [1, MAX_THREADS] {
+            assert_eq!(check_threads("--threads", threads), Ok(threads));
+        }
+        for threads in [0, MAX_THREADS + 1, usize::MAX] {
+            assert_eq!(
+                check_threads("--workers", threads),
+                Err(format!("--workers {threads} is outside 1..=256"))
+            );
+        }
     }
 
     #[test]

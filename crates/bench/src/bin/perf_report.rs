@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use boils_baselines::greedy;
+use boils_baselines::{check_threads, greedy};
 use boils_bench::cli::{run_or_exit, BenchArgs};
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
@@ -47,13 +47,10 @@ fn main() {
         "BENCH_eval.json"
     };
     let out = args.value("--out").unwrap_or(default_out).to_string();
-    let threads = run_or_exit(args.parse("--threads"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        })
-        .max(1);
+    let threads = match run_or_exit(args.parse("--threads")) {
+        Some(threads) => run_or_exit(check_threads("--threads", threads)),
+        None => std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
+    };
 
     let circuit = Benchmark::Adder;
     let aig = CircuitSpec::new(circuit).build();
@@ -227,24 +224,20 @@ fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String 
     format!("  \"eval_throughput\": [\n{}\n  ]", lines.join(",\n"))
 }
 
-/// The bit-parallel simulation tier, isolated from the optimisers:
-///
-/// * **Fraig sweep.** Every intermediate state of the persist harness's
-///   fixed K = 20 trajectory on the adder is swept by fraig (incremental
-///   `SimTable`, hashed signature classes, packed counterexample words,
-///   lazy cone-of-influence CNF), timed with its merge and unknown-pair
-///   counts.
-/// * **Equivalence refute/prove split.** The trajectory states are pushed
-///   through `check_equivalence_with` three ways — against their own
-///   cleanup (SAT-proved), against an output-complemented copy
-///   (sim-refuted, zero CNF), and against a needle that only differs on
-///   the all-ones input (random simulation all but surely misses it, so
-///   the SAT phase must refute through a cone-restricted encoding).
-///   Aggregated `EquivStats` prove every check lands in exactly one
-///   bucket and that the lazy encoding stays below the full miter.
+/// The bit-parallel simulation tier, isolated from the optimisers: the
+/// intermediate states of the persist harness's fixed K = 20 trajectory
+/// on the adder are pushed through `check_equivalence_with` three ways —
+/// against their own cleanup (SAT-proved), against an output-complemented
+/// copy (sim-refuted, zero CNF), and against a needle that only differs
+/// on the all-ones input (random simulation all but surely misses it, so
+/// the SAT phase must refute through a cone-restricted encoding).
+/// Aggregated `EquivStats` prove every check lands in exactly one bucket
+/// and that the lazy encoding stays below the full miter. (Fraig merges
+/// nothing on these states; perfbench's `synth.Fr.ms_p50` times it on
+/// real search states.)
 fn sim_section(aig: &boils_aig::Aig, smoke: bool) -> String {
     use boils_sat::{check_equivalence_with, EquivConfig, EquivResult, EquivStats};
-    use boils_synth::{fraig_with_stats, FraigConfig, Transform};
+    use boils_synth::Transform;
 
     // The persist harness's fixed trajectory over the full alphabet.
     const TRAJECTORY: [u8; 20] = [6, 0, 2, 7, 4, 1, 3, 6, 5, 8, 9, 10, 0, 6, 2, 4, 7, 1, 3, 6];
@@ -255,23 +248,6 @@ fn sim_section(aig: &boils_aig::Aig, smoke: bool) -> String {
         states.push(next);
     }
 
-    let config = FraigConfig::default();
-    let mut fraig_seconds = 0.0;
-    let mut unknown_pairs = 0usize;
-    let mut proven = 0usize;
-    for state in &states {
-        let start = Instant::now();
-        let (_, stats) = fraig_with_stats(state, &config);
-        fraig_seconds += start.elapsed().as_secs_f64();
-        unknown_pairs += stats.unknown_pairs;
-        proven += stats.proven;
-    }
-    eprintln!(
-        "  fraig over {steps} trajectory states: {fraig_seconds:.3}s, {proven} merges, \
-         {unknown_pairs} unknown pairs"
-    );
-
-    // Equivalence split over the same states.
     let equiv_config = EquivConfig::default();
     let mut agg = EquivStats::default();
     let mut checks = 0usize;
@@ -328,15 +304,11 @@ fn sim_section(aig: &boils_aig::Aig, smoke: bool) -> String {
     );
 
     format!(
-        "  \"sim\": {{\"trajectory_states\": {}, \"fraig_new_seconds\": {:.6}, \
-         \"fraig_proven_merges\": {}, \"fraig_unknown_pairs\": {}, \"equiv_checks\": {}, \
+        "  \"sim\": {{\"trajectory_states\": {}, \"equiv_checks\": {}, \
          \"equiv_sim_refuted\": {}, \"equiv_sat_proved\": {}, \"equiv_sat_refuted\": {}, \
          \"equiv_vars_encoded\": {}, \"equiv_vars_full\": {}, \"equiv_seconds\": {:.6}, \
          \"needle_vars_encoded\": {}, \"needle_vars_full\": {}}}",
         steps,
-        fraig_seconds,
-        proven,
-        unknown_pairs,
         checks,
         agg.sim_refuted,
         agg.sat_proved,
@@ -873,7 +845,7 @@ fn gp_fit_section(smoke: bool) -> String {
         )
         .expect("spd");
         let start = Instant::now();
-        let extended = base
+        let (extended, _) = base
             .extend(xs[n - 1].clone(), ys[n - 1])
             .expect("extension succeeds");
         let extend_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -14,7 +14,7 @@ use boils_core::{
     FaultInjector, FaultPlan, Objective, QorEvaluator, RunControl, SequenceSpace, Termination,
 };
 
-use boils_baselines::{Method, RunSpec};
+use boils_baselines::{check_threads, Method, RunSpec};
 
 /// Sweep configuration.
 #[derive(Clone, Debug)]
@@ -120,8 +120,9 @@ impl SweepConfig {
     }
 
     /// Checks every field with the grammars and bounds `boils optimize`
-    /// and the daemon use ([`Benchmark::check_bits`], [`Method::check_run`])
-    /// and returns what it parsed, or a one-line diagnostic naming the flag.
+    /// and the daemon use ([`Benchmark::check_bits`], [`Method::check_run`],
+    /// [`check_threads`]) and returns what it parsed, or a one-line
+    /// diagnostic naming the flag.
     pub fn validate(&self) -> Result<Checked, String> {
         let objective = objective(self.objective.as_deref())?;
         // One injector for the whole sweep: its operation ordinals span
@@ -131,6 +132,7 @@ impl SweepConfig {
         if self.seeds == 0 {
             return Err("--seeds takes a positive seed count".to_string());
         }
+        check_threads("--threads", self.threads)?;
         if let Some(bits) = self.bits {
             for &circuit in &self.circuits {
                 let bits = suitable_bits(circuit, bits);

@@ -65,6 +65,25 @@ fn hostile_sweep_inputs_fail_before_any_run() {
         (&["--budjet", "5"], "unknown flag --budjet"),
         (&["--budget", "5", "stray"], "unexpected argument \"stray\""),
         (&["--k", "4", "--k", "0"], "--k is given twice"),
+        (
+            &[
+                "--threads",
+                "257",
+                "--circuits",
+                "adder",
+                "--methods",
+                "rs",
+                "--budget",
+                "1",
+                "--multiplier",
+                "1",
+                "--seeds",
+                "1",
+                "--k",
+                "1",
+            ],
+            "--threads 257 is outside 1..=256",
+        ),
     ] {
         assert_one_error_line(qor_table, args, expect);
     }

@@ -48,7 +48,7 @@ pub const FAULT_PLAN_ENV: &str = "BOILS_FAULT_PLAN";
 pub enum FaultOp {
     /// A persistent-store entry read.
     Read,
-    /// A persistent-store file write attempt (entry or index tempfile).
+    /// A persistent-store entry write attempt (its tempfile).
     Write,
     /// A persistent-store atomic rename.
     Rename,

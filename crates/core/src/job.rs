@@ -6,9 +6,10 @@
 //! so `boils-core` stays free of the optimiser registry (which lives in
 //! `boils-baselines`). What the core layer *does* own is the sharing
 //! story: [`EvaluatorPool`] keeps one [`QorEvaluator`] template per
-//! circuit content hash and hands each job a [`QorEvaluator::fork`] of
-//! it, so every tier (value memo, in-memory prefix cache, persistent
-//! store) is warmed by every tenant while per-job counters stay exact.
+//! circuit content hash and hands each job a
+//! [`QorEvaluator::fork_with_objective`] of it, so every tier (value
+//! memo, in-memory prefix cache, persistent store) is warmed by every
+//! tenant while per-job counters stay exact.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;

@@ -65,9 +65,9 @@ pub struct PrefixStats {
     pub disk_corrupt_dropped: usize,
     /// Persistent entries evicted to respect the store's byte budget.
     pub disk_evictions: usize,
-    /// Disk writes (entries or index) that ultimately failed after
-    /// retries. The store degrades gracefully: a failed write is only a
-    /// lost reuse opportunity, never a wrong value.
+    /// Entry writes that ultimately failed after retries. The store
+    /// degrades gracefully: a failed write is only a lost reuse
+    /// opportunity, never a wrong value.
     pub disk_write_failures: usize,
     /// Write attempts retried after a transient failure (torn/short
     /// writes and I/O errors; each successful retry avoids counting a

@@ -34,10 +34,10 @@
 //! * **Bounded.** A byte budget (default 256 MiB) is enforced by a
 //!   refcount-weighted LRU: unreferenced payloads go first, then the
 //!   least-recently-stamped pointers — a payload is deleted only once no
-//!   live pointer references it. The `index.tsv` file persists sizes,
-//!   stamps and pointer→payload edges across runs; it is advisory — stale
-//!   lines are dropped on load, and files missing from the index are
-//!   adopted from a directory scan.
+//!   live pointer references it. The directory is the only index: `open`
+//!   adopts every payload by its size and reads every pointer, stamping
+//!   the entries oldest-written first, and reference counts are taken
+//!   from the pointers only when the budget binds.
 //!
 //! Restoring an entry yields an AIG **structurally identical** to the one
 //! that was written (the binary AIGER codec is round-trip stable, property
@@ -60,6 +60,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::SystemTime;
 
 use boils_aig::{Aig, CircuitFeatures, CIRCUIT_FEATURE_DIM};
 
@@ -79,9 +80,6 @@ const PAYLOAD_MAGIC: &str = "bpp1";
 
 /// Magic tag opening every transfer-metadata file.
 const META_MAGIC: &str = "bpm1";
-
-/// Name of the advisory index file inside the store directory.
-const INDEX_FILE: &str = "index.tsv";
 
 /// Most (sequence, QoR) observations kept per circuit in the transfer
 /// metadata: enough to seed an initial design several times over, small
@@ -128,19 +126,16 @@ struct PayloadRec {
     bytes: u64,
     /// Last-touch stamp (LRU recency).
     stamp: u64,
-    /// Live pointers resolving to this payload (this instance's view);
-    /// `0` marks an orphan — evicted first when the budget presses.
-    refs: usize,
 }
 
-/// Mutable state: the in-memory mirror of the on-disk index.
+/// Mutable state: this instance's view of the store directory.
 #[derive(Debug, Default)]
 struct Index {
     /// Pointer file name → record.
     pointers: HashMap<String, PointerRec>,
     /// Payload file name → record.
     payloads: HashMap<String, PayloadRec>,
-    /// Logical clock; starts above the largest stamp found on load.
+    /// Logical clock; `open` stamps the entries it adopts from 1.
     clock: u64,
     /// Sum of all pointer and payload sizes (maintained incrementally).
     total_bytes: u64,
@@ -152,68 +147,39 @@ impl Index {
         self.clock
     }
 
-    /// Records (or refreshes) a pointer, wiring its payload's refcount:
-    /// a new pointer gains its payload a reference, a re-pointed one
-    /// moves the reference.
+    /// Records (or refreshes) a pointer.
     fn touch_pointer(&mut self, name: &str, bytes: u64, payload: u64) {
         let stamp = self.next_stamp();
-        let previous = self.pointers.insert(
-            name.to_string(),
-            PointerRec {
-                bytes,
-                stamp,
-                payload,
-            },
-        );
+        let rec = PointerRec {
+            bytes,
+            stamp,
+            payload,
+        };
         self.total_bytes += bytes;
-        let mut gained = true;
-        if let Some(old) = previous {
+        if let Some(old) = self.pointers.insert(name.to_string(), rec) {
             self.total_bytes -= old.bytes;
-            if old.payload == payload {
-                gained = false;
-            } else if let Some(rec) = self.payloads.get_mut(&payload_file_name(old.payload)) {
-                rec.refs = rec.refs.saturating_sub(1);
-            }
-        }
-        if gained {
-            if let Some(rec) = self.payloads.get_mut(&payload_file_name(payload)) {
-                rec.refs += 1;
-            }
         }
     }
 
-    /// Records (or refreshes) a payload. A newly adopted payload counts
-    /// its references from the pointers already indexed — the one scan
-    /// that keeps `refs` exact no matter which order this instance
-    /// discovered the files in.
+    /// Records (or refreshes) a payload.
     fn touch_payload(&mut self, name: &str, bytes: u64) {
         let stamp = self.next_stamp();
-        if let Some(rec) = self.payloads.get_mut(name) {
-            self.total_bytes += bytes;
-            self.total_bytes -= rec.bytes;
-            rec.bytes = bytes;
-            rec.stamp = stamp;
-            return;
-        }
-        let refs = match parse_payload_name(name) {
-            Some(hash) => self.pointers.values().filter(|p| p.payload == hash).count(),
-            None => 0,
-        };
-        self.payloads
-            .insert(name.to_string(), PayloadRec { bytes, stamp, refs });
         self.total_bytes += bytes;
+        if let Some(old) = self
+            .payloads
+            .insert(name.to_string(), PayloadRec { bytes, stamp })
+        {
+            self.total_bytes -= old.bytes;
+        }
     }
 
-    /// Drops a pointer record (its file is already gone), releasing its
-    /// payload reference. The payload itself stays — other pointers (or
-    /// other processes) may still resolve to it; an orphan is reclaimed
-    /// by the byte budget, never yanked from under a live reader.
+    /// Drops a pointer record (its file is already gone). Its payload
+    /// stays — other pointers (or other processes) may still resolve to
+    /// it; an orphan is reclaimed by the byte budget, never yanked from
+    /// under a live reader.
     fn forget_pointer(&mut self, name: &str) {
         if let Some(rec) = self.pointers.remove(name) {
             self.total_bytes -= rec.bytes;
-            if let Some(payload) = self.payloads.get_mut(&payload_file_name(rec.payload)) {
-                payload.refs = payload.refs.saturating_sub(1);
-            }
         }
     }
 
@@ -382,7 +348,7 @@ pub struct PersistentPrefixStore {
     /// Deterministic fault injection for tests and resilience drills
     /// (`None` in production: one branch per instrumented operation).
     fault: Option<Arc<FaultInjector>>,
-    /// Writes (entry or index) that ultimately failed after retries.
+    /// Entry writes that ultimately failed after retries.
     write_failures: AtomicUsize,
     /// Write attempts retried after a transient failure.
     write_retries: AtomicUsize,
@@ -403,56 +369,19 @@ impl PersistentPrefixStore {
     /// Opens (creating if necessary) a store directory for a circuit with
     /// the given content hash and the default byte budget.
     ///
-    /// Loading is tolerant by construction: malformed index lines and
-    /// index entries whose file has meanwhile disappeared are dropped,
-    /// files the index does not know about are adopted from a directory
-    /// scan, and entry files that do not validate as pointers are deleted.
+    /// The directory is the store's only index. Payloads adopt by size
+    /// (loads validate every byte), every pointer file is read and
+    /// classified, and the adopted entries are stamped in file-modification
+    /// order, oldest first, names breaking ties. Files that are not
+    /// entries — transfer metadata, anything foreign — are left alone.
     ///
     /// # Errors
     ///
-    /// Fails only if the directory cannot be created or scanned; a corrupt
-    /// or stale index is recovered from, not reported.
+    /// Fails only if the directory cannot be created or scanned.
     pub fn open(dir: impl AsRef<Path>, circuit_hash: u64) -> io::Result<PersistentPrefixStore> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let mut index = Index::default();
-        // Advisory index lines: sizes are re-checked against the stat
-        // below; a pointer line whose size matches is trusted without a
-        // read (its 4th field carries the payload hash).
-        struct Line {
-            bytes: u64,
-            stamp: u64,
-            payload: Option<u64>,
-        }
-        let mut lines: HashMap<String, Line> = HashMap::new();
-        if let Ok(text) = fs::read_to_string(dir.join(INDEX_FILE)) {
-            for line in text.lines() {
-                let mut fields = line.split('\t');
-                let (Some(name), Some(bytes), Some(stamp)) =
-                    (fields.next(), fields.next(), fields.next())
-                else {
-                    continue; // malformed line: ignore
-                };
-                let payload = fields
-                    .next()
-                    .and_then(|hex| u64::from_str_radix(hex, 16).ok());
-                if let (Ok(bytes), Ok(stamp)) = (bytes.parse::<u64>(), stamp.parse::<u64>()) {
-                    lines.insert(
-                        name.to_string(),
-                        Line {
-                            bytes,
-                            stamp,
-                            payload,
-                        },
-                    );
-                }
-            }
-        }
-        // The directory is the source of truth. Payloads and index-known
-        // pointers adopt by stat alone; every other entry file is read
-        // and classified.
-        let mut classify: Vec<(String, u64)> = Vec::new();
-        let mut pre_dropped = 0usize;
+        let mut entries: Vec<(Option<SystemTime>, String, u64)> = Vec::new();
         for entry in fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -473,66 +402,24 @@ impl PersistentPrefixStore {
                 continue;
             }
             if !name.ends_with(".aig") {
-                continue; // index.tsv, transfer metadata, foreign files
+                continue; // transfer metadata, foreign files
             }
             let Ok(meta) = entry.metadata() else {
                 continue;
             };
-            // saturating: a garbage index may carry stamp u64::MAX.
-            let stamp = lines.get(&name).map_or(0, |line| line.stamp);
-            index.clock = index.clock.max(stamp.saturating_add(1));
-            if parse_payload_name(&name).is_some() {
-                // A payload whose on-disk size disagrees with its index
-                // line was torn after it was indexed. It is content-
-                // addressed — rewritable from recomputation at any time —
-                // so drop it rather than let the dedup path point new
-                // entries at damaged bytes. (Unindexed payloads adopt by
-                // stat; loads still validate every byte.)
-                if lines
-                    .get(&name)
-                    .is_some_and(|line| line.bytes != meta.len())
-                {
-                    let _ = fs::remove_file(entry.path());
-                    pre_dropped += 1;
-                    continue;
-                }
-                index.payloads.insert(
-                    name,
-                    PayloadRec {
-                        bytes: meta.len(),
-                        stamp,
-                        refs: 0, // rebuilt from pointers below
-                    },
-                );
-                index.total_bytes += meta.len();
-                continue;
-            }
-            if let Some(line) = lines.get(&name) {
-                if let Some(payload) = line.payload {
-                    if line.bytes == meta.len() {
-                        index.pointers.insert(
-                            name,
-                            PointerRec {
-                                bytes: meta.len(),
-                                stamp,
-                                payload,
-                            },
-                        );
-                        index.total_bytes += meta.len();
-                        continue;
-                    }
-                }
-            }
-            classify.push((name, stamp));
+            entries.push((meta.modified().ok(), name, meta.len()));
         }
+        // Oldest-written first, names breaking ties: adoption order is
+        // stamp order, so eviction ranks what it finds by write time.
+        entries.sort();
         let store = PersistentPrefixStore {
             dir,
             circuit_hash,
             byte_budget: DEFAULT_PERSIST_BYTE_BUDGET,
-            index: Mutex::new(index),
+            index: Mutex::new(Index::default()),
             disk_hits: AtomicUsize::new(0),
             disk_writes: AtomicUsize::new(0),
-            corrupt_dropped: AtomicUsize::new(pre_dropped),
+            corrupt_dropped: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             dedup_hits: AtomicUsize::new(0),
             payload_bytes_saved: AtomicU64::new(0),
@@ -544,19 +431,11 @@ impl PersistentPrefixStore {
             disabled_skips: AtomicUsize::new(0),
             reenables: AtomicUsize::new(0),
         };
-        for (name, stamp) in classify {
-            store.classify_entry(&name, stamp);
-        }
-        {
-            // Set payload refcounts from the adopted pointers (idempotent:
-            // overwrites anything the classification pass wired).
-            let mut index = store.lock_index();
-            let mut refs: HashMap<String, usize> = HashMap::new();
-            for rec in index.pointers.values() {
-                *refs.entry(payload_file_name(rec.payload)).or_insert(0) += 1;
-            }
-            for (name, rec) in &mut index.payloads {
-                rec.refs = refs.get(name).copied().unwrap_or(0);
+        for (_, name, bytes) in entries {
+            if parse_payload_name(&name).is_some() {
+                store.lock_index().touch_payload(&name, bytes);
+            } else {
+                store.classify_entry(&name);
             }
         }
         // Deliberately no budget enforcement here: a caller raising the
@@ -566,11 +445,12 @@ impl PersistentPrefixStore {
         Ok(store)
     }
 
-    /// Reads and classifies one dash-named entry file the index could not
-    /// vouch for: a pointer adopts, anything else — a file that does not
-    /// parse as a pointer under the key its own name spells — is deleted
-    /// (it can never serve a hit, only waste budget).
-    fn classify_entry(&self, name: &str, stamp: u64) {
+    /// Reads and classifies one dash-named entry file this instance has
+    /// not indexed (at `open`, or written by another process since): a
+    /// pointer adopts with the next stamp, anything else — a file that
+    /// does not parse as a pointer under the key its own name spells — is
+    /// deleted (it can never serve a hit, only waste budget).
+    fn classify_entry(&self, name: &str) {
         let path = self.dir.join(name);
         let Some((circuit, prefix_hex)) = parse_pointer_name(name) else {
             let _ = fs::remove_file(&path);
@@ -580,22 +460,8 @@ impl PersistentPrefixStore {
             return; // transient read failure: leave it for a later probe
         };
         if let Some(payload) = decode_pointer(&bytes, circuit, prefix_hex) {
-            let mut index = self.lock_index();
-            index.pointers.insert(
-                name.to_string(),
-                PointerRec {
-                    bytes: bytes.len() as u64,
-                    stamp,
-                    payload,
-                },
-            );
-            index.total_bytes += bytes.len() as u64;
-            // Wire the payload edge when the payload is already indexed;
-            // open-time adoptions are recounted in one pass afterwards,
-            // later payload adoptions recount via `touch_payload`.
-            if let Some(rec) = index.payloads.get_mut(&payload_file_name(payload)) {
-                rec.refs += 1;
-            }
+            self.lock_index()
+                .touch_pointer(name, bytes.len() as u64, payload);
             return;
         }
         // The name spelled a valid key but the content is not a valid
@@ -846,9 +712,8 @@ impl PersistentPrefixStore {
         let path = self.dir.join(&name);
         if path.exists() {
             // Another process wrote this pointer since our index was
-            // loaded; adopt it (and its payload edge) rather than race.
-            let stamp = self.lock_index().next_stamp();
-            self.classify_entry(&name, stamp);
+            // loaded; adopt it rather than race.
+            self.classify_entry(&name);
             return;
         }
         let payload_hash = aig.content_hash();
@@ -896,18 +761,10 @@ impl PersistentPrefixStore {
             self.reenables.fetch_add(1, Ordering::Relaxed);
             self.disabled_skips.store(0, Ordering::Relaxed);
         }
-        let writes = self.disk_writes.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut index = self.lock_index();
-            index.touch_pointer(&name, pointer.len() as u64, payload_hash);
-        }
+        self.disk_writes.fetch_add(1, Ordering::Relaxed);
+        self.lock_index()
+            .touch_pointer(&name, pointer.len() as u64, payload_hash);
         self.enforce_budget();
-        // The index file is advisory (the directory scan on open adopts
-        // unlisted entries), so amortise its rewrite across entry writes;
-        // `Drop` persists the final state.
-        if writes.is_multiple_of(32) {
-            self.persist_index();
-        }
     }
 
     /// Writes one file through the instrumented tempfile + atomic-rename
@@ -1057,7 +914,9 @@ impl PersistentPrefixStore {
     /// unreferenced payloads go first (nothing can resolve to them),
     /// then the least-recently-stamped pointers — each released payload
     /// reference cascades the payload itself once nothing points at it.
-    /// A payload with a live pointer is **never** deleted.
+    /// A payload with a live pointer is **never** deleted. The reference
+    /// counts are taken from the indexed pointers here, only when the
+    /// budget binds.
     fn enforce_budget(&self) {
         let mut victims: Vec<String> = Vec::new();
         {
@@ -1065,10 +924,14 @@ impl PersistentPrefixStore {
             if index.total_bytes <= self.byte_budget {
                 return;
             }
+            let mut refs: HashMap<u64, usize> = HashMap::new();
+            for rec in index.pointers.values() {
+                *refs.entry(rec.payload).or_insert(0) += 1;
+            }
             let mut orphans: Vec<(u64, String, u64)> = index
                 .payloads
                 .iter()
-                .filter(|(_, rec)| rec.refs == 0)
+                .filter(|(name, _)| parse_payload_name(name).is_none_or(|h| !refs.contains_key(&h)))
                 .map(|(name, rec)| (rec.stamp, name.clone(), rec.bytes))
                 .collect();
             orphans.sort(); // oldest stamp first; name breaks ties stably
@@ -1096,13 +959,14 @@ impl PersistentPrefixStore {
                     };
                     index.total_bytes -= rec.bytes;
                     victims.push(name);
-                    let payload_name = payload_file_name(rec.payload);
-                    if let Some(payload) = index.payloads.get_mut(&payload_name) {
-                        payload.refs = payload.refs.saturating_sub(1);
-                        if payload.refs == 0 {
-                            let bytes = payload.bytes;
-                            index.payloads.remove(&payload_name);
-                            index.total_bytes -= bytes;
+                    let Some(left) = refs.get_mut(&rec.payload) else {
+                        continue;
+                    };
+                    *left -= 1;
+                    if *left == 0 {
+                        let payload_name = payload_file_name(rec.payload);
+                        if let Some(payload) = index.payloads.remove(&payload_name) {
+                            index.total_bytes -= payload.bytes;
                             victims.push(payload_name);
                         }
                     }
@@ -1112,58 +976,6 @@ impl PersistentPrefixStore {
         for name in victims {
             let _ = fs::remove_file(self.dir.join(&name));
             self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        // No index rewrite here: at steady state over budget this runs on
-        // every store(), and the rewrite is O(entries). The amortised
-        // writes (1/32 in `store`, final in `Drop`) cover it, and a stale
-        // index merely lists files the next open's scan will not find.
-    }
-
-    /// Writes the advisory index file (tempfile + atomic rename): pointer
-    /// lines carry a fourth field — the payload hash — so the next open
-    /// can adopt them without a read; payload lines keep the original
-    /// three-field shape. A failure is counted in `disk_write_failures`
-    /// but does not feed the circuit breaker: the index is advisory (the
-    /// directory scan on the next open recovers), so losing it must not
-    /// cost entry writes.
-    fn persist_index(&self) {
-        if self.is_disabled() {
-            return;
-        }
-        let (text, stamp) = {
-            let index = self.lock_index();
-            let mut lines: Vec<String> = index
-                .pointers
-                .iter()
-                .map(|(name, rec)| {
-                    format!("{name}\t{}\t{}\t{:016x}", rec.bytes, rec.stamp, rec.payload)
-                })
-                .chain(
-                    index
-                        .payloads
-                        .iter()
-                        .map(|(name, rec)| format!("{name}\t{}\t{}", rec.bytes, rec.stamp)),
-                )
-                .collect();
-            lines.sort();
-            let mut text = String::new();
-            for line in lines {
-                let _ = writeln!(text, "{line}");
-            }
-            (text, index.clock)
-        };
-        let tmp = self
-            .dir
-            .join(format!(".{}.{}.index.tmp", std::process::id(), stamp));
-        // Clean the tempfile up on either failure: a failed write can
-        // still leave a partial file behind (e.g. ENOSPC mid-write).
-        let ok = self.try_write(&tmp, text.as_bytes()).is_ok()
-            && self
-                .faulted_rename(&tmp, &self.dir.join(INDEX_FILE))
-                .is_ok();
-        if !ok {
-            let _ = fs::remove_file(&tmp);
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1295,12 +1107,6 @@ fn parse_meta(bytes: &[u8]) -> Option<ParsedMeta> {
     }
     observations.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
     Some((circuit, features, observations))
-}
-
-impl Drop for PersistentPrefixStore {
-    fn drop(&mut self) {
-        self.persist_index();
-    }
 }
 
 #[cfg(test)]
@@ -1871,6 +1677,97 @@ mod tests {
             writer.stats().disk_evictions > 0,
             "the writer never evicted"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_dropped_store_leaves_only_entry_files() {
+        let dir = temp_store_dir("noindex");
+        let base = random_aig(360, 6, 100, 2);
+        {
+            let store = PersistentPrefixStore::open_for(&dir, &base).expect("open");
+            for i in 0..40u8 {
+                store.store(&[i], &random_aig(400 + u64::from(i), 6, 40, 2));
+            }
+            assert_eq!(store.stats().disk_writes, 40);
+        }
+        let others: Vec<String> = fs::read_dir(&dir)
+            .expect("list")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| !name.ends_with(".aig"))
+            .collect();
+        assert!(others.is_empty(), "files besides entries: {others:?}");
+        let reopened = PersistentPrefixStore::open_for(&dir, &base).expect("reopen");
+        assert_eq!(reopened.len(), 40);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reference_counts_survive_a_reopen() {
+        let dir = temp_store_dir("reopenrefs");
+        let base = random_aig(370, 6, 100, 2);
+        let shared = random_aig(371, 6, 70, 2);
+        {
+            let first = PersistentPrefixStore::open_for(&dir, &base).expect("open");
+            first.store(&[1], &shared);
+            first.store(&[2], &shared);
+            first.store(&[3], &random_aig(372, 6, 70, 2));
+        }
+        // A second instance knows only the directory. Its first squeeze
+        // evicts the oldest pointer, [1], and the shared payload survives
+        // through [2].
+        let store = PersistentPrefixStore::open_for(&dir, &base).expect("reopen");
+        assert_eq!(store.payload_count(), 2);
+        let squeeze = store.total_bytes() - 1;
+        let store = store.with_byte_budget(squeeze);
+        assert!(store.load(&[1]).is_none(), "oldest pointer evicted");
+        assert!(
+            store.load(&[2]).is_some(),
+            "payload survives while referenced"
+        );
+        assert!(store.load(&[3]).is_some());
+        assert_eq!(store.payload_count(), 2);
+        let shared_payload = dir.join(payload_file_name(shared.content_hash()));
+        assert!(shared_payload.exists());
+        let squeeze = store.total_bytes() - 1;
+        let store = store.with_byte_budget(squeeze);
+        assert!(store.load(&[2]).is_none());
+        assert!(!shared_payload.exists(), "unreferenced payload cascaded");
+        assert!(store.load(&[3]).is_some(), "newest entry intact");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reopened_store_evicts_the_oldest_written_pointer_first() {
+        use std::time::Duration;
+
+        let dir = temp_store_dir("mtimeorder");
+        let base = random_aig(380, 6, 100, 2);
+        let first = PersistentPrefixStore::open_for(&dir, &base).expect("open");
+        for i in 1..=3u8 {
+            first.store(&[i], &random_aig(380 + u64::from(i), 6, 70, 2));
+        }
+        // Write times against name order: [3] is the oldest, [1] the
+        // newest.
+        let pointer = |prefix: &[u8]| dir.join(first.entry_name(prefix));
+        for (prefix, secs) in [([1u8], 3000), ([2], 2000), ([3], 1000)] {
+            fs::File::options()
+                .write(true)
+                .open(pointer(&prefix))
+                .expect("open pointer")
+                .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(secs))
+                .expect("set mtime");
+        }
+        let store = PersistentPrefixStore::open_for(&dir, &base).expect("reopen");
+        let squeeze = store.total_bytes() - 1;
+        let store = store.with_byte_budget(squeeze);
+        assert!(!pointer(&[3]).exists(), "oldest-written pointer evicted");
+        assert!(pointer(&[1]).exists() && pointer(&[2]).exists());
+        let squeeze = store.total_bytes() - 1;
+        let store = store.with_byte_budget(squeeze);
+        assert!(!pointer(&[2]).exists());
+        assert!(store.load(&[1]).is_some(), "newest-written entry intact");
         let _ = fs::remove_dir_all(&dir);
     }
 

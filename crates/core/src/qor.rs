@@ -214,7 +214,7 @@ pub struct QorEvaluator {
     /// The memo table holds cost-independent raw synthesis statistics;
     /// costs are derived per lookup, so switching the objective (or the
     /// custom cost) reuses every cached entry. `Arc`-backed so forked
-    /// evaluators ([`QorEvaluator::fork`]) share one table.
+    /// evaluators ([`QorEvaluator::fork_with_objective`]) share one table.
     cache: Arc<ShardedCache<SynthStats>>,
     /// Intermediate-AIG store keyed by token prefix; `None` disables
     /// prefix reuse (every evaluation replays from `base`).
@@ -628,22 +628,17 @@ impl QorEvaluator {
         self.unique_evaluations.store(0, Ordering::Relaxed);
     }
 
-    /// A new evaluator handle sharing every cache tier with `self` — the
-    /// value memo table, the in-memory prefix cache, an attached
-    /// persistent store, and the fault injector — with a fresh
-    /// unique-evaluation counter.
+    /// A new evaluator handle optimising `objective` and sharing every
+    /// cache tier with `self` — the value memo table, the in-memory prefix
+    /// cache, an attached persistent store, and the fault injector — with
+    /// a fresh unique-evaluation counter.
     ///
     /// This is the multi-tenant seam: a daemon forks one template per job,
     /// so concurrent jobs on the same circuit warm each other's caches
     /// while each job's [`QorEvaluator::num_evaluations`] counts only the
     /// synthesis work *that job's* insert won. Caching never changes
     /// values (every tier is a pure accelerator), so a forked job's
-    /// trajectory is bit-identical to a solo run with the same seed.
-    pub fn fork(&self) -> QorEvaluator {
-        self.fork_with_objective(self.objective)
-    }
-
-    /// [`QorEvaluator::fork`] with a different optimised quantity. The
+    /// trajectory is bit-identical to a solo run with the same seed. The
     /// shared memo table holds cost-independent [`SynthStats`], so a
     /// `lut`-objective fork reuses every synthesis result a `qor` job
     /// already computed (and vice versa).

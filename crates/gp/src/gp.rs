@@ -166,24 +166,15 @@ where
     /// If the pivot fails, this falls back to a full refit (which can
     /// escalate jitter).
     ///
-    /// # Errors
-    ///
-    /// Returns an error only if the fallback full refit also fails.
-    pub fn extend(self, x_new: X, y_new: f64) -> Result<Gp<K, X>, NotPositiveDefiniteError> {
-        self.extend_with_outcome(x_new, y_new).map(|(gp, _)| gp)
-    }
-
-    /// [`Gp::extend`], additionally reporting which path ran:
-    /// [`UpdateOutcome::Incremental`] for the `O(n²)` factor extension,
-    /// [`UpdateOutcome::Refitted`] when the extension's pivot failed and
-    /// the `O(n³)` full-refit fallback (which can escalate jitter)
-    /// produced the model instead. Callers tracking surrogate health
-    /// (e.g. [`crate::SurrogateDiagnostics`]) count the fallbacks.
+    /// The outcome reports which path ran: [`UpdateOutcome::Incremental`]
+    /// for the `O(n²)` factor extension, [`UpdateOutcome::Refitted`] for
+    /// the `O(n³)` fallback. Callers tracking surrogate health (e.g.
+    /// [`crate::SurrogateDiagnostics`]) count the fallbacks.
     ///
     /// # Errors
     ///
     /// Returns an error only if the fallback full refit also fails.
-    pub fn extend_with_outcome(
+    pub fn extend(
         mut self,
         x_new: X,
         y_new: f64,
@@ -609,7 +600,7 @@ mod tests {
         )
         .expect("spd");
         for i in 4..xs.len() {
-            incremental = incremental.extend(xs[i].clone(), ys[i]).expect("extend");
+            incremental = incremental.extend(xs[i].clone(), ys[i]).expect("extend").0;
         }
         let scratch = Gp::fit(SquaredExponential::new(1), xs.clone(), ys, 1e-6).expect("spd");
         for probe in [vec![0.25], vec![2.1], vec![7.0]] {
@@ -646,7 +637,10 @@ mod tests {
         )
         .expect("spd");
         for i in 3..seqs.len() {
-            incremental = incremental.extend(seqs[i].clone(), ys[i]).expect("extend");
+            incremental = incremental
+                .extend(seqs[i].clone(), ys[i])
+                .expect("extend")
+                .0;
         }
         let scratch = Gp::fit(SskKernel::new(3), seqs, ys, 1e-4).expect("spd");
         let probe = vec![0u8, 3, 1, 2];

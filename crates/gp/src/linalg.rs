@@ -325,17 +325,6 @@ impl Cholesky {
         })
     }
 
-    /// Drops the oldest observation — row/column 0 — in `O(n²)`: the
-    /// sliding-window step for bounded-history surrogates (evict the
-    /// front, [`Cholesky::extend`] at the back).
-    ///
-    /// # Errors
-    ///
-    /// See [`Cholesky::downdate`].
-    pub fn shift_window(&self) -> Result<Cholesky, NotPositiveDefiniteError> {
-        self.downdate(0)
-    }
-
     /// Solves `A x = b` by forward/backward substitution.
     ///
     /// # Panics
@@ -512,19 +501,6 @@ mod tests {
                 }
             }
             assert_eq!(down.effective_jitter(), direct.effective_jitter());
-        }
-    }
-
-    #[test]
-    fn shift_window_drops_the_oldest_row() {
-        let a = spd(5, 11);
-        let full = Cholesky::new(&a, 1e-9).expect("spd");
-        let shifted = full.shift_window().expect("pd");
-        let manual = full.downdate(0).expect("pd");
-        for i in 0..4 {
-            for j in 0..=i {
-                assert_eq!(shifted.l()[(i, j)], manual.l()[(i, j)]);
-            }
         }
     }
 

@@ -88,7 +88,7 @@ where
             None => self.base.clone(),
         };
         match model.extend(x, self.lie) {
-            Ok(gp) => {
+            Ok((gp, _)) => {
                 self.lied = Some(gp);
                 Ok(())
             }

@@ -276,7 +276,7 @@ where
         pending_from: usize,
     ) -> Result<Gp<K, X>, NotPositiveDefiniteError> {
         for i in pending_from..self.xs.len() {
-            let (next, outcome) = gp.extend_with_outcome(self.xs[i].clone(), self.ys[i])?;
+            let (next, outcome) = gp.extend(self.xs[i].clone(), self.ys[i])?;
             gp = next;
             self.active.push(i);
             self.diagnostics.extends += 1;

@@ -133,7 +133,7 @@ proptest! {
             Gp::fit(SskKernel::new(3), seqs[..split].to_vec(), ys[..split].to_vec(), 1e-4)
                 .expect("spd");
         for i in split..seqs.len() {
-            incremental = incremental.extend(seqs[i].clone(), ys[i]).expect("extend");
+            incremental = incremental.extend(seqs[i].clone(), ys[i]).expect("extend").0;
         }
         let scratch = Gp::fit(SskKernel::new(3), seqs.clone(), ys.to_vec(), 1e-4).expect("spd");
         for probe in &seqs {

@@ -18,7 +18,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use boils::aig::Aig;
-use boils::baselines::{Method, RunSpec};
+use boils::baselines::{check_threads, Method, RunSpec};
 use boils::circuits::{Benchmark, CircuitSpec};
 use boils::core::{Objective, Priority, RunControl, SequenceSpace, Termination};
 use boils::daemon::{Client, DaemonConfig, JobRequest, Server, Value};
@@ -243,7 +243,10 @@ fn check(args: &BenchArgs) -> Result<(), String> {
 fn serve(args: &BenchArgs) -> Result<(), String> {
     let defaults = DaemonConfig::default();
     let config = DaemonConfig {
-        workers: args.parse("--workers")?.unwrap_or(defaults.workers),
+        workers: match args.parse("--workers")? {
+            Some(workers) => check_threads("--workers", workers)?,
+            None => defaults.workers,
+        },
         queue_cap: args.parse("--queue-cap")?.unwrap_or(defaults.queue_cap),
         cache_dir: args.value("--cache-dir").map(std::path::PathBuf::from),
     };
@@ -370,7 +373,7 @@ fn optimize(args: &BenchArgs) -> Result<(), String> {
     let aig = circuit_from_flags(args)?;
     let run = RunFlags::read(args)?;
     let (method, multi_objective, transfer) = (run.method, run.multi_objective, run.transfer);
-    let threads = args.parse("--threads")?.unwrap_or(1);
+    let threads = check_threads("--threads", args.parse("--threads")?.unwrap_or(1))?;
     let batch_size = args.parse("--batch-size")?.unwrap_or(1);
     let surrogate_window = args.parse("--surrogate-window")?;
     let fault = fault_injector(args.value("--fault-plan"))?;

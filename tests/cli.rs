@@ -599,6 +599,32 @@ fn hostile_inputs_get_one_error_line_and_no_panic() {
             "--deadline-secs 1e300 is out of range",
         ),
         (&["--budjet", "6"], "unknown flag --budjet"),
+        (
+            &[
+                "--method",
+                "greedy",
+                "--k",
+                "1",
+                "--budget",
+                "11",
+                "--threads",
+                "257",
+            ],
+            "--threads 257 is outside 1..=256",
+        ),
+        (
+            &[
+                "--method",
+                "greedy",
+                "--k",
+                "1",
+                "--budget",
+                "11",
+                "--threads",
+                "0",
+            ],
+            "--threads 0 is outside 1..=256",
+        ),
     ] {
         assert_one_error_line(&optimize(extra), expect);
     }
