@@ -31,4 +31,4 @@ pub use crate::method::{
     check_threads, InputError, Method, RunSpec, MAX_BUDGET, MAX_SEQUENCE_LENGTH, MAX_THREADS,
 };
 pub use crate::rl::{reinforcement_learning, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit};
-pub use crate::simple::{greedy, greedy_controlled, random_search, random_search_controlled};
+pub use crate::simple::{greedy, random_search, random_search_controlled};

@@ -3,12 +3,12 @@
 use std::time::Duration;
 
 use crate::{
-    genetic_algorithm, greedy_controlled, random_search_controlled, reinforcement_learning,
-    GaConfig, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit,
+    genetic_algorithm, greedy, random_search_controlled, reinforcement_learning, GaConfig,
+    RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit,
 };
 use boils_core::{
     Boils, BoilsConfig, OptimizationResult, QorEvaluator, RunBoilsError, RunControl, Sbo,
-    SboConfig, SequenceObjective, SequenceSpace, WarmStart,
+    SequenceObjective, SequenceSpace, WarmStart,
 };
 use boils_gp::TrainConfig;
 
@@ -89,7 +89,8 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The configuration [`Method::Boils`] runs under this spec.
+    /// The configuration [`Method::Boils`] and [`Method::Sbo`] run under
+    /// this spec (SBO ignores its warm start).
     pub fn boils_config(&self) -> BoilsConfig {
         BoilsConfig {
             max_evaluations: self.budget,
@@ -101,7 +102,10 @@ impl RunSpec {
             surrogate_window: self.surrogate_window,
             multi_objective: self.multi_objective,
             warm_start: self.warm_start.clone(),
-            train: bo_training(),
+            train: TrainConfig {
+                steps: 10,
+                ..TrainConfig::default()
+            },
             ..BoilsConfig::default()
         }
     }
@@ -316,7 +320,7 @@ impl Method {
             Method::Rs => {
                 random_search_controlled(objective, space, budget, seed, threads, control)
             }
-            Method::Greedy => greedy_controlled(objective, space, budget, threads, control),
+            Method::Greedy => greedy(objective, space, budget, threads, control),
             Method::Ga => genetic_algorithm(
                 objective,
                 space,
@@ -331,19 +335,7 @@ impl Method {
             Method::DrillsPpo => rl(RlAlgorithm::Ppo, RlFeatures::Stats),
             Method::DrillsA2c => rl(RlAlgorithm::A2c, RlFeatures::Stats),
             Method::GraphRl => rl(RlAlgorithm::A2c, RlFeatures::Graph),
-            Method::Sbo => bo(Sbo::new(SboConfig {
-                max_evaluations: budget,
-                initial_samples: initial_design(budget),
-                space,
-                seed,
-                threads,
-                batch_size: spec.batch_size,
-                surrogate_window: spec.surrogate_window,
-                multi_objective: spec.multi_objective,
-                train: bo_training(),
-                ..SboConfig::default()
-            })
-            .run_with_control(objective, control)),
+            Method::Sbo => bo(Sbo::new(spec.boils_config()).run(objective, control)),
             Method::Boils => {
                 bo(Boils::new(spec.boils_config()).run_with_control(objective, control))
             }
@@ -377,14 +369,6 @@ impl Method {
 impl std::fmt::Display for Method {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The BO methods' surrogate training: 10 Adam steps per retrain.
-fn bo_training() -> TrainConfig {
-    TrainConfig {
-        steps: 10,
-        ..TrainConfig::default()
     }
 }
 

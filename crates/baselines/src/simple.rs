@@ -78,21 +78,10 @@ pub fn random_search_controlled<O: SequenceObjective>(
 ///
 /// Each position's action sweep (11 candidate extensions) is evaluated as
 /// one parallel batch; ties break toward the lowest action index, exactly
-/// as the serial sweep did.
-pub fn greedy<O: SequenceObjective>(
-    objective: &O,
-    space: SequenceSpace,
-    budget: usize,
-    threads: usize,
-) -> OptimizationResult {
-    greedy_controlled(objective, space, budget, threads, &RunControl::new())
-        .expect("uncontrolled run cannot be interrupted")
-}
-
-/// [`greedy`] under a [`RunControl`]: a cancel or deadline stops the
+/// as the serial sweep did. A cancel or deadline on `control` stops the
 /// sweep at the next evaluation boundary and returns best-so-far; `None`
 /// only when nothing at all was evaluated.
-pub fn greedy_controlled<O: SequenceObjective>(
+pub fn greedy<O: SequenceObjective>(
     objective: &O,
     space: SequenceSpace,
     budget: usize,
@@ -203,7 +192,7 @@ mod tests {
     fn greedy_builds_incrementally() {
         let e = evaluator();
         let space = SequenceSpace::new(3, 11);
-        let r = greedy(&e, space, 33, 1);
+        let r = greedy(&e, space, 33, 1, &RunControl::new()).expect("uncontrolled run completes");
         assert_eq!(r.num_evaluations(), 33); // 3 positions × 11 actions
                                              // Greedy's best is at least as good as its first-step best.
         let first_step_best = r.history[..11]
@@ -216,7 +205,8 @@ mod tests {
     #[test]
     fn greedy_respects_budget_cutoff() {
         let e = evaluator();
-        let r = greedy(&e, SequenceSpace::new(20, 11), 25, 1);
+        let r = greedy(&e, SequenceSpace::new(20, 11), 25, 1, &RunControl::new())
+            .expect("uncontrolled run completes");
         assert_eq!(r.num_evaluations(), 25);
     }
 
@@ -225,8 +215,10 @@ mod tests {
         let e1 = evaluator();
         let e2 = evaluator();
         let space = SequenceSpace::new(4, 11);
-        let serial = greedy(&e1, space, 44, 1);
-        let parallel = greedy(&e2, space, 44, 8);
+        let serial =
+            greedy(&e1, space, 44, 1, &RunControl::new()).expect("uncontrolled run completes");
+        let parallel =
+            greedy(&e2, space, 44, 8, &RunControl::new()).expect("uncontrolled run completes");
         assert_eq!(serial.best_tokens, parallel.best_tokens);
         assert_eq!(serial.best_qor, parallel.best_qor);
         assert_eq!(e1.num_evaluations(), e2.num_evaluations());

@@ -27,7 +27,7 @@ proptest! {
         let control = RunControl::new();
         let results = [
             random_search(&evaluator, space, budget, seed, 1 + (seed as usize % 4)),
-            greedy(&evaluator, space, budget, 2),
+            greedy(&evaluator, space, budget, 2, &control).expect("uncontrolled run"),
             genetic_algorithm(&evaluator, space, budget, &GaConfig {
                 population: 6,
                 seed,

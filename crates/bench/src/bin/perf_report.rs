@@ -91,6 +91,10 @@ fn main() {
 /// Timed runs per `eval_throughput` row.
 const THROUGHPUT_REPEATS: usize = 3;
 
+/// Evaluation time, in seconds, that one timed run of a full-run
+/// `eval_throughput` row sums at least.
+const THROUGHPUT_MIN_SECONDS: f64 = 1.0;
+
 /// Throughput of batched QoR evaluation, prefix cache on vs off, serial
 /// vs parallel, over two workloads that bracket what the optimisers
 /// actually submit:
@@ -106,12 +110,15 @@ const THROUGHPUT_REPEATS: usize = 3;
 ///   exploitation shape). Here the cache's reuse dominates and the
 ///   speedup is real (`passes_saved` says why).
 ///
-/// One timed run per row is too noisy to rank the rows: a row's batch
-/// takes about two seconds, and the first work of a process runs slower
-/// than the rest. So a discarded warm-up batch goes first; then every row
-/// runs [`THROUGHPUT_REPEATS`] times, round-robin, each time on a fresh
-/// evaluator, and reports the median time with the min and max. Pass
-/// counts come from the first repetition.
+/// One timed run per row is too noisy to rank the rows: the first work of
+/// a process runs slower than the rest, and a cached `shared_prefix` batch
+/// takes well under a second. So a discarded warm-up batch goes first;
+/// then every row runs [`THROUGHPUT_REPEATS`] times, round-robin. In a
+/// full run, each of those sums the time of successive batches until the
+/// sum reaches [`THROUGHPUT_MIN_SECONDS`] (a row slower than that times
+/// one batch); a smoke run times one batch. Every batch runs on a fresh
+/// evaluator, built outside the timer. A row reports the median seconds
+/// per batch with the min and max. Pass counts come from the first batch.
 fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String {
     let seq_len = if smoke { 8 } else { 20 };
     let count = if smoke { 24 } else { 96 };
@@ -153,35 +160,46 @@ fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String 
             }
         }
     }
-    let run = |batch: &[Vec<u8>], prefix_cache: bool, threads: usize| {
-        let evaluator = QorEvaluator::new(aig).expect("non-degenerate reference");
-        let evaluator = if prefix_cache {
-            evaluator
-        } else {
-            evaluator.without_prefix_cache()
-        };
+    // One timed run: (seconds per batch, batches, the first batch's
+    // points and pass counts).
+    let run = |batch: &[Vec<u8>], prefix_cache: bool, threads: usize, min_seconds: f64| {
         let engine = boils_core::BatchEvaluator::new(threads);
-        let start = Instant::now();
-        let outcome = engine.evaluate(&evaluator, batch, &RunControl::new());
-        (
-            start.elapsed().as_secs_f64(),
-            outcome.points,
-            evaluator.prefix_stats(),
-        )
+        let mut seconds = 0.0;
+        let mut batches = 0;
+        let mut first = None;
+        while batches == 0 || seconds < min_seconds {
+            let evaluator = QorEvaluator::new(aig).expect("non-degenerate reference");
+            let evaluator = if prefix_cache {
+                evaluator
+            } else {
+                evaluator.without_prefix_cache()
+            };
+            let start = Instant::now();
+            let outcome = engine.evaluate(&evaluator, batch, &RunControl::new());
+            seconds += start.elapsed().as_secs_f64();
+            batches += 1;
+            match &first {
+                Some((points, _)) => assert_eq!(points, &outcome.points, "a batch changed values"),
+                None => first = Some((outcome.points, evaluator.prefix_stats())),
+            }
+        }
+        let (points, stats) = first.expect("at least one batch");
+        (seconds / batches as f64, batches, points, stats)
     };
-    run(&trust_region, false, 1); // the warm-up
+    let min_seconds = if smoke { 0.0 } else { THROUGHPUT_MIN_SECONDS };
+    run(&trust_region, false, 1, 0.0); // the warm-up
     let mut runs = vec![Vec::new(); rows.len()];
     for _ in 0..THROUGHPUT_REPEATS {
         for (r, &(_, batch, prefix_cache, t)) in rows.iter().enumerate() {
-            runs[r].push(run(batch, prefix_cache, t));
+            runs[r].push(run(batch, prefix_cache, t, min_seconds));
         }
     }
 
     let mut lines = Vec::new();
     for (r, &(workload, _, prefix_cache, t)) in rows.iter().enumerate() {
         let first_of_workload = rows.iter().position(|row| row.0 == workload);
-        let reference = &runs[first_of_workload.expect("the row itself")][0].1;
-        for (_, points, stats) in &runs[r] {
+        let reference = &runs[first_of_workload.expect("the row itself")][0].2;
+        for (_, _, points, stats) in &runs[r] {
             assert_eq!(reference, points, "prefix cache or threads changed values");
             if prefix_cache && workload == "shared_prefix" {
                 assert!(
@@ -193,18 +211,20 @@ fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String 
         let mut secs: Vec<f64> = runs[r].iter().map(|run| run.0).collect();
         secs.sort_by(f64::total_cmp);
         let (min, median, max) = (secs[0], secs[secs.len() / 2], secs[secs.len() - 1]);
-        let stats = runs[r][0].2;
+        let stats = runs[r][0].3;
+        let batches: usize = runs[r].iter().map(|run| run.1).sum();
         lines.push(format!(
             "    {{\"workload\": \"{}\", \"seq_len\": {}, \"threads\": {}, \
-             \"prefix_cache\": {}, \"evals\": {}, \"repeats\": {}, \"seconds\": {:.6}, \
-             \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \"evals_per_sec\": {:.2}, \
-             \"passes_applied\": {}, \"passes_saved\": {}}}",
+             \"prefix_cache\": {}, \"evals\": {}, \"repeats\": {}, \"batches\": {}, \
+             \"seconds\": {:.6}, \"seconds_min\": {:.6}, \"seconds_max\": {:.6}, \
+             \"evals_per_sec\": {:.2}, \"passes_applied\": {}, \"passes_saved\": {}}}",
             workload,
             seq_len,
             t,
             prefix_cache,
             count,
             THROUGHPUT_REPEATS,
+            batches,
             median,
             min,
             max,
@@ -214,7 +234,8 @@ fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String 
         ));
         eprintln!(
             "  eval throughput [{workload}]: cache={prefix_cache} threads={t}: \
-             {:.2} evals/s (median of {THROUGHPUT_REPEATS}; {:.2}–{:.2}), {} passes saved",
+             {:.2} evals/s (median of {THROUGHPUT_REPEATS}, {batches} batches; {:.2}–{:.2}), \
+             {} passes saved",
             count as f64 / median,
             count as f64 / max,
             count as f64 / min,
@@ -330,12 +351,14 @@ fn greedy_section(aig: &boils_aig::Aig, smoke: bool) -> String {
 
     let cached_eval = QorEvaluator::new(aig).expect("ok");
     let start = Instant::now();
-    let cached_run = greedy(&cached_eval, space, budget, 1);
+    let cached_run = greedy(&cached_eval, space, budget, 1, &RunControl::new())
+        .expect("uncontrolled run completes");
     let cached_seconds = start.elapsed().as_secs_f64();
 
     let uncached_eval = QorEvaluator::new(aig).expect("ok").without_prefix_cache();
     let start = Instant::now();
-    let uncached_run = greedy(&uncached_eval, space, budget, 1);
+    let uncached_run = greedy(&uncached_eval, space, budget, 1, &RunControl::new())
+        .expect("uncontrolled run completes");
     let uncached_seconds = start.elapsed().as_secs_f64();
 
     assert_eq!(cached_run.best_tokens, uncached_run.best_tokens);
@@ -495,7 +518,8 @@ fn persist_section(aig: &boils_aig::Aig, smoke: bool) -> String {
         .with_persistent_store(&dir)
         .expect("store dir is writable");
     let start = Instant::now();
-    let cold_run = greedy(&cold_eval, space, budget, 1);
+    let cold_run = greedy(&cold_eval, space, budget, 1, &RunControl::new())
+        .expect("uncontrolled run completes");
     let cold_seconds = start.elapsed().as_secs_f64();
     let cold_stats = cold_eval.prefix_stats();
     drop(cold_eval);
@@ -505,7 +529,8 @@ fn persist_section(aig: &boils_aig::Aig, smoke: bool) -> String {
         .with_persistent_store(&dir)
         .expect("store dir is writable");
     let start = Instant::now();
-    let warm_run = greedy(&warm_eval, space, budget, 1);
+    let warm_run = greedy(&warm_eval, space, budget, 1, &RunControl::new())
+        .expect("uncontrolled run completes");
     let warm_seconds = start.elapsed().as_secs_f64();
     let warm_stats = warm_eval.prefix_stats();
 
@@ -919,14 +944,18 @@ fn daemon_section(circuit: Benchmark, threads: usize, smoke: bool) -> String {
         .collect();
     let mut shared_unique = 0usize;
     let mut shared_hits = 0usize;
-    let mut finished = 0usize;
-    while finished < jobs.len() {
+    let mut results = std::collections::HashMap::new();
+    while results.len() < jobs.len() {
         match rx.recv().expect("daemon event") {
-            Event::Finished { outcome, .. } => {
+            Event::Finished {
+                job,
+                outcome,
+                result,
+            } => {
                 assert_eq!(outcome.evaluations, budget);
                 shared_unique += outcome.unique_evaluations;
                 shared_hits += outcome.shared_hits;
-                finished += 1;
+                results.insert(job, result);
             }
             Event::Failed { job, reason } => panic!("{job} failed: {reason}"),
             _ => {}
@@ -955,7 +984,7 @@ fn daemon_section(circuit: Benchmark, threads: usize, smoke: bool) -> String {
             )
             .expect("uncontrolled run completes");
         isolated_unique += evaluator.num_evaluations();
-        let shared = daemon.take_result(*job).expect("result retained");
+        let shared = &results[job];
         assert_eq!(shared.history.len(), solo.history.len());
         for (a, b) in shared.history.iter().zip(&solo.history) {
             assert_eq!(a.tokens, b.tokens, "multi-tenancy changed a trajectory");
@@ -1017,7 +1046,8 @@ fn objectives_section(aig: &boils_aig::Aig, smoke: bool) -> String {
         .with_persistent_store(&dir)
         .expect("store dir is writable");
     let start = Instant::now();
-    let qor_run = greedy(&qor_eval, space, budget, 1);
+    let qor_run = greedy(&qor_eval, space, budget, 1, &RunControl::new())
+        .expect("uncontrolled run completes");
     let qor_seconds = start.elapsed().as_secs_f64();
     let qor_stats = qor_eval.prefix_stats();
     drop(qor_eval);
@@ -1030,7 +1060,8 @@ fn objectives_section(aig: &boils_aig::Aig, smoke: bool) -> String {
         .with_persistent_store(&dir)
         .expect("store dir is writable");
     let start = Instant::now();
-    let switched_run = greedy(&switched_eval, space, budget, 1);
+    let switched_run = greedy(&switched_eval, space, budget, 1, &RunControl::new())
+        .expect("uncontrolled run completes");
     let switched_seconds = start.elapsed().as_secs_f64();
     let switched_stats = switched_eval.prefix_stats();
     let _ = std::fs::remove_dir_all(&dir);

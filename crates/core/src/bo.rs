@@ -1,14 +1,18 @@
 //! The one Bayesian-optimisation loop behind [`Boils`](crate::Boils) and
-//! [`Sbo`](crate::Sbo): paper Algorithm 2 with three parts left open.
+//! [`Sbo`](crate::Sbo): paper Algorithm 2, configured by one
+//! [`BoilsConfig`] with four parts left to the method.
 //!
-//! * The **surrogate**: a kernel over token sequences (the SSK for BOiLS,
-//!   the SE kernel of the one-hot embedding for SBO).
-//! * The **region**: BOiLS's Hamming [`TrustRegion`], or none.
-//! * The **scalariser**: [`Scalariser::Identity`] or [`Scalariser::ParEgo`].
+//! * The **kernel** over token sequences: the SSK for BOiLS, the SE kernel
+//!   of the one-hot embedding for SBO.
+//! * The Hamming **trust region** (BOiLS), or none.
+//! * The **acquisition** function: BOiLS's configured one, or expected
+//!   improvement.
+//! * The **warm start** (BOiLS), or none.
 //!
 //! The rest is shared: the Latin-hypercube design with warm-start seeds,
-//! constant-liar batches, the freshness guard, and evaluation through the
-//! prefix-aware engine under a [`RunControl`].
+//! the scalar or ParEGO surrogate, constant-liar batches, the freshness
+//! guard, and evaluation through the prefix-aware engine under a
+//! [`RunControl`].
 
 use boils_gp::{
     expected_improvement, hypervolume_improvement_2d, ConstantLiar, Gp, Kernel, Scalarisation,
@@ -18,69 +22,43 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::boils::{
-    fresh_candidate, hill_climb, Acquisition, FreshOutcome, RunBoilsError, RunDiagnostics,
-    WarmStart,
+    fresh_candidate, hill_climb, Acquisition, BoilsConfig, FreshOutcome, RunBoilsError,
+    RunDiagnostics, WarmStart,
 };
 use crate::control::{RunControl, StopReason};
 use crate::eval::{BatchEvaluator, SequenceObjective, QUARANTINE_QOR};
 use crate::result::{EvalRecord, OptimizationResult, Termination};
-use crate::space::SequenceSpace;
 
-/// BOiLS's Hamming trust region (lines 4 and 10 of Algorithm 2). The
-/// radius starts at `K`, grows after `success_tolerance` consecutive
-/// improving batches, shrinks after `fail_tolerance` consecutive others,
-/// and restarts at `K` once it collapses to zero.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct TrustRegion {
-    pub success_tolerance: usize,
-    pub fail_tolerance: usize,
+/// One BO run: the shared configuration and the four parts BOiLS and SBO
+/// set differently. [`BoLoop::run`] executes it.
+pub(crate) struct BoLoop<'a, K> {
+    pub config: &'a BoilsConfig,
+    /// The kernel template every fit clones.
+    pub kernel: K,
+    /// BOiLS's Hamming trust region (lines 4 and 10 of Algorithm 2). The
+    /// radius starts at `K`, grows after `success_tolerance` consecutive
+    /// improving batches, shrinks after `fail_tolerance` consecutive
+    /// others, and restarts at `K` once it collapses to zero. `false`
+    /// searches the whole space: no radius, no restarts.
+    pub trust_region: bool,
+    pub acquisition: Acquisition,
+    pub warm_start: Option<&'a WarmStart>,
 }
 
-/// What the surrogate is trained on.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Scalariser {
+/// What the surrogate is trained on, and its state across iterations.
+#[allow(clippy::large_enum_variant)] // one per run
+enum Model<K> {
     /// The scalar cost, through one [`Surrogate`] carried across the run
     /// (retrain cadence, extends, window, warm-start observations). The
     /// region follows the best point since its last restart, and a
     /// collapsed region restarts from one random evaluated sequence.
-    Identity,
-    /// ParEGO: every iteration draws a random-weight augmented-Chebyshev
-    /// [`Scalarisation`] of the cost vectors and fits a GP to it from
-    /// scratch, so the weights sweep the whole Pareto front. The region
-    /// centres on the draw's best point, is judged by 2-D hypervolume
-    /// improvement, and restarts without an evaluation.
-    ParEgo,
-}
-
-/// One BO run's parts and settings; [`BoLoop::run`] executes it.
-pub(crate) struct BoLoop<'a, K> {
-    /// The kernel template every fit clones.
-    pub kernel: K,
-    /// `None` searches the whole space: no radius, no restarts.
-    pub region: Option<TrustRegion>,
-    pub scalariser: Scalariser,
-    /// The identity scalariser's lifecycle; ParEGO reads only the noise.
-    pub surrogate: SurrogateConfig,
-    pub acquisition: Acquisition,
-    pub space: SequenceSpace,
-    /// Total evaluations, the initial design included.
-    pub budget: usize,
-    pub initial_samples: usize,
-    /// Hill-climbing restarts, steps per restart, and neighbours per step.
-    pub acq_restarts: usize,
-    pub acq_steps: usize,
-    pub acq_neighbors: usize,
-    /// Candidates per iteration (`q`).
-    pub batch_size: usize,
-    pub warm_start: Option<&'a WarmStart>,
-    pub threads: usize,
-    pub seed: u64,
-}
-
-/// The scalariser's state across iterations.
-#[allow(clippy::large_enum_variant)] // one per run
-enum Model<K> {
     Carried(Surrogate<K, Vec<u8>>),
+    /// ParEGO ([`BoilsConfig::multi_objective`]): every iteration draws a
+    /// random-weight augmented-Chebyshev [`Scalarisation`] of the cost
+    /// vectors and fits a GP to it from scratch, so the weights sweep the
+    /// whole Pareto front. The region centres on the draw's best point, is
+    /// judged by 2-D hypervolume improvement, and restarts without an
+    /// evaluation.
     ParEgo {
         kernel: K,
         /// Every evaluation's cost vector, in history order.
@@ -106,16 +84,18 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             objective: objective.cost_name(),
             ..RunDiagnostics::default()
         };
-        if self.budget < self.initial_samples.max(2) {
+        let cfg = self.config;
+        let budget = cfg.max_evaluations;
+        if budget < cfg.initial_samples.max(2) {
             return Err(RunBoilsError::BudgetTooSmall {
-                budget: self.budget,
-                initial: self.initial_samples,
+                budget,
+                initial: cfg.initial_samples,
             });
         }
-        let space = self.space;
-        let engine = BatchEvaluator::new(self.threads);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(self.budget);
+        let space = cfg.space;
+        let engine = BatchEvaluator::new(cfg.threads);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut history: Vec<EvalRecord> = Vec::with_capacity(budget);
 
         // -- Initial design (line 3), evaluated as one prefix-aware batch.
         let initial = self.design(&mut rng);
@@ -133,48 +113,50 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             ));
         }
 
-        let mut model = match self.scalariser {
-            Scalariser::Identity => {
-                let mut surrogate = Surrogate::new(self.kernel, self.surrogate.clone());
-                // Donor observations enter the GP first, as prior shape
-                // only. A sequence the design evaluated on this circuit is
-                // skipped: its exact value is in the history.
-                let donors = self.warm_start.map_or(&[][..], |w| &w.observations[..]);
-                for (tokens, qor) in donors {
-                    if tokens.is_empty()
-                        || !qor.is_finite()
-                        || history.iter().any(|r| &r.tokens == tokens)
-                    {
-                        continue;
-                    }
-                    surrogate.seed(tokens.clone(), -qor);
-                }
-                let mut model = Model::Carried(surrogate);
-                model.observe(objective, &history);
-                model
+        let mut model = if cfg.multi_objective {
+            let vectors: Vec<Vec<f64>> = history.iter().map(|r| mo_vector(objective, r)).collect();
+            let dim = vectors
+                .iter()
+                .find(|v| v.first().copied().unwrap_or(QUARANTINE_QOR) < QUARANTINE_QOR)
+                .map_or(2, Vec::len);
+            Model::ParEgo {
+                kernel: self.kernel,
+                reference: mo_reference(&vectors),
+                vectors,
+                dim,
             }
-            Scalariser::ParEgo => {
-                let vectors: Vec<Vec<f64>> =
-                    history.iter().map(|r| mo_vector(objective, r)).collect();
-                let dim = vectors
-                    .iter()
-                    .find(|v| v.first().copied().unwrap_or(QUARANTINE_QOR) < QUARANTINE_QOR)
-                    .map_or(2, Vec::len);
-                Model::ParEgo {
-                    kernel: self.kernel,
-                    reference: mo_reference(&vectors),
-                    vectors,
-                    dim,
+        } else {
+            let surrogate_config = SurrogateConfig {
+                noise: cfg.noise,
+                retrain_every: cfg.retrain_every,
+                window: cfg.surrogate_window,
+                train: cfg.train.clone(),
+            };
+            let mut surrogate = Surrogate::new(self.kernel, surrogate_config);
+            // Donor observations enter the GP first, as prior shape
+            // only. A sequence the design evaluated on this circuit is
+            // skipped: its exact value is in the history.
+            let donors = self.warm_start.map_or(&[][..], |w| &w.observations[..]);
+            for (tokens, qor) in donors {
+                if tokens.is_empty()
+                    || !qor.is_finite()
+                    || history.iter().any(|r| &r.tokens == tokens)
+                {
+                    continue;
                 }
+                surrogate.seed(tokens.clone(), -qor);
             }
+            let mut model = Model::Carried(surrogate);
+            model.observe(objective, &history);
+            model
         };
-        // The identity scalariser's region centre: the best point since
+        // The scalar model's region centre: the best point since
         // the last restart.
         let mut center = best_of(&history).clone();
         let (mut radius, mut successes, mut failures) = (space.length(), 0, 0);
 
         // -- Optimisation loop (lines 6-11).
-        while stop.is_none() && history.len() < self.budget {
+        while stop.is_none() && history.len() < budget {
             if let Some(reason) = control.stop_reason() {
                 stop = Some(reason);
                 break;
@@ -208,12 +190,12 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
                         .map(|(i, _)| i)
                         .expect("non-empty history");
                     let xs = history.iter().map(|r| r.tokens.clone()).collect();
-                    fitted = Gp::fit(kernel.clone(), xs, ys, self.surrogate.noise)?;
+                    fitted = Gp::fit(kernel.clone(), xs, ys, cfg.noise)?;
                     (&fitted, incumbent, history[best].tokens.as_slice())
                 }
             };
-            let tr = self.region.map(|_| (centre, radius));
-            let q = self.batch_size.max(1).min(self.budget - history.len());
+            let tr = self.trust_region.then_some((centre, radius));
+            let q = cfg.batch_size.max(1).min(budget - history.len());
 
             // -- Acquisition maximisation (line 8): q candidates via the
             // constant liar. For `q == 1` no lie is ever told (the liar
@@ -237,9 +219,9 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
                     &space,
                     tr,
                     &score,
-                    self.acq_restarts,
-                    self.acq_steps,
-                    self.acq_neighbors,
+                    cfg.acq_restarts,
+                    cfg.acq_steps,
+                    cfg.acq_neighbors,
                     &mut rng,
                 );
                 // Never spend budget on an evaluated or pending sequence.
@@ -278,9 +260,9 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
 
             // -- Trust-region schedule (line 10): the batch is one
             // acquisition decision, so it advances the schedule one step.
-            let Some(region) = self.region else {
+            if !self.trust_region {
                 continue;
-            };
+            }
             let improved = match &model {
                 Model::Carried(_) => {
                     let best_new = best_of(&history[batch_start..]);
@@ -308,14 +290,14 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             if improved {
                 successes += 1;
                 failures = 0;
-                if successes >= region.success_tolerance {
+                if successes >= cfg.success_tolerance {
                     radius = (radius + 1).min(space.length());
                     successes = 0;
                 }
             } else {
                 successes = 0;
                 failures += 1;
-                if failures >= region.fail_tolerance {
+                if failures >= cfg.fail_tolerance {
                     radius = radius.saturating_sub(1);
                     failures = 0;
                 }
@@ -325,10 +307,10 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             }
             (radius, successes, failures) = (space.length(), 0, 0);
             // Restart. ParEGO re-centres every iteration anyway; the
-            // identity scalariser centres a fresh region on a random point,
+            // scalar model centres a fresh region on a random point,
             // evaluated (so it counts against the budget) through the
             // engine like every other evaluation.
-            if !matches!(model, Model::Carried(_)) || history.len() >= self.budget {
+            if !matches!(model, Model::Carried(_)) || history.len() >= budget {
                 continue;
             }
             let tokens = space.sample(&mut rng);
@@ -367,10 +349,11 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
     /// draws an unseeded run would, and every seed is re-evaluated on this
     /// circuit with the rest of the design.
     fn design(&self, rng: &mut StdRng) -> Vec<Vec<u8>> {
-        let space = self.space;
-        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(self.initial_samples);
-        for tokens in space.latin_hypercube(self.initial_samples, rng) {
-            if initial.len() >= self.budget {
+        let cfg = self.config;
+        let space = cfg.space;
+        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
+        for tokens in space.latin_hypercube(cfg.initial_samples, rng) {
+            if initial.len() >= cfg.max_evaluations {
                 break;
             }
             if !initial.contains(&tokens) {

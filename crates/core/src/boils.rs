@@ -3,12 +3,10 @@
 //! is maximised by local search inside an adaptive Hamming trust region
 //! centred on the incumbent.
 
-use boils_gp::{
-    NotPositiveDefiniteError, SskKernel, SurrogateConfig, SurrogateDiagnostics, TrainConfig,
-};
+use boils_gp::{NotPositiveDefiniteError, SskKernel, SurrogateDiagnostics, TrainConfig};
 use rand::Rng;
 
-use crate::bo::{BoLoop, Scalariser, TrustRegion};
+use crate::bo::BoLoop;
 use crate::control::{RunControl, StopReason};
 use crate::eval::SequenceObjective;
 use crate::result::{OptimizationResult, Termination};
@@ -88,10 +86,15 @@ impl WarmStart {
     }
 }
 
-/// Configuration of the BOiLS optimiser.
+/// Configuration of the BO loop, shared by [`Boils`] and
+/// [`Sbo`](crate::Sbo).
 ///
 /// The defaults mirror the paper's setting (`K = 20`, 11 actions,
 /// `Nmax = 200`, trust region with the 3-success / 20-failure schedule).
+/// SBO reads the same fields except the seven that only BOiLS reads
+/// (`ssk_order`, `normalize_kernel`, `use_trust_region`,
+/// `success_tolerance`, `fail_tolerance`, `acquisition`, `warm_start`);
+/// each says so.
 #[derive(Clone, Debug)]
 pub struct BoilsConfig {
     /// Total black-box evaluation budget `Nmax` (including initial samples).
@@ -100,17 +103,19 @@ pub struct BoilsConfig {
     pub initial_samples: usize,
     /// The sequence space `Alg^K`.
     pub space: SequenceSpace,
-    /// Maximum SSK sub-sequence order ℓ.
+    /// Maximum SSK sub-sequence order ℓ. SBO ignores it.
     pub ssk_order: usize,
-    /// Whether the SSK is normalised (ablation knob).
+    /// Whether the SSK is normalised (ablation knob). SBO ignores it.
     pub normalize_kernel: bool,
     /// Whether the trust region is active (ablation knob: `false` recovers
     /// unconstrained local search, with no radius schedule and no restart
-    /// evaluations).
+    /// evaluations). SBO ignores it: it never uses a trust region.
     pub use_trust_region: bool,
-    /// Consecutive improvements before the radius grows (paper: 3).
+    /// Consecutive improvements before the radius grows (paper: 3). SBO
+    /// ignores it.
     pub success_tolerance: usize,
     /// Consecutive non-improvements before the radius shrinks (paper: 20).
+    /// SBO ignores it.
     pub fail_tolerance: usize,
     /// Random restarts of the acquisition local search.
     pub acq_restarts: usize,
@@ -161,7 +166,8 @@ pub struct BoilsConfig {
     pub train: TrainConfig,
     /// GP observation noise.
     pub noise: f64,
-    /// The acquisition function (paper: expected improvement).
+    /// The acquisition function (paper: expected improvement). SBO ignores
+    /// it and always maximises expected improvement.
     pub acquisition: Acquisition,
     /// Multi-objective mode: instead of the scalar cost, optimise the
     /// objective's cost *vector* (the paper's `(area ratio, delay ratio)`
@@ -174,7 +180,8 @@ pub struct BoilsConfig {
     pub multi_objective: bool,
     /// Opt-in cross-circuit transfer (see [`WarmStart`]). `None` — the
     /// default — leaves every RNG draw, design row and surrogate
-    /// observation bit-identical to a run without the feature.
+    /// observation bit-identical to a run without the feature. SBO ignores
+    /// it.
     pub warm_start: Option<WarmStart>,
     /// Worker threads for batched black-box evaluations (the initial
     /// design). The search trajectory is thread-count invariant: the same
@@ -452,33 +459,11 @@ impl Boils {
             kernel.without_normalization()
         };
         BoLoop {
+            config: cfg,
             kernel,
-            region: cfg.use_trust_region.then_some(TrustRegion {
-                success_tolerance: cfg.success_tolerance,
-                fail_tolerance: cfg.fail_tolerance,
-            }),
-            scalariser: if cfg.multi_objective {
-                Scalariser::ParEgo
-            } else {
-                Scalariser::Identity
-            },
-            surrogate: SurrogateConfig {
-                noise: cfg.noise,
-                retrain_every: cfg.retrain_every,
-                window: cfg.surrogate_window,
-                train: cfg.train.clone(),
-            },
+            trust_region: cfg.use_trust_region,
             acquisition: cfg.acquisition,
-            space: cfg.space,
-            budget: cfg.max_evaluations,
-            initial_samples: cfg.initial_samples,
-            acq_restarts: cfg.acq_restarts,
-            acq_steps: cfg.acq_steps,
-            acq_neighbors: cfg.acq_neighbors,
-            batch_size: cfg.batch_size,
             warm_start: cfg.warm_start.as_ref(),
-            threads: cfg.threads,
-            seed: cfg.seed,
         }
         .run(objective, control, &mut self.diagnostics)
     }

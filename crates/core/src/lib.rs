@@ -5,10 +5,11 @@
 //! process surrogate over the sub-sequence string kernel and a
 //! trust-region-constrained expected-improvement maximiser. The crate also
 //! provides the [`QorEvaluator`] implementing the paper's Eq. 1 objective,
-//! the [`SequenceSpace`] abstraction, the [`Sbo`] standard-BO baseline, and
-//! the shared parallel evaluation engine ([`SequenceObjective`] /
-//! [`BatchEvaluator`] / [`ShardedCache`]) that every optimiser — here and
-//! in `boils-baselines` / `boils-bench` — spends its budget through.
+//! the [`SequenceSpace`] abstraction, the [`Sbo`] standard-BO baseline
+//! (configured by the same [`BoilsConfig`]), and the shared parallel
+//! evaluation engine ([`SequenceObjective`] / [`BatchEvaluator`] /
+//! [`ShardedCache`]) that every optimiser — here and in `boils-baselines`
+//! / `boils-bench` — spends its budget through.
 //!
 //! ## Example
 //!
@@ -61,6 +62,6 @@ pub use crate::prefix::{
 };
 pub use crate::qor::{DegenerateReferenceError, Objective, QorEvaluator, QorPoint};
 pub use crate::result::{EvalRecord, OptimizationResult, Termination};
-pub use crate::sbo::{Sbo, SboConfig};
+pub use crate::sbo::Sbo;
 pub use crate::space::SequenceSpace;
 pub use boils_mapper::SynthStats;

@@ -238,18 +238,7 @@ impl QorEvaluator {
     /// Fails if the reference mapping has zero area or delay (a circuit with
     /// no logic), which would make Eq. 1 undefined.
     pub fn new(aig: &Aig) -> Result<QorEvaluator, DegenerateReferenceError> {
-        QorEvaluator::with_mapper(aig, MapperConfig::default())
-    }
-
-    /// Builds an evaluator with a custom mapper configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the reference mapping is degenerate (see [`QorEvaluator::new`]).
-    pub fn with_mapper(
-        aig: &Aig,
-        mapper_config: MapperConfig,
-    ) -> Result<QorEvaluator, DegenerateReferenceError> {
+        let mapper_config = MapperConfig::default();
         let reference_aig = resyn2(aig);
         let reference = synth_stats(&reference_aig, &mapper_config);
         if reference.luts == 0 || reference.levels == 0 {

@@ -109,16 +109,6 @@ fn pareto_front(history: &[EvalRecord]) -> Vec<EvalRecord> {
 }
 
 impl OptimizationResult {
-    /// Assembles a result from an evaluation trace (the full-budget case:
-    /// termination is [`Termination::BudgetExhausted`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the history is empty.
-    pub fn from_history(space: &SequenceSpace, history: Vec<EvalRecord>) -> OptimizationResult {
-        OptimizationResult::from_history_terminated(space, history, Termination::default())
-    }
-
     /// Assembles a result from a (possibly interrupted) evaluation trace.
     ///
     /// # Panics
@@ -172,15 +162,6 @@ impl OptimizationResult {
     pub fn num_evaluations(&self) -> usize {
         self.history.len()
     }
-
-    /// The first evaluation index (1-based) at which the running best QoR
-    /// reached `target` or better; `None` if it never did.
-    pub fn evaluations_to_reach(&self, target: f64) -> Option<usize> {
-        self.best_so_far()
-            .iter()
-            .position(|&q| q <= target)
-            .map(|i| i + 1)
-    }
 }
 
 #[cfg(test)]
@@ -201,19 +182,18 @@ mod tests {
     #[test]
     fn picks_the_minimum_qor() {
         let space = SequenceSpace::new(2, 11);
-        let result = OptimizationResult::from_history(
+        let result = OptimizationResult::from_history_terminated(
             &space,
             vec![
                 record(vec![0, 0], 2.0),
                 record(vec![1, 2], 1.4),
                 record(vec![3, 3], 1.8),
             ],
+            Termination::BudgetExhausted,
         );
         assert_eq!(result.best_tokens, vec![1, 2]);
         assert_eq!(result.best_qor, 1.4);
         assert_eq!(result.best_so_far(), vec![2.0, 1.4, 1.4]);
-        assert_eq!(result.evaluations_to_reach(1.5), Some(2));
-        assert_eq!(result.evaluations_to_reach(1.0), None);
         assert_eq!(result.num_evaluations(), 3);
         assert_eq!(result.termination, Termination::BudgetExhausted);
         assert!(result.quarantined.is_empty());
@@ -239,7 +219,7 @@ mod tests {
             tokens: vec![9, 9],
             point: QorPoint::quarantined(),
         };
-        let result = OptimizationResult::from_history(
+        let result = OptimizationResult::from_history_terminated(
             &space,
             vec![
                 point_record(vec![0, 0], 40, 14), // on the front
@@ -249,6 +229,7 @@ mod tests {
                 quarantined_best,
                 point_record(vec![4, 4], 39, 14), // dominates [0,0]
             ],
+            Termination::BudgetExhausted,
         );
         let front: Vec<&[u8]> = result
             .pareto_front

@@ -3,84 +3,13 @@
 //! embedding instead of the SSK, and no trust region — isolating the
 //! contribution of the sequence-aware machinery.
 
-use boils_gp::{Kernel, SurrogateConfig, TrainConfig};
+use boils_gp::Kernel;
 
-use crate::bo::{BoLoop, Scalariser};
-use crate::boils::{Acquisition, RunBoilsError, RunDiagnostics};
+use crate::bo::BoLoop;
+use crate::boils::{Acquisition, BoilsConfig, RunBoilsError, RunDiagnostics};
 use crate::control::RunControl;
 use crate::eval::SequenceObjective;
 use crate::result::OptimizationResult;
-use crate::space::SequenceSpace;
-
-/// Configuration of the SBO baseline.
-#[derive(Clone, Debug)]
-pub struct SboConfig {
-    /// Total evaluation budget.
-    pub max_evaluations: usize,
-    /// Initial Latin-hypercube design size.
-    pub initial_samples: usize,
-    /// The sequence space.
-    pub space: SequenceSpace,
-    /// Acquisition local-search restarts.
-    pub acq_restarts: usize,
-    /// Acquisition hill-climbing steps per restart.
-    pub acq_steps: usize,
-    /// Neighbours per hill-climbing step.
-    pub acq_neighbors: usize,
-    /// Candidates proposed and evaluated per BO iteration (`q`), via the
-    /// constant-liar heuristic for `q > 1` — see
-    /// [`BoilsConfig::batch_size`](crate::BoilsConfig::batch_size),
-    /// including when the `q = 1` default reproduces earlier releases
-    /// bit-for-bit (the retrain-cadence fix moves some retrains).
-    pub batch_size: usize,
-    /// Hyperparameters are retrained once this many evaluations accumulate
-    /// since the previous retrain (batch evaluations count individually).
-    pub retrain_every: usize,
-    /// Bounded-history surrogate window (see
-    /// [`BoilsConfig::surrogate_window`](crate::BoilsConfig)): `Some(w)`
-    /// caps the GP training set at `w` observations with
-    /// incumbent-pinned oldest-first eviction; `None` trains on the full
-    /// history.
-    pub surrogate_window: Option<usize>,
-    /// Adam settings for kernel training.
-    pub train: TrainConfig,
-    /// GP observation noise.
-    pub noise: f64,
-    /// Worker threads for batched black-box evaluations; the search
-    /// trajectory is thread-count invariant.
-    pub threads: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optimise the objective's cost *vector* instead of its scalar cost
-    /// (see [`BoilsConfig::multi_objective`](crate::BoilsConfig)): ParEGO
-    /// random-weight Chebyshev scalarisations, refitting the SE surrogate
-    /// per iteration.
-    pub multi_objective: bool,
-}
-
-impl Default for SboConfig {
-    fn default() -> Self {
-        SboConfig {
-            max_evaluations: 200,
-            initial_samples: 20,
-            space: SequenceSpace::paper(),
-            acq_restarts: 3,
-            acq_steps: 10,
-            acq_neighbors: 30,
-            batch_size: 1,
-            retrain_every: 5,
-            surrogate_window: None,
-            train: TrainConfig {
-                steps: 15,
-                ..TrainConfig::default()
-            },
-            noise: 1e-4,
-            threads: 1,
-            seed: 0,
-            multi_objective: false,
-        }
-    }
-}
 
 /// The standard-BO baseline optimiser.
 ///
@@ -89,16 +18,19 @@ impl Default for SboConfig {
 /// lengthscale keeps hyperparameter training tractable at this
 /// dimensionality (the paper's SBO uses the HEBO library \[25\]; the
 /// qualitative behaviour — a competent but sequence-blind surrogate — is
-/// what matters for the comparison).
+/// what matters for the comparison). It runs the BO loop under a
+/// [`BoilsConfig`], maximising expected improvement over the whole space:
+/// the fields only BOiLS reads (the SSK's, the trust region's, the
+/// acquisition and the warm start) are ignored.
 #[derive(Clone, Debug)]
 pub struct Sbo {
-    config: SboConfig,
+    config: BoilsConfig,
     diagnostics: RunDiagnostics,
 }
 
 impl Sbo {
     /// Creates the optimiser.
-    pub fn new(config: SboConfig) -> Sbo {
+    pub fn new(config: BoilsConfig) -> Sbo {
         Sbo {
             config,
             diagnostics: RunDiagnostics::default(),
@@ -110,60 +42,28 @@ impl Sbo {
         &self.diagnostics
     }
 
-    /// Runs standard BO against any [`SequenceObjective`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the GP cannot be fitted or the budget is below the initial
-    /// design size.
-    pub fn run<O: SequenceObjective>(
-        &mut self,
-        objective: &O,
-    ) -> Result<OptimizationResult, RunBoilsError> {
-        self.run_with_control(objective, &RunControl::new())
-    }
-
-    /// [`Sbo::run`] under a [`RunControl`] — same contract as
+    /// Runs standard BO against any [`SequenceObjective`] under a
+    /// [`RunControl`] — same contract as
     /// [`Boils::run_with_control`](crate::Boils::run_with_control): an
     /// interrupted run returns best-so-far (an exact prefix of the
     /// uncancelled trajectory) with the matching [`Termination`](crate::Termination).
     ///
     /// # Errors
     ///
-    /// Additionally fails with
-    /// [`RunBoilsError::Interrupted`](crate::RunBoilsError) when the
+    /// Fails if the GP cannot be fitted or the budget is below the initial
+    /// design size, and with [`RunBoilsError::Interrupted`] when the
     /// control fires before a single evaluation completes.
-    pub fn run_with_control<O: SequenceObjective>(
+    pub fn run<O: SequenceObjective>(
         &mut self,
         objective: &O,
         control: &RunControl,
     ) -> Result<OptimizationResult, RunBoilsError> {
-        let cfg = &self.config;
         BoLoop {
+            config: &self.config,
             kernel: isotropic_kernel(),
-            region: None,
-            scalariser: if cfg.multi_objective {
-                Scalariser::ParEgo
-            } else {
-                Scalariser::Identity
-            },
-            surrogate: SurrogateConfig {
-                noise: cfg.noise,
-                retrain_every: cfg.retrain_every,
-                window: cfg.surrogate_window,
-                train: cfg.train.clone(),
-            },
+            trust_region: false,
             acquisition: Acquisition::ExpectedImprovement,
-            space: cfg.space,
-            budget: cfg.max_evaluations,
-            initial_samples: cfg.initial_samples,
-            acq_restarts: cfg.acq_restarts,
-            acq_steps: cfg.acq_steps,
-            acq_neighbors: cfg.acq_neighbors,
-            batch_size: cfg.batch_size,
             warm_start: None,
-            threads: cfg.threads,
-            seed: cfg.seed,
         }
         .run(objective, control, &mut self.diagnostics)
     }
@@ -223,9 +123,11 @@ impl Kernel<Vec<u8>> for IsotropicSe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boils::WarmStart;
     use crate::qor::QorEvaluator;
     use crate::space::SequenceSpace;
     use boils_aig::random_aig;
+    use boils_gp::TrainConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -302,7 +204,7 @@ mod tests {
     fn sbo_runs_within_budget() {
         let aig = random_aig(23, 8, 300, 3);
         let evaluator = QorEvaluator::new(&aig).expect("ok");
-        let mut sbo = Sbo::new(SboConfig {
+        let mut sbo = Sbo::new(BoilsConfig {
             max_evaluations: 10,
             initial_samples: 5,
             space: SequenceSpace::new(5, 11),
@@ -314,9 +216,9 @@ mod tests {
                 ..TrainConfig::default()
             },
             seed: 3,
-            ..SboConfig::default()
+            ..BoilsConfig::default()
         });
-        let result = sbo.run(&evaluator).expect("run");
+        let result = sbo.run(&evaluator, &RunControl::new()).expect("run");
         assert_eq!(result.num_evaluations(), 10);
         let curve = result.best_so_far();
         assert!(curve.windows(2).all(|w| w[1] <= w[0]));
@@ -326,7 +228,7 @@ mod tests {
     fn sbo_multi_objective_runs_and_archives_the_front() {
         let aig = random_aig(37, 8, 300, 3);
         let evaluator = QorEvaluator::new(&aig).expect("ok");
-        let mut sbo = Sbo::new(SboConfig {
+        let mut sbo = Sbo::new(BoilsConfig {
             max_evaluations: 9,
             initial_samples: 5,
             space: SequenceSpace::new(5, 11),
@@ -335,11 +237,63 @@ mod tests {
             acq_neighbors: 8,
             multi_objective: true,
             seed: 3,
-            ..SboConfig::default()
+            ..BoilsConfig::default()
         });
-        let result = sbo.run(&evaluator).expect("mo run");
+        let result = sbo.run(&evaluator, &RunControl::new()).expect("mo run");
         assert_eq!(result.num_evaluations(), 9);
         assert_eq!(result.objective, "qor");
         assert!(!result.pareto_front.is_empty());
+    }
+
+    #[test]
+    fn sbo_reads_only_the_fields_it_shares_with_boils() {
+        let aig = random_aig(41, 8, 300, 3);
+        let shared = BoilsConfig {
+            max_evaluations: 12,
+            initial_samples: 5,
+            space: SequenceSpace::new(5, 11),
+            acq_restarts: 2,
+            acq_steps: 3,
+            acq_neighbors: 8,
+            train: TrainConfig {
+                steps: 4,
+                ..TrainConfig::default()
+            },
+            seed: 5,
+            ..BoilsConfig::default()
+        };
+        // Every field only BOiLS reads, moved off its default.
+        let boils_only = BoilsConfig {
+            ssk_order: 2,
+            normalize_kernel: false,
+            use_trust_region: false,
+            success_tolerance: 1,
+            fail_tolerance: 1,
+            acquisition: Acquisition::UpperConfidenceBound { beta: 2.0 },
+            warm_start: Some(WarmStart {
+                seeds: vec![vec![1, 2, 3, 4, 5], vec![6, 7, 8, 9, 10]],
+                observations: vec![(vec![10, 9, 8, 7, 6], 1.5)],
+            }),
+            ..shared.clone()
+        };
+        let run = |config| {
+            let evaluator = QorEvaluator::new(&aig).expect("ok");
+            Sbo::new(config)
+                .run(&evaluator, &RunControl::new())
+                .expect("run")
+        };
+        let (a, b) = (run(shared), run(boils_only));
+        assert_eq!(a.history.len(), 12);
+        assert_eq!(a.history.len(), b.history.len());
+        for (i, (x, y)) in a.history.iter().zip(&b.history).enumerate() {
+            assert_eq!(x.tokens, y.tokens, "tokens diverge at evaluation {i}");
+            assert_eq!(
+                x.point.qor.to_bits(),
+                y.point.qor.to_bits(),
+                "QoR diverges at evaluation {i}"
+            );
+        }
+        assert!(a.surrogate.is_some());
+        assert_eq!(a.surrogate, b.surrogate);
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use boils_aig::random_aig;
 use boils_core::{
-    Boils, BoilsConfig, BuiltinCost, Objective, QorEvaluator, Sbo, SboConfig, SequenceSpace,
+    Boils, BoilsConfig, BuiltinCost, Objective, QorEvaluator, RunControl, Sbo, SequenceSpace,
 };
 use boils_gp::TrainConfig;
 
@@ -141,7 +141,7 @@ fn explicit_qor_cost_fn_reproduces_the_frozen_boils_trajectory() {
 fn default_batch_size_reproduces_the_frozen_sbo_trajectory() {
     let aig = random_aig(73, 8, 300, 3);
     let evaluator = QorEvaluator::new(&aig).expect("ok");
-    let mut sbo = Sbo::new(SboConfig {
+    let mut sbo = Sbo::new(BoilsConfig {
         max_evaluations: 14,
         initial_samples: 10,
         space: SequenceSpace::new(5, 11),
@@ -154,9 +154,9 @@ fn default_batch_size_reproduces_the_frozen_sbo_trajectory() {
             ..TrainConfig::default()
         },
         seed: 3,
-        ..SboConfig::default()
+        ..BoilsConfig::default()
     });
-    let result = sbo.run(&evaluator).expect("run");
+    let result = sbo.run(&evaluator, &RunControl::new()).expect("run");
     assert_eq!(result.history.len(), FROZEN_SBO.len());
     for (i, (record, &(tokens, qor_bits))) in result.history.iter().zip(&FROZEN_SBO).enumerate() {
         assert_eq!(record.tokens, tokens, "eval {i}");
@@ -193,7 +193,7 @@ fn batched_boils_spends_the_exact_budget_with_no_duplicates() {
 fn batched_sbo_spends_the_exact_budget_with_no_duplicates() {
     let aig = random_aig(73, 8, 300, 3);
     let evaluator = QorEvaluator::new(&aig).expect("ok");
-    let mut sbo = Sbo::new(SboConfig {
+    let mut sbo = Sbo::new(BoilsConfig {
         max_evaluations: 15,
         initial_samples: 6,
         space: SequenceSpace::new(5, 11),
@@ -206,9 +206,9 @@ fn batched_sbo_spends_the_exact_budget_with_no_duplicates() {
             ..TrainConfig::default()
         },
         seed: 3,
-        ..SboConfig::default()
+        ..BoilsConfig::default()
     });
-    let result = sbo.run(&evaluator).expect("run");
+    let result = sbo.run(&evaluator, &RunControl::new()).expect("run");
     assert_eq!(result.num_evaluations(), 15);
     assert_eq!(evaluator.num_evaluations(), 15);
     let mut seen = std::collections::HashSet::new();

@@ -11,7 +11,7 @@ use std::time::Duration;
 use boils_aig::random_aig;
 use boils_core::{
     Boils, BoilsConfig, EvalRecord, QorEvaluator, QorPoint, RunBoilsError, RunControl, Sbo,
-    SboConfig, SequenceObjective, SequenceSpace, StopReason, Termination,
+    SequenceObjective, SequenceSpace, StopReason, Termination,
 };
 use boils_gp::TrainConfig;
 use proptest::prelude::*;
@@ -77,8 +77,8 @@ fn boils_config(space: SequenceSpace, budget: usize, seed: u64, threads: usize) 
     }
 }
 
-fn sbo_config(space: SequenceSpace, budget: usize, seed: u64, threads: usize) -> SboConfig {
-    SboConfig {
+fn sbo_config(space: SequenceSpace, budget: usize, seed: u64, threads: usize) -> BoilsConfig {
+    BoilsConfig {
         max_evaluations: budget,
         initial_samples: 4,
         space,
@@ -91,7 +91,7 @@ fn sbo_config(space: SequenceSpace, budget: usize, seed: u64, threads: usize) ->
             ..TrainConfig::default()
         },
         seed,
-        ..SboConfig::default()
+        ..BoilsConfig::default()
     }
 }
 
@@ -154,13 +154,13 @@ fn check_sbo_prefix(aig: &boils_aig::Aig, budget: usize, seed: u64, threads: usi
         Err(_) => return,
     };
     let full = Sbo::new(sbo_config(space, budget, seed, threads))
-        .run(&full_eval)
+        .run(&full_eval, &RunControl::new())
         .expect("uncancelled run");
 
     let cancel_eval = QorEvaluator::new(aig).expect("same circuit");
     let wrapper = CancelAfter::new(&cancel_eval, k);
     let mut sbo = Sbo::new(sbo_config(space, budget, seed, threads));
-    match sbo.run_with_control(&wrapper, &wrapper.control) {
+    match sbo.run(&wrapper, &wrapper.control) {
         Ok(result) => {
             let len = assert_exact_prefix(&result.history, &full.history);
             if len < budget {

@@ -13,7 +13,8 @@ use std::sync::Arc;
 use boils_aig::random_aig;
 use boils_baselines::{greedy, random_search};
 use boils_core::{
-    FaultInjector, FaultPlan, OptimizationResult, QorEvaluator, SequenceSpace, Termination,
+    FaultInjector, FaultPlan, OptimizationResult, QorEvaluator, RunControl, SequenceSpace,
+    Termination,
 };
 
 fn injector(spec: &str) -> Option<Arc<FaultInjector>> {
@@ -123,7 +124,8 @@ fn permission_denied_directory_falls_back_to_memory_only() {
     let space = SequenceSpace::new(4, 11);
 
     let clean_eval = QorEvaluator::new(&aig).expect("ok");
-    let clean = greedy(&clean_eval, space, 44, 1);
+    let clean =
+        greedy(&clean_eval, space, 44, 1, &RunControl::new()).expect("uncontrolled run completes");
 
     let dir = temp_dir("denied");
     let faulted_eval = QorEvaluator::new(&aig)
@@ -131,7 +133,8 @@ fn permission_denied_directory_falls_back_to_memory_only() {
         .with_fault_injector(injector("write:denied@1+"))
         .with_persistent_store(&dir)
         .expect("store dir itself opens; its writes are what fail");
-    let faulted = greedy(&faulted_eval, space, 44, 1);
+    let faulted = greedy(&faulted_eval, space, 44, 1, &RunControl::new())
+        .expect("uncontrolled run completes");
 
     assert_bit_identical(&faulted, &clean);
     assert_eq!(faulted.best_qor.to_bits(), clean.best_qor.to_bits());
@@ -219,13 +222,14 @@ fn readonly_cache_dir_from_env_degrades_to_memory_only() {
     let aig = test_aig();
     let space = SequenceSpace::new(4, 11);
     let clean_eval = QorEvaluator::new(&aig).expect("ok");
-    let clean = greedy(&clean_eval, space, 44, 1);
+    let clean =
+        greedy(&clean_eval, space, 44, 1, &RunControl::new()).expect("uncontrolled run completes");
 
     let eval = QorEvaluator::new(&aig)
         .expect("ok")
         .with_persistent_store(&dir)
         .expect("an existing directory opens read-only");
-    let run = greedy(&eval, space, 44, 1);
+    let run = greedy(&eval, space, 44, 1, &RunControl::new()).expect("uncontrolled run completes");
 
     assert_bit_identical(&run, &clean);
     let stats = eval.prefix_stats();

@@ -12,8 +12,8 @@
 
 use boils_aig::random_aig;
 use boils_core::{
-    Acquisition, Boils, BoilsConfig, OptimizationResult, QorEvaluator, RunDiagnostics, Sbo,
-    SboConfig, SequenceSpace, WarmStart,
+    Acquisition, Boils, BoilsConfig, OptimizationResult, QorEvaluator, RunControl, RunDiagnostics,
+    Sbo, SequenceSpace, WarmStart,
 };
 use boils_gp::TrainConfig;
 
@@ -57,8 +57,8 @@ fn run_boils(config: BoilsConfig) -> (OptimizationResult, RunDiagnostics) {
 
 /// The scalar SBO configuration of `batch.rs`'s frozen run (on the
 /// BOiLS circuit, whose design points differ in QoR).
-fn sbo_config() -> SboConfig {
-    SboConfig {
+fn sbo_config() -> BoilsConfig {
+    BoilsConfig {
         max_evaluations: 14,
         initial_samples: 10,
         space: SequenceSpace::new(5, 11),
@@ -71,14 +71,16 @@ fn sbo_config() -> SboConfig {
             ..TrainConfig::default()
         },
         seed: 3,
-        ..SboConfig::default()
+        ..BoilsConfig::default()
     }
 }
 
-fn run_sbo(config: SboConfig) -> OptimizationResult {
+fn run_sbo(config: BoilsConfig) -> OptimizationResult {
     let aig = random_aig(71, 8, 300, 3);
     let evaluator = QorEvaluator::new(&aig).expect("ok");
-    Sbo::new(config).run(&evaluator).expect("run")
+    Sbo::new(config)
+        .run(&evaluator, &RunControl::new())
+        .expect("run")
 }
 
 const BOILS_Q4: &Table = &[
@@ -423,7 +425,7 @@ fn batched_parego_boils_is_frozen() {
 
 #[test]
 fn sbo_q4_is_frozen() {
-    let result = run_sbo(SboConfig {
+    let result = run_sbo(BoilsConfig {
         max_evaluations: 18,
         batch_size: 4,
         ..sbo_config()
@@ -433,7 +435,7 @@ fn sbo_q4_is_frozen() {
 
 #[test]
 fn parego_sbo_is_frozen() {
-    let result = run_sbo(SboConfig {
+    let result = run_sbo(BoilsConfig {
         multi_objective: true,
         ..sbo_config()
     });

@@ -4,7 +4,7 @@
 
 use boils_aig::random_aig;
 use boils_core::{
-    Boils, BoilsConfig, QorEvaluator, Sbo, SboConfig, SequenceObjective, SequenceSpace,
+    Boils, BoilsConfig, QorEvaluator, RunControl, Sbo, SequenceObjective, SequenceSpace,
 };
 use boils_gp::TrainConfig;
 
@@ -58,7 +58,7 @@ fn boils_is_bit_identical_across_thread_counts() {
 #[test]
 fn sbo_is_bit_identical_across_thread_counts() {
     let aig = random_aig(73, 8, 300, 3);
-    let make = |threads| SboConfig {
+    let make = |threads| BoilsConfig {
         max_evaluations: 12,
         initial_samples: 6,
         space: SequenceSpace::new(5, 11),
@@ -71,12 +71,12 @@ fn sbo_is_bit_identical_across_thread_counts() {
         },
         threads,
         seed: 3,
-        ..SboConfig::default()
+        ..BoilsConfig::default()
     };
     let e1 = QorEvaluator::new(&aig).expect("ok");
     let e8 = QorEvaluator::new(&aig).expect("ok");
-    let serial = Sbo::new(make(1)).run(&e1).expect("run");
-    let parallel = Sbo::new(make(8)).run(&e8).expect("run");
+    let serial = Sbo::new(make(1)).run(&e1, &RunControl::new()).expect("run");
+    let parallel = Sbo::new(make(8)).run(&e8, &RunControl::new()).expect("run");
     assert_eq!(serial.best_tokens, parallel.best_tokens);
     assert_eq!(serial.best_qor, parallel.best_qor);
     assert_eq!(e1.num_evaluations(), e8.num_evaluations());

@@ -28,7 +28,7 @@ use boils_baselines::greedy;
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
     BatchEvaluator, Boils, BoilsConfig, EvalRecord, PersistentPrefixStore, QorEvaluator,
-    RunControl, Sbo, SboConfig, SequenceSpace,
+    RunControl, Sbo, SequenceSpace,
 };
 use boils_gp::TrainConfig;
 use boils_sat::{check_equivalence_with, EquivConfig, EquivResult, EquivStats};
@@ -246,7 +246,7 @@ fn warmed_store_reproduces_the_cold_boils_run_bit_identically() {
 fn warmed_store_reproduces_the_cold_sbo_run_bit_identically() {
     let aig = boils_aig::random_aig(73, 8, 300, 3);
     let dir = shared_store_dir("frozen-sbo");
-    let config = || SboConfig {
+    let config = || BoilsConfig {
         max_evaluations: 14,
         initial_samples: 10,
         space: SequenceSpace::new(5, 11),
@@ -259,21 +259,25 @@ fn warmed_store_reproduces_the_cold_sbo_run_bit_identically() {
             ..TrainConfig::default()
         },
         seed: 3,
-        ..SboConfig::default()
+        ..BoilsConfig::default()
     };
 
     let cold_eval = QorEvaluator::new(&aig)
         .expect("ok")
         .with_persistent_store(&dir)
         .expect("store dir");
-    let cold = Sbo::new(config()).run(&cold_eval).expect("run");
+    let cold = Sbo::new(config())
+        .run(&cold_eval, &RunControl::new())
+        .expect("run");
     drop(cold_eval);
 
     let warm_eval = QorEvaluator::new(&aig)
         .expect("ok")
         .with_persistent_store(&dir)
         .expect("store dir");
-    let warm = Sbo::new(config()).run(&warm_eval).expect("run");
+    let warm = Sbo::new(config())
+        .run(&warm_eval, &RunControl::new())
+        .expect("run");
 
     assert_eq!(history_bits(&cold.history), history_bits(&warm.history));
     assert!(warm_eval.prefix_stats().disk_hits > 0);
@@ -290,14 +294,16 @@ fn warmed_store_reproduces_the_cold_greedy_run_bit_identically() {
         .expect("ok")
         .with_persistent_store(&dir)
         .expect("store dir");
-    let cold = greedy(&cold_eval, space, budget, 2);
+    let cold = greedy(&cold_eval, space, budget, 2, &RunControl::new())
+        .expect("uncontrolled run completes");
     drop(cold_eval);
 
     let warm_eval = QorEvaluator::new(&aig)
         .expect("ok")
         .with_persistent_store(&dir)
         .expect("store dir");
-    let warm = greedy(&warm_eval, space, budget, 2);
+    let warm = greedy(&warm_eval, space, budget, 2, &RunControl::new())
+        .expect("uncontrolled run completes");
 
     assert_eq!(history_bits(&cold.history), history_bits(&warm.history));
     assert_eq!(cold.best_tokens, warm.best_tokens);

@@ -4,7 +4,7 @@
 use boils_aig::random_aig;
 use boils_core::{
     BatchEvaluator, Boils, BoilsConfig, EvalRecord, OptimizationResult, QorEvaluator, QorPoint,
-    RunControl, Sbo, SboConfig, SequenceSpace,
+    RunControl, Sbo, SequenceSpace, Termination,
 };
 use boils_gp::TrainConfig;
 use boils_synth::Transform;
@@ -79,7 +79,7 @@ proptest! {
         let curve = r.best_so_far();
         prop_assert!(curve.windows(2).all(|w| w[1] <= w[0]));
 
-        let mut sbo = Sbo::new(SboConfig {
+        let mut sbo = Sbo::new(BoilsConfig {
             max_evaluations: budget,
             initial_samples: 4,
             space,
@@ -88,9 +88,9 @@ proptest! {
             acq_neighbors: 8,
             train: TrainConfig { steps: 3, ..TrainConfig::default() },
             seed,
-            ..SboConfig::default()
+            ..BoilsConfig::default()
         });
-        let rs = sbo.run(&evaluator).expect("run");
+        let rs = sbo.run(&evaluator, &RunControl::new()).expect("run");
         prop_assert_eq!(rs.num_evaluations(), budget);
     }
 
@@ -204,7 +204,11 @@ proptest! {
                 },
             })
             .collect();
-        let result = OptimizationResult::from_history(&space, history.clone());
+        let result = OptimizationResult::from_history_terminated(
+            &space,
+            history.clone(),
+            Termination::BudgetExhausted,
+        );
         let dominates = |a: &QorPoint, b: &QorPoint| {
             a.area <= b.area && a.delay <= b.delay && (a.area < b.area || a.delay < b.delay)
         };

@@ -10,7 +10,7 @@
 //!   `RunDiagnostics::surrogate`.
 
 use boils_aig::random_aig;
-use boils_core::{Boils, BoilsConfig, QorEvaluator, Sbo, SboConfig, SequenceSpace};
+use boils_core::{Boils, BoilsConfig, QorEvaluator, RunControl, Sbo, SequenceSpace};
 use boils_gp::TrainConfig;
 
 fn window_config(window: Option<usize>) -> BoilsConfig {
@@ -92,7 +92,7 @@ fn windowed_boils_is_deterministic_given_seed() {
 fn windowed_sbo_spends_the_budget_and_reports_downdates() {
     let aig = random_aig(85, 8, 300, 3);
     let evaluator = QorEvaluator::new(&aig).expect("ok");
-    let mut sbo = Sbo::new(SboConfig {
+    let mut sbo = Sbo::new(BoilsConfig {
         max_evaluations: 18,
         initial_samples: 6,
         space: SequenceSpace::new(5, 11),
@@ -106,9 +106,9 @@ fn windowed_sbo_spends_the_budget_and_reports_downdates() {
             ..TrainConfig::default()
         },
         seed: 5,
-        ..SboConfig::default()
+        ..BoilsConfig::default()
     });
-    let result = sbo.run(&evaluator).expect("run");
+    let result = sbo.run(&evaluator, &RunControl::new()).expect("run");
     assert_eq!(result.num_evaluations(), 18);
     let d = sbo.diagnostics();
     // 18 observations, window 6, one retrain (the first fit covering the

@@ -23,7 +23,7 @@
 
 use boils_baselines::Method;
 use boils_circuits::Benchmark;
-use boils_core::{JobId, Objective, PrefixStats, Priority};
+use boils_core::{JobId, Objective, OptimizationResult, PrefixStats, Priority};
 
 use crate::json::Value;
 
@@ -218,8 +218,12 @@ pub enum Event {
     Finished {
         /// The job.
         job: JobId,
-        /// Its summary.
+        /// Its summary, the part that goes on the wire.
         outcome: Box<JobOutcome>,
+        /// The full result, history included. It travels in-process only:
+        /// [`Event::to_json`] encodes the summary, and whoever receives the
+        /// event owns the result (the daemon keeps no copy).
+        result: Box<OptimizationResult>,
     },
     /// The job died without a result (interrupted before the first
     /// evaluation, or its worker panicked). The daemon keeps serving.
@@ -254,7 +258,7 @@ impl Event {
                 obj.set("event", Value::from("started"));
                 obj.set("job", Value::from(job.0));
             }
-            Event::Finished { job, outcome } => {
+            Event::Finished { job, outcome, .. } => {
                 obj.set("event", Value::from("finished"));
                 obj.set("job", Value::from(job.0));
                 obj.set("termination", Value::from(outcome.termination.as_str()));
@@ -616,6 +620,18 @@ mod tests {
                     ..PrefixStats::default()
                 },
             }),
+            result: Box::new(OptimizationResult::from_history_terminated(
+                &boils_core::SequenceSpace::new(2, 11),
+                vec![boils_core::EvalRecord {
+                    tokens: vec![0, 1],
+                    point: boils_core::QorPoint {
+                        qor: 1.875,
+                        area: 30,
+                        delay: 7,
+                    },
+                }],
+                boils_core::Termination::DeadlineExceeded,
+            )),
         };
         let line = event.to_json().to_json();
         let value = Value::parse(&line).expect("valid JSON");

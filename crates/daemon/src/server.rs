@@ -70,7 +70,6 @@ pub struct Daemon {
     pool: WorkerPool,
     evaluators: Arc<EvaluatorPool>,
     jobs: Arc<Mutex<HashMap<JobId, RunControl>>>,
-    results: Arc<Mutex<HashMap<JobId, OptimizationResult>>>,
     next_id: AtomicU64,
 }
 
@@ -89,7 +88,6 @@ impl Daemon {
             pool: WorkerPool::new(config.workers, config.queue_cap),
             evaluators: Arc::new(evaluators),
             jobs: Arc::new(Mutex::new(HashMap::new())),
-            results: Arc::new(Mutex::new(HashMap::new())),
             next_id: AtomicU64::new(0),
         }
     }
@@ -124,11 +122,10 @@ impl Daemon {
         let job = {
             let evaluators = Arc::clone(&self.evaluators);
             let jobs = Arc::clone(&self.jobs);
-            let results = Arc::clone(&self.results);
             let events = events.clone();
             move || {
                 let _ = queued_rx.recv();
-                run_job(id, request, control, &evaluators, &jobs, &results, &events)
+                run_job(id, request, control, &evaluators, &jobs, &events)
             }
         };
         match self.pool.submit(priority, job) {
@@ -169,13 +166,6 @@ impl Daemon {
             .map(|(circuit, stats)| StoreStatsRow { circuit, stats })
             .collect()
     }
-
-    /// Takes the full [`OptimizationResult`] of a finished job
-    /// (histories are retained in memory until taken; the wire protocol
-    /// only carries the [`JobOutcome`] summary).
-    pub fn take_result(&self, id: JobId) -> Option<OptimizationResult> {
-        lock(&self.results).remove(&id)
-    }
 }
 
 /// The worker-side job body: build the circuit, fork the shared
@@ -188,7 +178,6 @@ fn run_job(
     submitted: RunControl,
     evaluators: &EvaluatorPool,
     jobs: &Mutex<HashMap<JobId, RunControl>>,
-    results: &Mutex<HashMap<JobId, OptimizationResult>>,
     events: &Sender<Event>,
 ) {
     let _ = events.send(Event::Started { job: id });
@@ -217,13 +206,11 @@ fn run_job(
     }));
     lock(jobs).remove(&id);
     let event = match outcome {
-        Ok(Ok(Some((summary, result)))) => {
-            lock(results).insert(id, result);
-            Event::Finished {
-                job: id,
-                outcome: Box::new(summary),
-            }
-        }
+        Ok(Ok(Some((summary, result)))) => Event::Finished {
+            job: id,
+            outcome: Box::new(summary),
+            result: Box::new(result),
+        },
         Ok(Ok(None)) => Event::Failed {
             job: id,
             reason: "interrupted before the first evaluation completed".to_string(),

@@ -104,6 +104,14 @@ fn outcome(terminals: &HashMap<JobId, Event>, job: JobId) -> &JobOutcome {
     }
 }
 
+/// The full result a `finished` event carries.
+fn result(terminals: &HashMap<JobId, Event>, job: JobId) -> &OptimizationResult {
+    match terminals.get(&job) {
+        Some(Event::Finished { result, .. }) => result,
+        other => panic!("{job} should have finished, got {other:?}"),
+    }
+}
+
 /// The same run the daemon performs, executed solo: fresh evaluator,
 /// single-threaded, sequential batches.
 fn solo_run(req: &JobRequest) -> OptimizationResult {
@@ -215,8 +223,7 @@ fn cancelling_one_tenant_leaves_the_other_bit_identical_to_solo() {
         outcome(&terminals, bystander).termination,
         "budget-exhausted"
     );
-    let daemon_result = daemon.take_result(bystander).expect("result retained");
-    assert_same_trajectory(&daemon_result, &solo_run(&bystander_req));
+    assert_same_trajectory(result(&terminals, bystander), &solo_run(&bystander_req));
 }
 
 #[test]
@@ -297,8 +304,7 @@ fn a_fresh_daemon_on_a_warm_store_serves_disk_hits_bit_identically() {
         "warm store served no disk hits: {:?}",
         out.tier_stats
     );
-    let daemon_result = daemon.take_result(job).expect("result retained");
-    assert_same_trajectory(&daemon_result, &solo_run(&req));
+    assert_same_trajectory(result(&terminals, job), &solo_run(&req));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
