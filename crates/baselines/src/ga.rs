@@ -15,19 +15,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Genetic-algorithm settings.
+///
+/// The evolution operators are private constants: `ELITES` (2 copied
+/// unchanged each generation), `TOURNAMENT` (3-way selection),
+/// `CROSSOVER_RATE` (0.9; the other offspring clone a parent) and
+/// `MUTATION_RATE` (0.1 per gene).
 #[derive(Clone, Debug)]
 pub struct GaConfig {
     /// Population size (clamped to the budget).
     pub population: usize,
-    /// Number of elites copied unchanged each generation.
-    pub elites: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Probability that an offspring undergoes crossover (else it clones a
-    /// parent).
-    pub crossover_rate: f64,
     /// Worker threads for scoring each generation's population.
     pub threads: usize,
     /// RNG seed.
@@ -38,15 +34,21 @@ impl Default for GaConfig {
     fn default() -> Self {
         GaConfig {
             population: 20,
-            elites: 2,
-            tournament: 3,
-            mutation_rate: 0.1,
-            crossover_rate: 0.9,
             threads: 1,
             seed: 0,
         }
     }
 }
+
+/// Number of elites copied unchanged each generation.
+const ELITES: usize = 2;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+/// Per-gene mutation probability.
+const MUTATION_RATE: f64 = 0.1;
+/// Probability that an offspring undergoes crossover (else it clones a
+/// parent).
+const CROSSOVER_RATE: f64 = 0.9;
 
 /// The smallest budget the GA runs at: a population of two.
 pub(crate) const MIN_BUDGET: usize = 2;
@@ -112,7 +114,7 @@ pub fn genetic_algorithm<O: SequenceObjective>(
         population.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite QoR"));
         let mut next: Vec<(Vec<u8>, f64)> = population
             .iter()
-            .take(config.elites.min(population.len()))
+            .take(ELITES.min(population.len()))
             .cloned()
             .collect();
         // Breed the whole generation first (serial RNG), then score it as
@@ -121,20 +123,20 @@ pub fn genetic_algorithm<O: SequenceObjective>(
             .saturating_sub(next.len())
             .min(budget - history.len());
         if brood == 0 {
-            // Degenerate configs (elites ≥ population) would otherwise
-            // spin without spending budget.
+            // A population of two is all elites; it would otherwise spin
+            // without spending budget.
             break;
         }
         let mut offspring: Vec<Vec<u8>> = Vec::with_capacity(brood);
         for _ in 0..brood {
-            let p1 = tournament(&population, config.tournament, &mut rng);
-            let child = if rng.gen_bool(config.crossover_rate) {
-                let p2 = tournament(&population, config.tournament, &mut rng);
+            let p1 = tournament(&population, TOURNAMENT, &mut rng);
+            let child = if rng.gen_bool(CROSSOVER_RATE) {
+                let p2 = tournament(&population, TOURNAMENT, &mut rng);
                 uniform_crossover(&population[p1].0, &population[p2].0, &mut rng)
             } else {
                 population[p1].0.clone()
             };
-            offspring.push(mutate(&space, &child, config.mutation_rate, &mut rng));
+            offspring.push(mutate(&space, &child, MUTATION_RATE, &mut rng));
         }
         let outcome = engine.evaluate(objective, &offspring, control);
         quarantined.extend(outcome.quarantined.iter().cloned());

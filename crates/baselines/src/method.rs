@@ -306,7 +306,6 @@ impl Method {
                     algorithm,
                     features,
                     seed,
-                    ..RlConfig::default()
                 },
                 control,
             )

@@ -38,22 +38,17 @@ pub enum RlFeatures {
 }
 
 /// RL baseline settings.
+///
+/// The learning hyperparameters are private constants: `LEARNING_RATE`
+/// and `VALUE_LEARNING_RATE` (0.02 for the policy and the critic),
+/// `DISCOUNT` (γ = 0.9), and for PPO `PPO_CLIP` (ε = 0.2) and
+/// `PPO_EPOCHS` (4 per episode).
 #[derive(Clone, Debug)]
 pub struct RlConfig {
     /// Update rule.
     pub algorithm: RlAlgorithm,
     /// Feature map.
     pub features: RlFeatures,
-    /// Policy learning rate.
-    pub learning_rate: f64,
-    /// Critic learning rate.
-    pub value_learning_rate: f64,
-    /// Discount factor γ.
-    pub discount: f64,
-    /// PPO clipping ε.
-    pub ppo_clip: f64,
-    /// PPO epochs per episode batch.
-    pub ppo_epochs: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -63,15 +58,21 @@ impl Default for RlConfig {
         RlConfig {
             algorithm: RlAlgorithm::A2c,
             features: RlFeatures::Stats,
-            learning_rate: 0.02,
-            value_learning_rate: 0.02,
-            discount: 0.9,
-            ppo_clip: 0.2,
-            ppo_epochs: 4,
             seed: 0,
         }
     }
 }
+
+/// Policy learning rate.
+const LEARNING_RATE: f64 = 0.02;
+/// Critic learning rate.
+const VALUE_LEARNING_RATE: f64 = 0.02;
+/// Discount factor γ.
+const DISCOUNT: f64 = 0.9;
+/// PPO clipping ε.
+const PPO_CLIP: f64 = 0.2;
+/// PPO epochs per episode.
+const PPO_EPOCHS: usize = 4;
 
 /// Objectives an RL policy can roll out on: featurisation observes the
 /// evolving AIG between actions, which the plain black-box interface
@@ -187,7 +188,7 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
         let mut returns = vec![0.0f64; rewards.len()];
         let mut acc = 0.0;
         for t in (0..rewards.len()).rev() {
-            acc = rewards[t] + config.discount * acc;
+            acc = rewards[t] + DISCOUNT * acc;
             returns[t] = acc;
         }
         let advantages: Vec<f64> = returns
@@ -199,7 +200,7 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
         // --- Critic update (TD toward the return).
         for (phi, adv) in feats.iter().zip(&advantages) {
             for (vi, p) in v.iter_mut().zip(phi) {
-                *vi += config.value_learning_rate * adv * p;
+                *vi += VALUE_LEARNING_RATE * adv * p;
             }
         }
         // --- Actor update.
@@ -208,25 +209,18 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
                 for ((phi, pi), (&action, adv)) in
                     feats.iter().zip(&probs).zip(tokens.iter().zip(&advantages))
                 {
-                    policy_gradient_step(
-                        &mut w,
-                        phi,
-                        pi,
-                        action as usize,
-                        *adv,
-                        config.learning_rate,
-                    );
+                    policy_gradient_step(&mut w, phi, pi, action as usize, *adv, LEARNING_RATE);
                 }
             }
             RlAlgorithm::Ppo => {
-                for _ in 0..config.ppo_epochs {
+                for _ in 0..PPO_EPOCHS {
                     for ((phi, pi_old), (&action, adv)) in
                         feats.iter().zip(&probs).zip(tokens.iter().zip(&advantages))
                     {
                         let pi_new = softmax(&w, phi);
                         let a = action as usize;
                         let ratio = pi_new[a] / pi_old[a].max(1e-12);
-                        let clipped = ratio.clamp(1.0 - config.ppo_clip, 1.0 + config.ppo_clip);
+                        let clipped = ratio.clamp(1.0 - PPO_CLIP, 1.0 + PPO_CLIP);
                         // Clipped surrogate: zero gradient when clipping binds.
                         let active = if *adv >= 0.0 {
                             ratio <= clipped + 1e-12
@@ -235,14 +229,7 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
                         };
                         if active {
                             let scale = *adv * ratio;
-                            policy_gradient_step(
-                                &mut w,
-                                phi,
-                                &pi_new,
-                                a,
-                                scale,
-                                config.learning_rate,
-                            );
+                            policy_gradient_step(&mut w, phi, &pi_new, a, scale, LEARNING_RATE);
                         }
                     }
                 }

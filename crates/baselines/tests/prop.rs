@@ -32,7 +32,6 @@ proptest! {
                 population: 6,
                 seed,
                 threads: 3,
-                ..GaConfig::default()
             }, &control).expect("uncontrolled run"),
             reinforcement_learning(&evaluator, space, budget, &RlConfig {
                 algorithm: RlAlgorithm::A2c,
@@ -43,7 +42,6 @@ proptest! {
                 algorithm: RlAlgorithm::Ppo,
                 features: RlFeatures::Graph,
                 seed,
-                ..RlConfig::default()
             }, &control).expect("uncontrolled run"),
         ];
         for r in &results {

@@ -30,8 +30,6 @@
 //! ```
 
 mod benchmarks;
-mod extra;
 pub mod words;
 
 pub use crate::benchmarks::{log2_frac_bits, log2_int_bits, model, Benchmark, CircuitSpec};
-pub use crate::extra::{alu, priority_encoder};

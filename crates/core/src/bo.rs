@@ -80,10 +80,7 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
         control: &RunControl,
         diagnostics: &mut RunDiagnostics,
     ) -> Result<OptimizationResult, RunBoilsError> {
-        *diagnostics = RunDiagnostics {
-            objective: objective.cost_name(),
-            ..RunDiagnostics::default()
-        };
+        *diagnostics = RunDiagnostics::default();
         let cfg = self.config;
         let budget = cfg.max_evaluations;
         if budget < cfg.initial_samples.max(2) {
@@ -96,13 +93,12 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
         let engine = BatchEvaluator::new(cfg.threads);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut history: Vec<EvalRecord> = Vec::with_capacity(budget);
+        let mut quarantined: Vec<Vec<u8>> = Vec::new();
 
         // -- Initial design (line 3), evaluated as one prefix-aware batch.
         let initial = self.design(&mut rng);
         let outcome = engine.evaluate_grouped(objective, &initial, control);
-        diagnostics
-            .quarantined
-            .extend(outcome.quarantined.iter().cloned());
+        quarantined.extend(outcome.quarantined.iter().cloned());
         let mut stop = outcome.stopped;
         for (tokens, point) in outcome.resolved_prefix(&initial) {
             history.push(EvalRecord { tokens, point });
@@ -245,9 +241,7 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             // -- Evaluate and update data (line 9): the lies are gone, so
             // the model sees only real outcomes.
             let outcome = engine.evaluate_grouped(objective, &batch, control);
-            diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
+            quarantined.extend(outcome.quarantined.iter().cloned());
             let batch_start = history.len();
             for (tokens, point) in outcome.resolved_prefix(&batch) {
                 history.push(EvalRecord { tokens, point });
@@ -318,9 +312,7 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
                 continue;
             }
             let outcome = engine.evaluate(objective, std::slice::from_ref(&tokens), control);
-            diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
+            quarantined.extend(outcome.quarantined.iter().cloned());
             match outcome.points[0] {
                 Some(point) => {
                     history.push(EvalRecord { tokens, point });
@@ -334,11 +326,10 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             diagnostics.retrains_at = surrogate.diagnostics().retrains_at.clone();
             diagnostics.surrogate = surrogate.diagnostics().clone();
         }
-        diagnostics.termination = stop.map(Termination::from).unwrap_or_default();
-        let mut result =
-            OptimizationResult::from_history_terminated(&space, history, diagnostics.termination);
-        result.quarantined = diagnostics.quarantined.clone();
-        result.objective = diagnostics.objective.clone();
+        let termination = stop.map(Termination::from).unwrap_or_default();
+        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
+        result.quarantined = quarantined;
+        result.objective = objective.cost_name();
         result.surrogate = Some(diagnostics.surrogate.clone());
         Ok(result)
     }

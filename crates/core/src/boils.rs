@@ -295,15 +295,6 @@ pub struct RunDiagnostics {
     /// Evaluations spent on already-memoised sequences. Non-zero only when
     /// the space was genuinely exhausted (every sequence evaluated).
     pub duplicate_evals: usize,
-    /// Sequences whose evaluation panicked and was quarantined (the
-    /// history holds worst-case sentinels in their place).
-    pub quarantined: Vec<Vec<u8>>,
-    /// Why the run ended (mirrors
-    /// [`OptimizationResult::termination`](crate::OptimizationResult)).
-    pub termination: Termination,
-    /// The active cost function's name (mirrors
-    /// [`OptimizationResult::objective`](crate::OptimizationResult)).
-    pub objective: String,
 }
 
 /// Outcome of the freshness guard around one proposed candidate.
@@ -602,10 +593,6 @@ mod tests {
         let result = boils.run(&evaluator).expect("run");
         assert_eq!(result.termination, Termination::BudgetExhausted);
         assert!(result.quarantined.is_empty());
-        assert_eq!(
-            boils.diagnostics().termination,
-            Termination::BudgetExhausted
-        );
     }
 
     #[test]
@@ -619,7 +606,6 @@ mod tests {
         let result = boils.run(&evaluator).expect("mo run");
         assert_eq!(result.num_evaluations(), 12);
         assert_eq!(result.objective, "qor");
-        assert_eq!(boils.diagnostics().objective, "qor");
         assert!(!result.pareto_front.is_empty());
         // Every archive entry sits in the history and is nondominated.
         for kept in &result.pareto_front {

@@ -162,10 +162,10 @@ pub(crate) fn prefix_chunk_ranges(seqs: &[&[u8]], workers: usize) -> Vec<std::op
 /// assignment — and therefore lock interleaving — is reproducible).
 ///
 /// The value type is generic so the same table can memoise derived points
-/// (`QorPoint`, the default) or the cost-independent raw synthesis record
-/// ([`SynthStats`](boils_mapper::SynthStats)) the
+/// (`QorPoint`, the default) or the objective-independent raw synthesis
+/// record ([`SynthStats`](boils_mapper::SynthStats)) the
 /// [`QorEvaluator`](crate::QorEvaluator) caches — the representation that
-/// lets one cache serve every [`CostFn`](crate::CostFn).
+/// lets one cache serve every [`Objective`](crate::Objective).
 #[derive(Debug)]
 pub struct ShardedCache<V = QorPoint> {
     shards: [RwLock<HashMap<Vec<u8>, V>>; SHARD_COUNT],
@@ -206,8 +206,8 @@ impl<V: Copy> ShardedCache<V> {
     }
 
     /// [`ShardedCache::get`] without hit accounting — for derived reads of
-    /// entries already counted (e.g. re-projecting a memoised synthesis
-    /// record under a different cost function).
+    /// entries already counted (e.g. projecting a memoised synthesis
+    /// record onto the objective's cost vector).
     pub fn peek(&self, key: &[u8]) -> Option<V> {
         read_lock(self.shard(key)).get(key).copied()
     }
@@ -241,14 +241,6 @@ impl<V: Copy> ShardedCache<V> {
     /// Number of [`ShardedCache::get`] calls that found a memoised result.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Forgets every memoised result and resets hit accounting.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            write_lock(shard).clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
     }
 }
 
@@ -296,7 +288,7 @@ enum EvalOutcome {
 }
 
 /// Evaluates one sequence under a control, isolating panics. A panicking
-/// objective (a misbehaving cost function, an injected fault) becomes a
+/// objective (a synthesis bug, an injected fault) becomes a
 /// quarantined sequence instead of unwinding through the worker — which,
 /// together with the poison-proof shard locks, is what makes one bad
 /// evaluation cost one sentinel rather than the whole sweep.
@@ -352,25 +344,6 @@ impl BatchEvaluator {
         BatchEvaluator {
             threads: threads.max(1),
         }
-    }
-
-    /// A single-threaded engine (the default everywhere).
-    pub fn serial() -> BatchEvaluator {
-        BatchEvaluator::new(1)
-    }
-
-    /// An engine sized to the machine's available parallelism.
-    pub fn available_parallelism() -> BatchEvaluator {
-        BatchEvaluator::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Evaluates every sequence in `batch` under a [`RunControl`],
@@ -556,12 +529,6 @@ impl BatchEvaluator {
             stopped,
             quarantined,
         }
-    }
-}
-
-impl Default for BatchEvaluator {
-    fn default() -> Self {
-        BatchEvaluator::serial()
     }
 }
 
@@ -934,9 +901,6 @@ mod tests {
         assert_eq!(cache.get(&[1, 2, 3]), Some(p));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
     }
 
     #[test]

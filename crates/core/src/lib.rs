@@ -4,8 +4,10 @@
 //! combinatorial space of synthesis sequences `Alg^K` with a Gaussian
 //! process surrogate over the sub-sequence string kernel and a
 //! trust-region-constrained expected-improvement maximiser. The crate also
-//! provides the [`QorEvaluator`] implementing the paper's Eq. 1 objective,
-//! the [`SequenceSpace`] abstraction, the [`Sbo`] standard-BO baseline
+//! provides the [`QorEvaluator`], which scores the paper's Eq. 1 or another
+//! built-in [`Objective`] (area, delay, AIG depth, LUT count or a weighted
+//! sum) from one objective-independent memo table, the
+//! [`SequenceSpace`] abstraction, the [`Sbo`] standard-BO baseline
 //! (configured by the same [`BoilsConfig`]), and the shared parallel
 //! evaluation engine ([`SequenceObjective`] / [`BatchEvaluator`] /
 //! [`ShardedCache`]) that every optimiser — here and in `boils-baselines`
@@ -38,7 +40,6 @@
 mod bo;
 mod boils;
 pub mod control;
-pub mod cost;
 pub mod eval;
 pub mod fault;
 pub mod job;
@@ -50,7 +51,6 @@ mod space;
 
 pub use crate::boils::{Acquisition, Boils, BoilsConfig, RunBoilsError, RunDiagnostics, WarmStart};
 pub use crate::control::{RunControl, StopReason};
-pub use crate::cost::{BuiltinCost, CostFn};
 pub use crate::eval::{
     BatchEvaluator, BatchOutcome, SequenceObjective, ShardedCache, QUARANTINE_QOR,
 };

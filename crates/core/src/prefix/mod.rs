@@ -207,11 +207,6 @@ impl PrefixCache {
         self.len() == 0
     }
 
-    /// The configured entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// A snapshot of the replay-savings counters.
     pub fn stats(&self) -> PrefixStats {
         PrefixStats {
@@ -221,17 +216,6 @@ impl PrefixCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             ..PrefixStats::default()
         }
-    }
-
-    /// Forgets every cached intermediate and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            crate::eval::write_lock(shard).clear();
-        }
-        self.prefix_hits.store(0, Ordering::Relaxed);
-        self.passes_applied.store(0, Ordering::Relaxed);
-        self.passes_saved.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
 }
 
@@ -279,9 +263,6 @@ mod tests {
         assert_eq!(stats.prefix_hits, 1);
         assert_eq!(stats.passes_applied, 7);
         assert_eq!(stats.passes_saved, 3);
-        cache.clear();
-        assert_eq!(cache.stats(), PrefixStats::default());
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -12,7 +12,6 @@ use boils_mapper::{synth_stats, MapStats, MapperConfig, SynthStats};
 use boils_synth::{resyn2, Transform};
 
 use crate::control::RunControl;
-use crate::cost::CostFn;
 use crate::eval::{SequenceObjective, ShardedCache};
 use crate::fault::{FaultInjector, FaultOp};
 use crate::prefix::{PersistentPrefixStore, PrefixCache, PrefixStats, DEFAULT_PREFIX_CAPACITY};
@@ -21,7 +20,7 @@ use crate::prefix::{PersistentPrefixStore, PrefixCache, PrefixStats, DEFAULT_PRE
 /// notes BOiLS "can be utilised with other quantities of interest, e.g.,
 /// area or delay disjointly", which these variants provide. Every variant
 /// is a pure function of the cached [`SynthStats`], so switching objectives
-/// reuses every cached synthesis result (see [`crate::cost`]).
+/// reuses every cached synthesis result, in memory and on disk.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Objective {
     /// The paper's Eq. 1: `area/area_ref + delay/delay_ref`.
@@ -206,14 +205,10 @@ impl std::error::Error for DegenerateReferenceError {}
 pub struct QorEvaluator {
     base: Aig,
     reference: SynthStats,
-    mapper_config: MapperConfig,
     objective: Objective,
-    /// A custom cost overriding the built-in `objective` arithmetic
-    /// (see [`QorEvaluator::with_cost_fn`]).
-    cost: Option<Arc<dyn CostFn>>,
-    /// The memo table holds cost-independent raw synthesis statistics;
-    /// costs are derived per lookup, so switching the objective (or the
-    /// custom cost) reuses every cached entry. `Arc`-backed so forked
+    /// The memo table holds objective-independent raw synthesis
+    /// statistics; costs are derived per lookup, so switching the
+    /// objective reuses every cached entry. `Arc`-backed so forked
     /// evaluators ([`QorEvaluator::fork_with_objective`]) share one table.
     cache: Arc<ShardedCache<SynthStats>>,
     /// Intermediate-AIG store keyed by token prefix; `None` disables
@@ -238,9 +233,7 @@ impl QorEvaluator {
     /// Fails if the reference mapping has zero area or delay (a circuit with
     /// no logic), which would make Eq. 1 undefined.
     pub fn new(aig: &Aig) -> Result<QorEvaluator, DegenerateReferenceError> {
-        let mapper_config = MapperConfig::default();
-        let reference_aig = resyn2(aig);
-        let reference = synth_stats(&reference_aig, &mapper_config);
+        let reference = synth_stats(&resyn2(aig), &MapperConfig::default());
         if reference.luts == 0 || reference.levels == 0 {
             return Err(DegenerateReferenceError {
                 reference: reference.map_stats(),
@@ -249,9 +242,7 @@ impl QorEvaluator {
         Ok(QorEvaluator {
             base: aig.clone(),
             reference,
-            mapper_config,
             objective: Objective::Qor,
-            cost: None,
             cache: Arc::new(ShardedCache::new()),
             prefix: Some(Arc::new(PrefixCache::new(DEFAULT_PREFIX_CAPACITY))),
             store: None,
@@ -389,7 +380,7 @@ impl QorEvaluator {
 
     /// Switches the optimised quantity.
     ///
-    /// The cache is *kept*: it memoises cost-independent [`SynthStats`],
+    /// The cache is *kept*: it memoises objective-independent [`SynthStats`],
     /// so every synthesis result computed under the previous objective is
     /// reused by the new one (including an attached persistent store's
     /// on-disk intermediates).
@@ -398,35 +389,8 @@ impl QorEvaluator {
     ///
     /// Panics if a [`Objective::Weighted`] weight is outside `[0, 1]`.
     pub fn with_objective(mut self, objective: Objective) -> QorEvaluator {
-        if let Objective::Weighted { area_weight } = objective {
-            assert!(
-                (0.0..=1.0).contains(&area_weight),
-                "area weight must be in [0, 1]"
-            );
-        }
-        self.objective = objective;
+        self.objective = checked_weight(objective);
         self
-    }
-
-    /// Attaches a custom [`CostFn`], overriding the built-in objective
-    /// arithmetic. Like [`QorEvaluator::with_objective`], the cache is
-    /// kept — the cost is derived per lookup from the cached statistics.
-    pub fn with_cost_fn(mut self, cost: Arc<dyn CostFn>) -> QorEvaluator {
-        self.cost = Some(cost);
-        self
-    }
-
-    /// The quantity being optimised.
-    pub fn objective(&self) -> Objective {
-        self.objective
-    }
-
-    /// The active cost function's name (`"qor"` unless reconfigured).
-    pub fn cost_name(&self) -> String {
-        match &self.cost {
-            Some(cost) => cost.name(),
-            None => self.objective.name(),
-        }
     }
 
     /// The circuit being optimised.
@@ -444,26 +408,10 @@ impl QorEvaluator {
         self.reference
     }
 
-    /// Derives the active cost of one synthesis record.
-    fn cost_of(&self, stats: &SynthStats) -> f64 {
-        match &self.cost {
-            Some(cost) => cost.cost(stats),
-            None => self.objective.cost(stats, &self.reference),
-        }
-    }
-
-    /// Derives the multi-objective cost vector of one synthesis record.
-    fn vector_of_stats(&self, stats: &SynthStats) -> Vec<f64> {
-        match &self.cost {
-            Some(cost) => cost.vector(stats),
-            None => self.objective.vector(stats, &self.reference),
-        }
-    }
-
-    /// Projects a synthesis record onto the active cost.
+    /// Projects a synthesis record onto the objective.
     fn point_of(&self, stats: &SynthStats) -> QorPoint {
         QorPoint {
-            qor: self.cost_of(stats),
+            qor: self.objective.cost(stats, &self.reference),
             area: stats.luts,
             delay: stats.levels,
         }
@@ -484,7 +432,7 @@ impl QorEvaluator {
         self.point_of(&self.stats_of(tokens))
     }
 
-    /// Evaluates a token-encoded sequence to its raw, cost-independent
+    /// Evaluates a token-encoded sequence to its raw, objective-independent
     /// synthesis statistics — the value actually memoised; every cost is
     /// derived from this record.
     ///
@@ -492,10 +440,17 @@ impl QorEvaluator {
     ///
     /// Panics if a token is outside `0..11`.
     pub fn stats_of(&self, tokens: &[u8]) -> SynthStats {
+        self.memoised(tokens, None)
+            .expect("an uncontrolled evaluation always completes")
+    }
+
+    /// The memoised statistics of `tokens`, computed and inserted on a
+    /// miss; `None` only when `control` interrupted the computation.
+    fn memoised(&self, tokens: &[u8], control: Option<&RunControl>) -> Option<SynthStats> {
         if let Some(hit) = self.cache.get(tokens) {
-            return hit;
+            return Some(hit);
         }
-        let stats = self.compute(tokens);
+        let stats = self.compute(tokens, control)?;
         // The value is a pure function of the tokens, so a concurrent
         // duplicate computation is harmless — but only the thread whose
         // insert lands first may bump the unique-evaluation count, keeping
@@ -504,7 +459,7 @@ impl QorEvaluator {
         if self.cache.insert(tokens.to_vec(), stats) {
             self.unique_evaluations.fetch_add(1, Ordering::Relaxed);
         }
-        stats
+        Some(stats)
     }
 
     /// Applies the sequence and maps the result — the uncached hot path.
@@ -520,23 +475,15 @@ impl QorEvaluator {
     /// structurally identical to what was written, so the mapped result is
     /// bit-identical to a full replay — with the store on, off, or
     /// pre-warmed by a different process.
-    fn compute(&self, tokens: &[u8]) -> SynthStats {
-        self.compute_controlled(tokens, None)
-            .expect("uncontrolled compute always completes")
-    }
-
-    /// [`QorEvaluator::compute`] with cooperative interruption: the control
-    /// (when present) is polled between synthesis passes, so even a long
-    /// sequence on a large circuit stops within one transform of the
-    /// cancellation. Returns `None` only when interrupted — nothing partial
-    /// is published to the value cache, though intermediates synthesised
-    /// before the stop stay in the prefix tiers (they are pure functions of
-    /// their token prefix, so a later replay reuses them bit-identically).
-    fn compute_controlled(
-        &self,
-        tokens: &[u8],
-        control: Option<&RunControl>,
-    ) -> Option<SynthStats> {
+    ///
+    /// A `control`, when present, is polled between synthesis passes, so
+    /// even a long sequence on a large circuit stops within one transform
+    /// of the cancellation. Returns `None` only when interrupted — nothing
+    /// partial is published to the value cache, though intermediates
+    /// synthesised before the stop stay in the prefix tiers (they are pure
+    /// functions of their token prefix, so a later replay reuses them
+    /// bit-identically).
+    fn compute(&self, tokens: &[u8], control: Option<&RunControl>) -> Option<SynthStats> {
         if let Some(injector) = &self.fault {
             if let Some(kind) = injector.next_fault(FaultOp::Eval) {
                 panic!(
@@ -586,7 +533,7 @@ impl QorEvaluator {
         if let Some(cache) = &self.prefix {
             cache.record_replay(start, tokens.len() - start);
         }
-        Some(synth_stats(&current, &self.mapper_config))
+        Some(synth_stats(&current, &MapperConfig::default()))
     }
 
     /// The number of unique (non-cached) black-box evaluations so far.
@@ -604,19 +551,6 @@ impl QorEvaluator {
         self.cache.contains(tokens)
     }
 
-    /// Forgets all in-memory cached evaluations (values and intermediate
-    /// AIGs) and resets the counters. An attached persistent store keeps
-    /// its on-disk entries — surviving resets (and processes) is its
-    /// purpose — but correctness never depends on them: entries are
-    /// validated on every read.
-    pub fn reset(&self) {
-        self.cache.clear();
-        if let Some(prefix_cache) = &self.prefix {
-            prefix_cache.clear();
-        }
-        self.unique_evaluations.store(0, Ordering::Relaxed);
-    }
-
     /// A new evaluator handle optimising `objective` and sharing every
     /// cache tier with `self` — the value memo table, the in-memory prefix
     /// cache, an attached persistent store, and the fault injector — with
@@ -628,7 +562,7 @@ impl QorEvaluator {
     /// synthesis work *that job's* insert won. Caching never changes
     /// values (every tier is a pure accelerator), so a forked job's
     /// trajectory is bit-identical to a solo run with the same seed. The
-    /// shared memo table holds cost-independent [`SynthStats`], so a
+    /// shared memo table holds objective-independent [`SynthStats`], so a
     /// `lut`-objective fork reuses every synthesis result a `qor` job
     /// already computed (and vice versa).
     ///
@@ -636,18 +570,10 @@ impl QorEvaluator {
     ///
     /// Panics if a [`Objective::Weighted`] weight is outside `[0, 1]`.
     pub fn fork_with_objective(&self, objective: Objective) -> QorEvaluator {
-        if let Objective::Weighted { area_weight } = objective {
-            assert!(
-                (0.0..=1.0).contains(&area_weight),
-                "area weight must be in [0, 1]"
-            );
-        }
         QorEvaluator {
             base: self.base.clone(),
             reference: self.reference,
-            mapper_config: self.mapper_config.clone(),
-            objective,
-            cost: self.cost.clone(),
+            objective: checked_weight(objective),
             cache: Arc::clone(&self.cache),
             prefix: self.prefix.clone(),
             store: self.store.clone(),
@@ -657,20 +583,26 @@ impl QorEvaluator {
     }
 }
 
+/// `objective`, once a [`Objective::Weighted`] weight is checked to lie in
+/// `[0, 1]` (panics otherwise).
+fn checked_weight(objective: Objective) -> Objective {
+    if let Objective::Weighted { area_weight } = objective {
+        assert!(
+            (0.0..=1.0).contains(&area_weight),
+            "area weight must be in [0, 1]"
+        );
+    }
+    objective
+}
+
 impl SequenceObjective for QorEvaluator {
     fn evaluate_tokens(&self, tokens: &[u8]) -> QorPoint {
         QorEvaluator::evaluate_tokens(self, tokens)
     }
 
     fn evaluate_tokens_controlled(&self, tokens: &[u8], control: &RunControl) -> Option<QorPoint> {
-        if let Some(hit) = self.cache.get(tokens) {
-            return Some(self.point_of(&hit));
-        }
-        let stats = self.compute_controlled(tokens, Some(control))?;
-        if self.cache.insert(tokens.to_vec(), stats) {
-            self.unique_evaluations.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(self.point_of(&stats))
+        self.memoised(tokens, Some(control))
+            .map(|stats| self.point_of(&stats))
     }
 
     fn lookup(&self, tokens: &[u8]) -> Option<QorPoint> {
@@ -686,7 +618,7 @@ impl SequenceObjective for QorEvaluator {
     }
 
     fn cost_name(&self) -> String {
-        QorEvaluator::cost_name(self)
+        self.objective.name()
     }
 
     fn vector_of(&self, tokens: &[u8]) -> Option<Vec<f64>> {
@@ -694,7 +626,7 @@ impl SequenceObjective for QorEvaluator {
         // sequence is not a fresh cache hit.
         self.cache
             .peek(tokens)
-            .map(|stats| self.vector_of_stats(&stats))
+            .map(|stats| self.objective.vector(&stats, &self.reference))
     }
 }
 
@@ -726,8 +658,6 @@ mod tests {
         assert_eq!(eval.num_evaluations(), 1);
         eval.evaluate(&[Transform::Balance]);
         assert_eq!(eval.num_evaluations(), 2);
-        eval.reset();
-        assert_eq!(eval.num_evaluations(), 0);
     }
 
     #[test]
@@ -779,6 +709,10 @@ mod tests {
         assert_eq!((q.area, q.delay), (a.area, a.delay));
         assert_eq!((q.area, q.delay), (d.area, d.delay));
         let r = qor_eval.reference();
+        assert_eq!(
+            q.qor,
+            q.area as f64 / r.luts as f64 + q.delay as f64 / r.levels as f64
+        );
         assert!((a.qor - 2.0 * q.area as f64 / r.luts as f64).abs() < 1e-12);
         assert!((d.qor - 2.0 * q.delay as f64 / r.levels as f64).abs() < 1e-12);
         // Weighted with w = 0.5 reproduces Eq. 1.
@@ -787,6 +721,70 @@ mod tests {
             .with_objective(Objective::Weighted { area_weight: 0.5 });
         let w = w_eval.evaluate(&seq);
         assert!((w.qor - q.qor).abs() < 1e-12);
+        let lut = QorEvaluator::new(&aig)
+            .expect("ok")
+            .with_objective(Objective::LutCount)
+            .evaluate(&seq);
+        assert_eq!(lut.qor, q.area as f64);
+        let levels_eval = QorEvaluator::new(&aig)
+            .expect("ok")
+            .with_objective(Objective::Levels);
+        let l = levels_eval.evaluate(&seq);
+        let tokens: Vec<u8> = seq.iter().map(|t| t.index() as u8).collect();
+        let (stats, reference) = (levels_eval.stats_of(&tokens), levels_eval.reference_stats());
+        assert_eq!(
+            l.qor,
+            2.0 * (stats.aig_levels as f64 / reference.aig_levels as f64)
+        );
+        // Every objective shares the paper's (area ratio, delay ratio) vector.
+        assert_eq!(
+            levels_eval.vector_of(&tokens),
+            Some(vec![
+                q.area as f64 / r.luts as f64,
+                q.delay as f64 / r.levels as f64
+            ])
+        );
+    }
+
+    fn stats(luts: usize, levels: u32) -> SynthStats {
+        SynthStats {
+            luts,
+            levels,
+            aig_nodes: luts * 3,
+            aig_levels: levels + 2,
+        }
+    }
+
+    #[test]
+    fn builtin_qor_matches_eq1() {
+        let (objective, reference) = (Objective::Qor, stats(100, 10));
+        let s = stats(50, 5);
+        assert_eq!(objective.cost(&s, &reference), 50.0 / 100.0 + 5.0 / 10.0);
+        assert_eq!(objective.vector(&s, &reference), vec![0.5, 0.5]);
+        assert_eq!(objective.name(), "qor");
+    }
+
+    #[test]
+    fn lut_count_is_the_raw_area() {
+        let objective = Objective::LutCount;
+        assert_eq!(objective.cost(&stats(42, 9), &stats(100, 10)), 42.0);
+        assert_eq!(objective.name(), "lut");
+    }
+
+    #[test]
+    fn parse_reads_back_every_name() {
+        for objective in [
+            Objective::Qor,
+            Objective::Area,
+            Objective::Delay,
+            Objective::Levels,
+            Objective::LutCount,
+            Objective::Weighted { area_weight: 0.25 },
+        ] {
+            assert_eq!(Objective::parse(&objective.name()), Ok(objective));
+        }
+        assert!(Objective::parse("weighted:1.5").is_err());
+        assert!(Objective::parse("weighted:nan").is_err());
     }
 
     #[test]
@@ -821,16 +819,6 @@ mod tests {
         );
         assert_eq!(uncached.prefix_len(), 0);
         assert!(cached.prefix_len() > 0);
-    }
-
-    #[test]
-    fn reset_clears_the_prefix_cache() {
-        let eval = evaluator();
-        eval.evaluate(&[Transform::Balance, Transform::Rewrite]);
-        assert!(eval.prefix_len() > 0);
-        eval.reset();
-        assert_eq!(eval.prefix_len(), 0);
-        assert_eq!(eval.prefix_stats(), crate::prefix::PrefixStats::default());
     }
 
     #[test]

@@ -10,12 +10,8 @@
 //!   hyperparameters are retrained on an evaluation cadence even when
 //!   iterations append several records (the retrain-cadence regression).
 
-use std::sync::Arc;
-
 use boils_aig::random_aig;
-use boils_core::{
-    Boils, BoilsConfig, BuiltinCost, Objective, QorEvaluator, RunControl, Sbo, SequenceSpace,
-};
+use boils_core::{Boils, BoilsConfig, Objective, QorEvaluator, RunControl, Sbo, SequenceSpace};
 use boils_gp::TrainConfig;
 
 /// The config whose trajectory was frozen from the pre-q-EI code
@@ -109,32 +105,20 @@ fn default_batch_size_reproduces_the_frozen_boils_trajectory() {
 
 #[test]
 fn explicit_qor_cost_fn_reproduces_the_frozen_boils_trajectory() {
-    // The cost-generic layer's default must be indistinguishable from the
-    // pre-CostFn arithmetic: attaching `Objective::Qor` explicitly — both
-    // through `with_objective` and through a hand-built `BuiltinCost` —
-    // replays the frozen trajectory bit for bit.
+    // Attaching the default `Objective::Qor` explicitly must replay the
+    // frozen trajectory bit for bit.
     let aig = random_aig(71, 8, 300, 3);
-    let via_objective = QorEvaluator::new(&aig)
+    let evaluator = QorEvaluator::new(&aig)
         .expect("ok")
         .with_objective(Objective::Qor);
-    let handmade = QorEvaluator::new(&aig).expect("ok");
-    let cost = BuiltinCost {
-        objective: Objective::Qor,
-        reference: handmade.reference_stats(),
-    };
-    let via_cost_fn = handmade.with_cost_fn(Arc::new(cost));
-    for evaluator in [via_objective, via_cost_fn] {
-        let mut boils = Boils::new(frozen_boils_config(1, 1));
-        let result = boils.run(&evaluator).expect("run");
-        assert_eq!(result.history.len(), FROZEN_BOILS.len());
-        for (i, (record, &(tokens, qor_bits))) in
-            result.history.iter().zip(&FROZEN_BOILS).enumerate()
-        {
-            assert_eq!(record.tokens, tokens, "eval {i}");
-            assert_eq!(record.point.qor.to_bits(), qor_bits, "eval {i}");
-        }
-        assert_eq!(result.objective, "qor");
+    let mut boils = Boils::new(frozen_boils_config(1, 1));
+    let result = boils.run(&evaluator).expect("run");
+    assert_eq!(result.history.len(), FROZEN_BOILS.len());
+    for (i, (record, &(tokens, qor_bits))) in result.history.iter().zip(&FROZEN_BOILS).enumerate() {
+        assert_eq!(record.tokens, tokens, "eval {i}");
+        assert_eq!(record.point.qor.to_bits(), qor_bits, "eval {i}");
     }
+    assert_eq!(result.objective, "qor");
 }
 
 #[test]

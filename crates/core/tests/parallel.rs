@@ -127,11 +127,6 @@ fn cache_hit_accounting_is_exact_in_serial_use() {
         (evaluator.num_evaluations(), evaluator.cache_hits()),
         (2, 2)
     );
-    evaluator.reset();
-    assert_eq!(
-        (evaluator.num_evaluations(), evaluator.cache_hits()),
-        (0, 0)
-    );
 }
 
 #[test]

@@ -12,30 +12,28 @@ use crate::cut::{cut_function_in, Cut};
 /// Configuration of the LUT mapper.
 ///
 /// The defaults mirror the paper's evaluation setting: `lut_size = 6`
-/// (ABC `if -K 6`), 8 priority cuts, and two area-recovery passes.
+/// (ABC `if -K 6`) and two area-recovery passes. The first pass always
+/// selects cuts by depth (there is no `if -a` area-first mode), and every
+/// node keeps 8 priority cuts, the private constant `CUTS_PER_NODE`.
 #[derive(Clone, Debug)]
 pub struct MapperConfig {
     /// Maximum LUT input count (`K`), at most [`Cut::MAX_LEAVES`] (6).
     pub lut_size: usize,
-    /// Number of priority cuts kept per node.
-    pub cuts_per_node: usize,
     /// Number of area-recovery passes after the depth pass (0, 1 or 2).
     pub area_passes: usize,
-    /// Area-oriented mode (ABC `if -a`): the first pass selects cuts by
-    /// area flow instead of depth, trading delay for LUT count.
-    pub area_oriented: bool,
 }
 
 impl Default for MapperConfig {
     fn default() -> Self {
         MapperConfig {
             lut_size: 6,
-            cuts_per_node: 8,
             area_passes: 2,
-            area_oriented: false,
         }
     }
 }
+
+/// Number of priority cuts kept per node (ABC's `if -C 8`).
+const CUTS_PER_NODE: usize = 8;
 
 impl MapperConfig {
     /// A configuration with a specific LUT size and default effort.
@@ -96,11 +94,11 @@ impl std::fmt::Display for MapStats {
     }
 }
 
-/// Cost-function-independent statistics of one synthesised AIG: the mapped
+/// Objective-independent statistics of one synthesised AIG: the mapped
 /// quality numbers of [`MapStats`] plus the structural AIG measures. This is
-/// the value cached per sequence by the evaluation stack — every pluggable
-/// cost function is a pure function of these numbers, so switching cost
-/// functions reuses every cached synthesis result.
+/// the value cached per sequence by the evaluation stack — every
+/// optimisation objective is a pure function of these numbers, so switching
+/// objectives reuses every cached synthesis result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SynthStats {
     /// Number of `K`-LUTs after mapping (the paper's `Area`).
@@ -237,23 +235,6 @@ impl<'a> Mapper<'a> {
     }
 
     fn run(mut self) -> Mapping {
-        if self.config.area_oriented {
-            // Area-first: the initial pass already optimises area flow and
-            // the "required time" floor is each node's own arrival.
-            self.pass(Mode::Depth); // seeds arrivals and cut lists
-            self.depth_arrival = self.arrival.clone();
-            // Relax the depth floor so area passes may trade delay freely.
-            for a in &mut self.depth_arrival {
-                *a = a.saturating_mul(4);
-            }
-            let target = self.current_delay().saturating_mul(4);
-            self.update_refs_and_required(target);
-            self.pass(Mode::AreaFlow);
-            self.update_refs_and_required(target);
-            self.pass(Mode::ExactArea);
-            self.update_refs_and_required(target);
-            return self.derive();
-        }
         self.pass(Mode::Depth);
         self.depth_arrival = self.arrival.clone();
         let target = self.current_delay();
@@ -324,7 +305,7 @@ impl<'a> Mapper<'a> {
                 kept.push(c);
             }
             self.sort_cuts(&mut kept, mode);
-            kept.truncate(self.config.cuts_per_node);
+            kept.truncate(CUTS_PER_NODE);
             // Select the best admissible cut under the node's required time.
             let required = self.node_required(var);
             // Truncation may have dropped every admissible cut; re-adding
@@ -665,29 +646,6 @@ mod tests {
                 "seed {seed}: area recovery increased area"
             );
         }
-    }
-
-    #[test]
-    fn area_oriented_mode_trades_delay_for_area() {
-        let mut better_or_equal_area = 0;
-        for seed in 0..10 {
-            let aig = random_aig(seed + 40, 8, 250, 4);
-            let delay_map = map_aig(&aig, &MapperConfig::default());
-            let area_map = map_aig(
-                &aig,
-                &MapperConfig {
-                    area_oriented: true,
-                    ..MapperConfig::default()
-                },
-            );
-            if area_map.area <= delay_map.area {
-                better_or_equal_area += 1;
-            }
-        }
-        assert!(
-            better_or_equal_area >= 8,
-            "area mode beat delay mode on only {better_or_equal_area}/10 seeds"
-        );
     }
 
     #[test]

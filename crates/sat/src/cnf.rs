@@ -270,7 +270,9 @@ impl EquivStats {
     }
 }
 
-/// Configuration of [`check_equivalence_with`].
+/// Configuration of [`check_equivalence_with`]. The refutation patterns
+/// come from a generator with one fixed seed, a constant, so every check
+/// of the same pair draws the same patterns.
 #[derive(Clone, Debug)]
 pub struct EquivConfig {
     /// Random 64-pattern simulation words tried before any SAT work
@@ -278,8 +280,6 @@ pub struct EquivConfig {
     pub sim_words: usize,
     /// SAT conflict budget per output pair (`None` = unbounded).
     pub conflict_budget: Option<u64>,
-    /// Seed of the refutation-pattern generator.
-    pub seed: u64,
 }
 
 impl Default for EquivConfig {
@@ -287,10 +287,12 @@ impl Default for EquivConfig {
         EquivConfig {
             sim_words: 8,
             conflict_budget: None,
-            seed: 0x5EED_C0DE,
         }
     }
 }
+
+/// Seed of the refutation-pattern generator.
+const SIM_SEED: u64 = 0x5EED_C0DE;
 
 /// Checks combinational equivalence of two AIGs with a shared-input miter.
 ///
@@ -372,7 +374,7 @@ pub fn check_equivalence_with(a: &Aig, b: &Aig, config: &EquivConfig) -> (EquivR
         } else {
             config.sim_words
         };
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(SIM_SEED);
         let pi_words: Vec<Vec<u64>> = (0..a.num_pis())
             .map(|_| (0..words).map(|_| rng.gen()).collect())
             .collect();

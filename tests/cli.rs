@@ -258,7 +258,7 @@ fn switching_the_objective_reuses_the_warm_store() {
     // Cold run under Eq. 1 QoR fills the store; the re-run with a
     // different cost function replays the same greedy frontier and must
     // find every synthesis result already on disk — the cache is keyed on
-    // cost-fn-independent synthesis stats.
+    // objective-independent synthesis stats.
     let cold = run("qor");
     assert!(cold.contains("objective     : qor"), "output: {cold}");
     let warm = run("lut");
