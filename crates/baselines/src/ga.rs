@@ -3,14 +3,11 @@
 //! selection, uniform crossover and per-gene mutation.
 //!
 //! Each generation's offspring are bred serially (preserving the RNG
-//! stream) and then scored as one parallel batch through the shared
-//! [`BatchEvaluator`], so the evolution trajectory is identical at any
-//! thread count.
+//! stream) and then scored as one parallel batch through a
+//! [`RunLedger`], so the evolution trajectory is identical at any thread
+//! count.
 
-use boils_core::{
-    BatchEvaluator, EvalRecord, OptimizationResult, RunControl, SequenceObjective, SequenceSpace,
-    Termination,
-};
+use boils_core::{OptimizationResult, RunControl, RunLedger, SequenceObjective, SequenceSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,7 +19,8 @@ use rand::{Rng, SeedableRng};
 /// `MUTATION_RATE` (0.1 per gene).
 #[derive(Clone, Debug)]
 pub struct GaConfig {
-    /// Population size (clamped to the budget).
+    /// Population size, raised to one more than the two elites (so every
+    /// generation breeds) and capped at the budget.
     pub population: usize,
     /// Worker threads for scoring each generation's population.
     pub threads: usize,
@@ -53,10 +51,9 @@ const CROSSOVER_RATE: f64 = 0.9;
 /// The smallest budget the GA runs at: a population of two.
 pub(crate) const MIN_BUDGET: usize = 2;
 
-/// Runs the GA until the evaluation budget is exhausted, or until
-/// `control`'s cancel or deadline stops the evolution at the next
-/// evaluation boundary with best-so-far; `None` only when nothing at all
-/// was evaluated.
+/// Runs the GA until the evaluation budget is exhausted. `control` is
+/// checked before each generation; cancellation and quarantine follow
+/// [`RunLedger`], and `None` comes back only when nothing resolved.
 ///
 /// ```no_run
 /// use boils_circuits::{Benchmark, CircuitSpec};
@@ -82,51 +79,25 @@ pub fn genetic_algorithm<O: SequenceObjective>(
     control: &RunControl,
 ) -> Option<OptimizationResult> {
     assert!(budget >= MIN_BUDGET, "budget too small for a population");
-    let engine = BatchEvaluator::new(config.threads);
+    let mut ledger = RunLedger::new(objective, config.threads, control);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let pop_size = config.population.clamp(2, budget);
-    let mut history: Vec<EvalRecord> = Vec::with_capacity(budget);
-    let mut quarantined: Vec<Vec<u8>> = Vec::new();
+    let pop_size = config.population.max(ELITES + 1).min(budget);
 
     // Initial population via Latin hypercube, scored as one batch.
-    let mut seeds: Vec<Vec<u8>> = space.latin_hypercube(pop_size, &mut rng);
-    seeds.truncate(budget);
-    let outcome = engine.evaluate(objective, &seeds, control);
-    quarantined.extend(outcome.quarantined.iter().cloned());
-    let mut stop = outcome.stopped;
-    let mut population: Vec<(Vec<u8>, f64)> = Vec::with_capacity(pop_size);
-    for (tokens, point) in outcome.resolved_prefix(&seeds) {
-        history.push(EvalRecord {
-            tokens: tokens.clone(),
-            point,
-        });
-        population.push((tokens, point.qor));
-    }
-    if history.is_empty() {
-        return None;
-    }
+    let seeds: Vec<Vec<u8>> = space.latin_hypercube(pop_size, &mut rng);
+    let mut population: Vec<(Vec<u8>, f64)> = ledger
+        .evaluate(&seeds)
+        .iter()
+        .map(|r| (r.tokens.clone(), r.point.qor))
+        .collect();
 
-    while stop.is_none() && history.len() < budget {
-        if let Some(reason) = control.stop_reason() {
-            stop = Some(reason);
-            break;
-        }
+    while ledger.history().len() < budget && ledger.stopped().is_none() {
         population.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite QoR"));
-        let mut next: Vec<(Vec<u8>, f64)> = population
-            .iter()
-            .take(ELITES.min(population.len()))
-            .cloned()
-            .collect();
-        // Breed the whole generation first (serial RNG), then score it as
-        // one parallel batch.
-        let brood = pop_size
-            .saturating_sub(next.len())
-            .min(budget - history.len());
-        if brood == 0 {
-            // A population of two is all elites; it would otherwise spin
-            // without spending budget.
-            break;
-        }
+        // Breed the whole generation from the whole population first
+        // (serial RNG), then score it as one parallel batch; the elites
+        // and the scored offspring make the next generation.
+        let elites = ELITES.min(population.len());
+        let brood = (pop_size - elites).min(budget - ledger.history().len());
         let mut offspring: Vec<Vec<u8>> = Vec::with_capacity(brood);
         for _ in 0..brood {
             let p1 = tournament(&population, TOURNAMENT, &mut rng);
@@ -138,26 +109,11 @@ pub fn genetic_algorithm<O: SequenceObjective>(
             };
             offspring.push(mutate(&space, &child, MUTATION_RATE, &mut rng));
         }
-        let outcome = engine.evaluate(objective, &offspring, control);
-        quarantined.extend(outcome.quarantined.iter().cloned());
-        for (mutated, point) in outcome.resolved_prefix(&offspring) {
-            history.push(EvalRecord {
-                tokens: mutated.clone(),
-                point,
-            });
-            next.push((mutated, point.qor));
-        }
-        population = next;
-        if outcome.stopped.is_some() {
-            stop = outcome.stopped;
-            break;
-        }
+        population.truncate(elites);
+        let scored = ledger.evaluate(&offspring);
+        population.extend(scored.iter().map(|r| (r.tokens.clone(), r.point.qor)));
     }
-    let termination = stop.map(Termination::from).unwrap_or_default();
-    let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-    result.quarantined = quarantined;
-    result.objective = objective.cost_name();
-    Some(result)
+    ledger.finish(&space)
 }
 
 fn tournament<R: Rng>(population: &[(Vec<u8>, f64)], k: usize, rng: &mut R) -> usize {
@@ -195,7 +151,7 @@ fn mutate<R: Rng>(space: &SequenceSpace, tokens: &[u8], rate: f64, rng: &mut R) 
 mod tests {
     use super::*;
     use boils_aig::random_aig;
-    use boils_core::QorEvaluator;
+    use boils_core::{QorEvaluator, Termination};
 
     #[test]
     fn ga_spends_exactly_the_budget() {
@@ -213,6 +169,27 @@ mod tests {
         )
         .expect("uncontrolled run");
         assert_eq!(r.num_evaluations(), 30);
+    }
+
+    #[test]
+    fn ga_spends_the_budget_at_any_population() {
+        let e = QorEvaluator::new(&random_aig(41, 8, 300, 3)).expect("ok");
+        for (population, budget) in [(0, 30), (1, 30), (2, 30), (2, 2)] {
+            let r = genetic_algorithm(
+                &e,
+                SequenceSpace::new(5, 11),
+                budget,
+                &GaConfig {
+                    population,
+                    seed: 1,
+                    ..GaConfig::default()
+                },
+                &RunControl::new(),
+            )
+            .expect("uncontrolled run");
+            assert_eq!(r.num_evaluations(), budget, "population {population}");
+            assert_eq!(r.termination, Termination::BudgetExhausted);
+        }
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! All baselines consume the same
 //! [`SequenceObjective`](boils_core::SequenceObjective) (typically a
 //! [`QorEvaluator`](boils_core::QorEvaluator)), spend their budgets through
-//! the shared [`BatchEvaluator`](boils_core::BatchEvaluator) engine, and
-//! emit the same [`OptimizationResult`](boils_core::OptimizationResult)
-//! trace as BOiLS itself, so the experiment harness treats every method
-//! uniformly. [`Method`] wraps the whole comparison — baselines plus the
-//! BO methods from `boils-core` — behind one id-addressable enum, which is
-//! what the experiment harness and the optimisation daemon dispatch on,
-//! with [`Method::check_run`] as the bounds every front end checks.
+//! a [`RunLedger`](boils_core::RunLedger) as BOiLS itself does, and so
+//! keep the same cancellation and quarantine contract and emit the same
+//! [`OptimizationResult`](boils_core::OptimizationResult) trace; the
+//! experiment harness treats every method uniformly. [`Method`] wraps the
+//! whole comparison — baselines plus the BO methods from `boils-core` —
+//! behind one id-addressable enum, which is what the experiment harness
+//! and the optimisation daemon dispatch on, with [`Method::check_run`] as
+//! the bounds every front end checks.
 
 mod ga;
 mod method;

@@ -272,14 +272,12 @@ impl Method {
     }
 
     /// Runs the method under `spec` against an objective, spending
-    /// black-box evaluations through the shared engine.
+    /// black-box evaluations through a [`RunLedger`](boils_core::RunLedger).
     ///
     /// Every method uses the same [`SequenceObjective`] and produces the
-    /// same trace format, and each trajectory is thread-count invariant. A
-    /// cancel or deadline on `control` stops the method at the next
-    /// evaluation boundary and returns best-so-far (an exact prefix of the
-    /// uncancelled trajectory); `None` only when the control fired before
-    /// a single evaluation completed.
+    /// same trace format, and each trajectory is thread-count invariant.
+    /// Cancellation and quarantine follow the ledger; `None` only when
+    /// nothing resolved.
     ///
     /// # Panics
     ///

@@ -10,10 +10,7 @@
 //! substitution; see `DESIGN.md`.
 
 use boils_aig::Aig;
-use boils_core::{
-    BatchEvaluator, EvalRecord, OptimizationResult, RunControl, SequenceObjective, SequenceSpace,
-    Termination,
-};
+use boils_core::{OptimizationResult, RunControl, RunLedger, SequenceObjective, SequenceSpace};
 use boils_synth::Transform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,13 +88,13 @@ impl RolloutCircuit for boils_core::QorEvaluator {
 /// Runs the RL baseline for `budget` episodes (one tested sequence each).
 ///
 /// Episodes are inherently sequential — each policy update feeds the next
-/// rollout — so this method evaluates through [`SequenceObjective`]
-/// directly (a degenerate batch); its sample-inefficiency relative to the
-/// batched methods is part of the paper's point.
+/// rollout — so each episode's tested sequence is a one-element batch; its
+/// sample-inefficiency relative to the batched methods is part of the
+/// paper's point.
 ///
-/// `control` is polled before each episode (and inside the official
-/// evaluation), so a cancel or deadline stops the run at an episode
-/// boundary with best-so-far; `None` only when no episode completed.
+/// `control` is checked before each episode; cancellation and quarantine
+/// follow [`RunLedger`], and `None` comes back only when nothing
+/// resolved.
 ///
 /// ```no_run
 /// use boils_circuits::{Benchmark, CircuitSpec};
@@ -123,11 +120,7 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
     control: &RunControl,
 ) -> Option<OptimizationResult> {
     assert!(budget >= 1);
-    // Episodes are sequential; the engine is a degenerate 1-element batch
-    // that buys the shared interruption and panic-quarantine semantics.
-    let engine = BatchEvaluator::new(1);
-    let mut quarantined: Vec<Vec<u8>> = Vec::new();
-    let mut stop = None;
+    let mut ledger = RunLedger::new(objective, 1, control);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let base = objective.rollout_circuit().cleanup();
     let norm = (base.num_ands().max(1) as f64, base.depth().max(1) as f64);
@@ -136,11 +129,9 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
     // Linear policy W: actions × dim, linear critic v: dim.
     let mut w = vec![vec![0.0f64; dim]; actions];
     let mut v = vec![0.0f64; dim];
-    let mut history: Vec<EvalRecord> = Vec::with_capacity(budget);
 
     for _episode in 0..budget {
-        if let Some(reason) = control.stop_reason() {
-            stop = Some(reason);
+        if ledger.stopped().is_some() {
             break;
         }
         // --- Roll out one episode.
@@ -171,18 +162,11 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
             probs.push(pi);
         }
         // --- Official evaluation (one tested sequence).
-        let outcome = engine.evaluate(objective, std::slice::from_ref(&tokens), control);
-        quarantined.extend(outcome.quarantined.iter().cloned());
-        let Some(point) = outcome.points[0] else {
-            stop = outcome.stopped;
+        let Some(record) = ledger.evaluate(std::slice::from_ref(&tokens)).first() else {
             break;
         };
-        history.push(EvalRecord {
-            tokens: tokens.clone(),
-            point,
-        });
         // Terminal reward: improvement over the resyn2 reference.
-        *rewards.last_mut().expect("non-empty episode") += 2.0 - point.qor;
+        *rewards.last_mut().expect("non-empty episode") += 2.0 - record.point.qor;
 
         // --- Discounted returns and advantages.
         let mut returns = vec![0.0f64; rewards.len()];
@@ -236,14 +220,7 @@ pub fn reinforcement_learning<O: SequenceObjective + RolloutCircuit>(
             }
         }
     }
-    if history.is_empty() {
-        return None;
-    }
-    let termination = stop.map(Termination::from).unwrap_or_default();
-    let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-    result.quarantined = quarantined;
-    result.objective = objective.cost_name();
-    Some(result)
+    ledger.finish(&space)
 }
 
 fn feature_dim(features: RlFeatures, alphabet: usize) -> usize {

@@ -1,13 +1,10 @@
 //! The non-learning baselines: random search (Latin hypercube, as pymoo's
 //! sampler in the paper) and the greedy constructor. Both spend their
-//! budget through the shared [`BatchEvaluator`] engine, so candidate
-//! batches (the whole design for RS, one position's action sweep for
-//! greedy) evaluate in parallel without changing the search trajectory.
+//! budget through a [`RunLedger`], so candidate batches (the whole design
+//! for RS, one position's action sweep for greedy) evaluate in parallel
+//! without changing the search trajectory.
 
-use boils_core::{
-    BatchEvaluator, EvalRecord, OptimizationResult, RunControl, SequenceObjective, SequenceSpace,
-    Termination,
-};
+use boils_core::{OptimizationResult, RunControl, RunLedger, SequenceObjective, SequenceSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,9 +37,8 @@ pub fn random_search<O: SequenceObjective>(
         .expect("uncontrolled run cannot be interrupted")
 }
 
-/// [`random_search`] under a [`RunControl`]: returns `None` when the
-/// control fires before a single evaluation completes, best-so-far (an
-/// exact prefix of the uncancelled trajectory) otherwise.
+/// [`random_search`] under a [`RunControl`]. Cancellation and quarantine
+/// follow [`RunLedger`]: `None` when nothing resolved.
 pub fn random_search_controlled<O: SequenceObjective>(
     objective: &O,
     space: SequenceSpace,
@@ -56,20 +52,9 @@ pub fn random_search_controlled<O: SequenceObjective>(
     let samples = space.latin_hypercube(budget, &mut rng);
     // The whole design is one independent batch — random search is the
     // embarrassingly parallel end of the method spectrum.
-    let outcome = BatchEvaluator::new(threads).evaluate(objective, &samples, control);
-    let history: Vec<EvalRecord> = outcome
-        .resolved_prefix(&samples)
-        .into_iter()
-        .map(|(tokens, point)| EvalRecord { tokens, point })
-        .collect();
-    if history.is_empty() {
-        return None;
-    }
-    let termination = outcome.stopped.map(Termination::from).unwrap_or_default();
-    let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-    result.quarantined = outcome.quarantined;
-    result.objective = objective.cost_name();
-    Some(result)
+    let mut ledger = RunLedger::new(objective, threads, control);
+    ledger.evaluate(&samples);
+    ledger.finish(&space)
 }
 
 /// The greedy constructor: grows one sequence by appending, at each
@@ -78,9 +63,9 @@ pub fn random_search_controlled<O: SequenceObjective>(
 ///
 /// Each position's action sweep (11 candidate extensions) is evaluated as
 /// one parallel batch; ties break toward the lowest action index, exactly
-/// as the serial sweep did. A cancel or deadline on `control` stops the
-/// sweep at the next evaluation boundary and returns best-so-far; `None`
-/// only when nothing at all was evaluated.
+/// as the serial sweep did. The control is checked only through the
+/// sweeps; cancellation and quarantine follow [`RunLedger`], and `None`
+/// comes back only when nothing resolved.
 pub fn greedy<O: SequenceObjective>(
     objective: &O,
     space: SequenceSpace,
@@ -89,16 +74,10 @@ pub fn greedy<O: SequenceObjective>(
     control: &RunControl,
 ) -> Option<OptimizationResult> {
     assert!(budget >= space.alphabet(), "budget below one greedy step");
-    let engine = BatchEvaluator::new(threads);
-    let mut history: Vec<EvalRecord> = Vec::new();
-    let mut quarantined: Vec<Vec<u8>> = Vec::new();
-    let mut stop = None;
+    let mut ledger = RunLedger::new(objective, threads, control);
     let mut prefix: Vec<u8> = Vec::new();
     for _pos in 0..space.length() {
-        let remaining = budget - history.len();
-        if remaining == 0 {
-            break;
-        }
+        let remaining = budget - ledger.history().len();
         let candidates: Vec<Vec<u8>> = (0..space.alphabet() as u8)
             .take(remaining)
             .map(|action| {
@@ -107,44 +86,20 @@ pub fn greedy<O: SequenceObjective>(
                 cand
             })
             .collect();
-        let truncated = candidates.len() < space.alphabet();
-        let outcome = engine.evaluate(objective, &candidates, control);
-        quarantined.extend(outcome.quarantined.iter().cloned());
-        let resolved = outcome.resolved_prefix(&candidates);
-        let interrupted = outcome.stopped.is_some();
-        let mut best: Option<(f64, u8)> = None;
-        for (cand, point) in resolved {
-            let action = *cand.last().expect("non-empty candidate");
-            if best.is_none_or(|(q, _)| point.qor < q) {
-                best = Some((point.qor, action));
-            }
-            history.push(EvalRecord {
-                tokens: cand,
-                point,
-            });
-        }
-        if interrupted {
-            stop = outcome.stopped;
+        let resolved = ledger.evaluate(&candidates);
+        if resolved.len() < space.alphabet() {
+            // The budget ran out mid-sweep or the control interrupted it:
+            // a partial comparison is not a fair greedy step, so stop
+            // without extending.
             break;
         }
-        if truncated {
-            // Budget ran out mid-sweep: the partial comparison is not a
-            // fair greedy step, so stop without extending (as before).
-            break;
-        }
-        match best {
-            Some((_, action)) => prefix.push(action),
-            None => break,
-        }
+        let best = resolved
+            .iter()
+            .min_by(|a, b| a.point.qor.partial_cmp(&b.point.qor).expect("finite QoR"))
+            .expect("a full sweep");
+        prefix = best.tokens.clone();
     }
-    if history.is_empty() {
-        return None;
-    }
-    let termination = stop.map(Termination::from).unwrap_or_default();
-    let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-    result.quarantined = quarantined;
-    result.objective = objective.cost_name();
-    Some(result)
+    ledger.finish(&space)
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@ use boils_baselines::{check_threads, greedy};
 use boils_bench::cli::{run_or_exit, BenchArgs};
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
-    Boils, BoilsConfig, Objective, PersistentPrefixStore, QorEvaluator, RunControl, SequenceSpace,
+    Boils, BoilsConfig, Objective, PersistentPrefixStore, QorEvaluator, RunControl, RunLedger,
+    SequenceSpace,
 };
 use boils_gp::{hypervolume_2d, Gp, SskKernel, Surrogate, SurrogateConfig, TrainConfig};
 use rand::rngs::StdRng;
@@ -163,7 +164,7 @@ fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String 
     // One timed run: (seconds per batch, batches, the first batch's
     // points and pass counts).
     let run = |batch: &[Vec<u8>], prefix_cache: bool, threads: usize, min_seconds: f64| {
-        let engine = boils_core::BatchEvaluator::new(threads);
+        let control = RunControl::new();
         let mut seconds = 0.0;
         let mut batches = 0;
         let mut first = None;
@@ -174,13 +175,15 @@ fn eval_throughput(aig: &boils_aig::Aig, threads: usize, smoke: bool) -> String 
             } else {
                 evaluator.without_prefix_cache()
             };
+            let mut ledger = RunLedger::new(&evaluator, threads, &control);
             let start = Instant::now();
-            let outcome = engine.evaluate(&evaluator, batch, &RunControl::new());
+            let records = ledger.evaluate(batch);
             seconds += start.elapsed().as_secs_f64();
             batches += 1;
+            let points: Vec<_> = records.iter().map(|r| r.point).collect();
             match &first {
-                Some((points, _)) => assert_eq!(points, &outcome.points, "a batch changed values"),
-                None => first = Some((outcome.points, evaluator.prefix_stats())),
+                Some((reference, _)) => assert_eq!(reference, &points, "a batch changed values"),
+                None => first = Some((points, evaluator.prefix_stats())),
             }
         }
         let (points, stats) = first.expect("at least one batch");

@@ -11,7 +11,7 @@
 //!
 //! The rest is shared: the Latin-hypercube design with warm-start seeds,
 //! the scalar or ParEGO surrogate, constant-liar batches, the freshness
-//! guard, and evaluation through the prefix-aware engine under a
+//! guard, and evaluation through a prefix-aware [`RunLedger`] under a
 //! [`RunControl`].
 
 use boils_gp::{
@@ -26,8 +26,8 @@ use crate::boils::{
     RunDiagnostics, WarmStart,
 };
 use crate::control::{RunControl, StopReason};
-use crate::eval::{BatchEvaluator, SequenceObjective, QUARANTINE_QOR};
-use crate::result::{EvalRecord, OptimizationResult, Termination};
+use crate::eval::{RunLedger, SequenceObjective, QUARANTINE_QOR};
+use crate::result::{EvalRecord, OptimizationResult};
 
 /// One BO run: the shared configuration and the four parts BOiLS and SBO
 /// set differently. [`BoLoop::run`] executes it.
@@ -71,9 +71,9 @@ enum Model<K> {
 }
 
 impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
-    /// Runs the loop against `objective`, polling `control` before every
-    /// batch and every evaluation, and resets `diagnostics` to this run's
-    /// counters.
+    /// Runs the loop against `objective`, checking `control` before every
+    /// batch (cancellation and quarantine follow [`RunLedger`]), and resets
+    /// `diagnostics` to this run's counters.
     pub(crate) fn run<O: SequenceObjective>(
         self,
         objective: &O,
@@ -90,25 +90,17 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             });
         }
         let space = cfg.space;
-        let engine = BatchEvaluator::new(cfg.threads);
+        let mut ledger = RunLedger::new(objective, cfg.threads, control);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(budget);
-        let mut quarantined: Vec<Vec<u8>> = Vec::new();
 
         // -- Initial design (line 3), evaluated as one prefix-aware batch.
         let initial = self.design(&mut rng);
-        let outcome = engine.evaluate_grouped(objective, &initial, control);
-        quarantined.extend(outcome.quarantined.iter().cloned());
-        let mut stop = outcome.stopped;
-        for (tokens, point) in outcome.resolved_prefix(&initial) {
-            history.push(EvalRecord { tokens, point });
-        }
-        if history.is_empty() {
+        if ledger.evaluate_grouped(&initial).is_empty() {
             return Err(RunBoilsError::Interrupted(
-                stop.unwrap_or(StopReason::Cancelled),
+                ledger.stopped().unwrap_or(StopReason::Cancelled),
             ));
         }
-
+        let history = ledger.history();
         let mut model = if cfg.multi_objective {
             let vectors: Vec<Vec<f64>> = history.iter().map(|r| mo_vector(objective, r)).collect();
             let dim = vectors
@@ -143,20 +135,17 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
                 surrogate.seed(tokens.clone(), -qor);
             }
             let mut model = Model::Carried(surrogate);
-            model.observe(objective, &history);
+            model.observe(objective, history);
             model
         };
         // The scalar model's region centre: the best point since
         // the last restart.
-        let mut center = best_of(&history).clone();
+        let mut center = best_of(history).clone();
         let (mut radius, mut successes, mut failures) = (space.length(), 0, 0);
 
         // -- Optimisation loop (lines 6-11).
-        while stop.is_none() && history.len() < budget {
-            if let Some(reason) = control.stop_reason() {
-                stop = Some(reason);
-                break;
-            }
+        while ledger.history().len() < budget && ledger.stopped().is_none() {
+            let history = ledger.history();
             let fitted;
             let (gp, incumbent, centre) = match &mut model {
                 Model::Carried(surrogate) => {
@@ -240,15 +229,11 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
 
             // -- Evaluate and update data (line 9): the lies are gone, so
             // the model sees only real outcomes.
-            let outcome = engine.evaluate_grouped(objective, &batch, control);
-            quarantined.extend(outcome.quarantined.iter().cloned());
             let batch_start = history.len();
-            for (tokens, point) in outcome.resolved_prefix(&batch) {
-                history.push(EvalRecord { tokens, point });
-            }
-            model.observe(objective, &history[batch_start..]);
-            if outcome.stopped.is_some() {
-                stop = outcome.stopped;
+            let records = ledger.evaluate_grouped(&batch);
+            let interrupted = records.len() < batch.len();
+            model.observe(objective, records);
+            if interrupted {
                 break;
             }
 
@@ -259,7 +244,7 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             }
             let improved = match &model {
                 Model::Carried(_) => {
-                    let best_new = best_of(&history[batch_start..]);
+                    let best_new = best_of(records);
                     let improved = best_new.point.qor < center.point.qor;
                     if improved {
                         center = best_new.clone();
@@ -303,33 +288,25 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             // Restart. ParEGO re-centres every iteration anyway; the
             // scalar model centres a fresh region on a random point,
             // evaluated (so it counts against the budget) through the
-            // engine like every other evaluation.
-            if !matches!(model, Model::Carried(_)) || history.len() >= budget {
+            // ledger like every other evaluation.
+            if !matches!(model, Model::Carried(_)) || ledger.history().len() >= budget {
                 continue;
             }
             let tokens = space.sample(&mut rng);
             if objective.is_cached(&tokens) {
                 continue;
             }
-            let outcome = engine.evaluate(objective, std::slice::from_ref(&tokens), control);
-            quarantined.extend(outcome.quarantined.iter().cloned());
-            match outcome.points[0] {
-                Some(point) => {
-                    history.push(EvalRecord { tokens, point });
-                    model.observe(objective, &history[history.len() - 1..]);
-                    center = history.last().expect("just pushed").clone();
-                }
-                None => stop = outcome.stopped,
+            let records = ledger.evaluate(std::slice::from_ref(&tokens));
+            if let Some(record) = records.first() {
+                model.observe(objective, records);
+                center = record.clone();
             }
         }
         if let Model::Carried(surrogate) = &model {
             diagnostics.retrains_at = surrogate.diagnostics().retrains_at.clone();
             diagnostics.surrogate = surrogate.diagnostics().clone();
         }
-        let termination = stop.map(Termination::from).unwrap_or_default();
-        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-        result.quarantined = quarantined;
-        result.objective = objective.cost_name();
+        let mut result = ledger.finish(&space).expect("the design resolved");
         result.surrogate = Some(diagnostics.surrogate.clone());
         Ok(result)
     }

@@ -137,7 +137,7 @@ pub struct BoilsConfig {
     /// incumbent on a scratch copy of the GP, EI is re-maximised against
     /// the lied model, and the lies are discarded before the surrogate sees
     /// real data) and evaluate them as a single prefix-aware parallel batch
-    /// ([`BatchEvaluator::evaluate_grouped`](crate::BatchEvaluator::evaluate_grouped)).
+    /// ([`RunLedger::evaluate_grouped`](crate::RunLedger::evaluate_grouped)).
     /// The budget is still spent as whole evaluations — the final batch
     /// shrinks to the remaining budget — and each batch advances the
     /// trust-region schedule by one step.
@@ -426,12 +426,8 @@ impl Boils {
         self.run_with_control(objective, &RunControl::new())
     }
 
-    /// [`Boils::run`] under a [`RunControl`]: the control is polled before
-    /// every batch and every evaluation, so a cancel or deadline stops the
-    /// run within one synthesis pass and returns best-so-far with the
-    /// matching [`Termination`]. An interrupted run's history is an exact
-    /// prefix of the uncancelled trajectory (values are pure functions of
-    /// their tokens; only *where* the cut lands depends on timing).
+    /// [`Boils::run`] under a [`RunControl`], checked before every batch;
+    /// cancellation and quarantine follow [`RunLedger`](crate::RunLedger).
     ///
     /// # Errors
     ///

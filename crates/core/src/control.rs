@@ -2,7 +2,7 @@
 //!
 //! A [`RunControl`] is a cheap, cloneable handle (one `Arc` around an
 //! atomic flag and an optional monotonic deadline) threaded through every
-//! optimiser, the [`BatchEvaluator`](crate::BatchEvaluator), and — between
+//! optimiser's [`RunLedger`](crate::RunLedger), and — between
 //! synthesis passes — [`QorEvaluator`](crate::QorEvaluator). Checks are
 //! polling, never preemptive: an interrupted run finishes nothing half-way,
 //! it simply stops starting new work and returns best-so-far with a

@@ -11,14 +11,16 @@
 //! * [`ShardedCache`] — a thread-safe memo table (`RwLock`-sharded hash
 //!   map) replacing the old single-threaded `RefCell` cache, with hit
 //!   accounting.
-//! * [`BatchEvaluator`] — evaluates a batch of candidate sequences across
-//!   `std::thread::scope` workers with deterministic results: outputs are
-//!   returned in input order, within-batch duplicates are computed once,
-//!   and the unique-evaluation count (the paper's sample-efficiency
-//!   x-axis) is independent of the thread count. The
-//!   [`evaluate_grouped`](BatchEvaluator::evaluate_grouped) path
-//!   additionally schedules shared-prefix candidates onto the same worker
-//!   so intra-batch prefix-cache reuse is guaranteed rather than racy.
+//! * [`RunLedger`] — the one place a run spends its budget. It evaluates
+//!   each batch of candidate sequences across `std::thread::scope` workers
+//!   with deterministic results: records come back in input order,
+//!   within-batch duplicates are computed once, and the unique-evaluation
+//!   count (the paper's sample-efficiency x-axis) is independent of the
+//!   thread count. The [`evaluate_grouped`](RunLedger::evaluate_grouped)
+//!   path additionally schedules shared-prefix candidates onto the same
+//!   worker so intra-batch prefix-cache reuse is guaranteed rather than
+//!   racy. The ledger keeps the run's history, quarantine list and stop
+//!   reason, and assembles its result.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,6 +29,8 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::control::{RunControl, StopReason};
 use crate::qor::QorPoint;
+use crate::result::{EvalRecord, OptimizationResult, Termination};
+use crate::space::SequenceSpace;
 
 /// Read-locks ignoring poisoning. Every lock in this crate guards memo
 /// data whose values are pure functions of their keys, so the worst a
@@ -45,7 +49,7 @@ pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 
 /// A black-box objective over token-encoded synthesis sequences.
 ///
-/// `Sync` is part of the contract: [`BatchEvaluator`] shares one objective
+/// `Sync` is part of the contract: [`RunLedger`] shares one objective
 /// across scoped worker threads, so implementations must use thread-safe
 /// interior mutability (see [`ShardedCache`]).
 pub trait SequenceObjective: Sync {
@@ -118,7 +122,7 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 ///
 /// Equal-size splits of the sorted order can cut a shared-prefix run in
 /// two, sending its halves to different workers and losing the
-/// intra-batch prefix reuse [`BatchEvaluator::evaluate_grouped`] exists
+/// intra-batch prefix reuse [`RunLedger::evaluate_grouped`] exists
 /// to guarantee. Each boundary therefore slides — within half a chunk of
 /// its equal-split target, so no worker's share more than doubles — to
 /// the adjacent pair with the *shortest* common prefix (ties broken
@@ -249,35 +253,18 @@ impl<V: Copy> ShardedCache<V> {
 /// values sit near 2), finite so GP fits and `partial_cmp` stay sound.
 pub const QUARANTINE_QOR: f64 = 1.0e3;
 
-/// The outcome of a controlled batch evaluation.
+/// The outcome of one scheduled batch.
 ///
 /// `points` is in input order; a `None` means the engine stopped before
 /// that sequence was evaluated. Whenever `stopped` is `None`, every point
 /// is `Some` — interruption is the only way a batch resolves partially.
 #[derive(Debug)]
-pub struct BatchOutcome {
-    /// Input-ordered results; `None` = not evaluated before the stop.
-    pub points: Vec<Option<QorPoint>>,
-    /// Why the batch stopped early, if it did.
-    pub stopped: Option<StopReason>,
+struct BatchOutcome {
+    points: Vec<Option<QorPoint>>,
+    stopped: Option<StopReason>,
     /// Sequences whose evaluation panicked; their `points` entries hold
-    /// the [`QUARANTINE_QOR`] sentinel instead of the run aborting.
-    pub quarantined: Vec<Vec<u8>>,
-}
-
-impl BatchOutcome {
-    /// The longest contiguous input-order run of resolved points, paired
-    /// with their sequences. This is the prefix an interrupted optimiser
-    /// keeps: evaluation values are pure functions of the tokens, so any
-    /// contiguous resolved prefix is an exact prefix of the uncancelled
-    /// trajectory regardless of which workers had finished at the stop.
-    pub fn resolved_prefix(&self, batch: &[Vec<u8>]) -> Vec<(Vec<u8>, QorPoint)> {
-        self.points
-            .iter()
-            .zip(batch)
-            .map_while(|(point, tokens)| point.map(|p| (tokens.clone(), p)))
-            .collect()
-    }
+    /// the [`QUARANTINE_QOR`] sentinel.
+    quarantined: Vec<Vec<u8>>,
 }
 
 /// One evaluation's outcome inside the engine.
@@ -322,50 +309,206 @@ struct WorkerReport {
     stopped: Option<StopReason>,
 }
 
-/// Evaluates batches of candidate sequences in parallel.
+/// The scheduler behind [`RunLedger::evaluate`] and
+/// [`RunLedger::evaluate_grouped`] (`prefix_aware`): evaluates every
+/// pending sequence of `batch` across up to `threads` scoped workers and
+/// returns the points in input order.
+fn run_batch<O: SequenceObjective + ?Sized>(
+    objective: &O,
+    batch: &[Vec<u8>],
+    threads: usize,
+    prefix_aware: bool,
+    control: &RunControl,
+) -> BatchOutcome {
+    // Map each batch position onto its first occurrence so duplicate
+    // candidates are computed once (exactly what a serial loop's cache
+    // would do, minus the redundant probes).
+    let mut first_occurrence: HashMap<&[u8], usize> = HashMap::with_capacity(batch.len());
+    let mut unique: Vec<&[u8]> = Vec::with_capacity(batch.len());
+    let unique_of: Vec<usize> = batch
+        .iter()
+        .map(|tokens| {
+            *first_occurrence
+                .entry(tokens.as_slice())
+                .or_insert_with(|| {
+                    unique.push(tokens.as_slice());
+                    unique.len() - 1
+                })
+        })
+        .collect();
+
+    // Resolve memoised sequences up front; only the rest is work.
+    let mut points: Vec<Option<QorPoint>> = unique
+        .iter()
+        .map(|tokens| objective.lookup(tokens))
+        .collect();
+    let mut pending: Vec<usize> = (0..unique.len()).filter(|&i| points[i].is_none()).collect();
+    if prefix_aware {
+        // Lexicographic order clusters shared prefixes contiguously;
+        // workers take contiguous chunks below, and evaluate them in
+        // this order, so intra-chunk prefix reuse is sequential (the
+        // earlier candidate's intermediates are cached before the later
+        // candidate needs them) instead of racy.
+        pending.sort_by_key(|&i| unique[i]);
+    }
+
+    let mut quarantined: Vec<Vec<u8>> = Vec::new();
+    let mut stopped: Option<StopReason> = None;
+    let workers = threads.min(pending.len());
+    if workers <= 1 {
+        for &i in &pending {
+            match evaluate_one(objective, unique[i], control) {
+                EvalOutcome::Point(point) => points[i] = Some(point),
+                EvalOutcome::Quarantined => {
+                    points[i] = Some(QorPoint::quarantined());
+                    quarantined.push(unique[i].to_vec());
+                }
+                EvalOutcome::Interrupted(reason) => {
+                    stopped = Some(reason);
+                    break;
+                }
+            }
+        }
+    } else {
+        // Contiguous chunks, one scoped worker per chunk. Each worker
+        // reports (unique index, point) pairs; joining in spawn order
+        // keeps the merge deterministic (not that it matters for
+        // values — evaluation is pure — but it keeps accounting and
+        // instrumentation reproducible too). Prefix-aware scheduling
+        // additionally snaps chunk boundaries to minimal-common-prefix
+        // positions so a shared-prefix run never straddles workers.
+        let ranges: Vec<std::ops::Range<usize>> = if prefix_aware {
+            let seqs: Vec<&[u8]> = pending.iter().map(|&i| unique[i]).collect();
+            prefix_chunk_ranges(&seqs, workers)
+        } else {
+            let chunk_len = pending.len().div_ceil(workers);
+            (0..pending.len())
+                .step_by(chunk_len)
+                .map(|start| start..(start + chunk_len).min(pending.len()))
+                .collect()
+        };
+        let unique = &unique;
+        let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .into_iter()
+                .map(|range| {
+                    let ids = &pending[range];
+                    scope.spawn(move || {
+                        let mut report = WorkerReport::default();
+                        for &i in ids {
+                            match evaluate_one(objective, unique[i], control) {
+                                EvalOutcome::Point(point) => report.computed.push((i, point)),
+                                EvalOutcome::Quarantined => {
+                                    report.computed.push((i, QorPoint::quarantined()));
+                                    report.quarantined.push(unique[i].to_vec());
+                                }
+                                EvalOutcome::Interrupted(reason) => {
+                                    report.stopped = Some(reason);
+                                    break;
+                                }
+                            }
+                        }
+                        report
+                    })
+                })
+                .collect();
+            // Join *every* worker before deciding anything: a panic
+            // escaping one worker (an engine bug — per-evaluation
+            // panics are quarantined above) must not discard sibling
+            // workers' completed results, which are merged (and live
+            // in the objective's cache) before the panic resumes.
+            let mut reports = Vec::new();
+            let mut engine_panic = None;
+            for handle in handles {
+                match handle.join() {
+                    Ok(report) => reports.push(report),
+                    Err(payload) => {
+                        if engine_panic.is_none() {
+                            engine_panic = Some(payload);
+                        }
+                    }
+                }
+            }
+            if let Some(payload) = engine_panic {
+                std::panic::resume_unwind(payload);
+            }
+            reports
+        });
+        for report in reports {
+            for (i, point) in report.computed {
+                points[i] = Some(point);
+            }
+            quarantined.extend(report.quarantined);
+            stopped = stopped.or(report.stopped);
+        }
+    }
+
+    BatchOutcome {
+        points: unique_of.iter().map(|&u| points[u]).collect(),
+        stopped,
+        quarantined,
+    }
+}
+
+/// The one place a run spends its evaluation budget. Random search,
+/// greedy, the GA, the RL baselines and the BO loop behind BOiLS and SBO
+/// each evaluate through a ledger, which keeps the run's history,
+/// quarantine list and stop reason and assembles its
+/// [`OptimizationResult`].
 ///
-/// The engine guarantees, for any thread count:
+/// Batches evaluate across up to `threads` scoped workers, and for any
+/// thread count:
 ///
-/// * **Deterministic ordering** — results come back in input order.
+/// * **Deterministic ordering** — records come back in input order.
 /// * **Deduplicated work** — within-batch duplicates and already-memoised
 ///   sequences are never recomputed, so the objective's unique-evaluation
 ///   count advances exactly as a serial evaluation loop would.
 /// * **Pure parallelism** — worker threads only ever call
-///   [`SequenceObjective::evaluate_tokens`], whose result is a pure
-///   function of the tokens; thread scheduling cannot change any value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchEvaluator {
+///   [`SequenceObjective::evaluate_tokens_controlled`], whose result is a
+///   pure function of the tokens; thread scheduling cannot change any
+///   value.
+/// * **Exact prefixes under interruption** — the [`RunControl`] is polled
+///   before every evaluation (and between synthesis passes by objectives
+///   that override [`SequenceObjective::evaluate_tokens_controlled`]).
+///   Once it fires no further evaluation starts, and a batch records only
+///   its longest contiguous input-order resolved prefix. Values are pure
+///   functions of the tokens, so an interrupted run's history is an exact
+///   prefix of the uncancelled run's, whichever workers had finished.
+/// * **Quarantine** — a panicking evaluation records the
+///   [`QUARANTINE_QOR`] sentinel and joins the result's
+///   [`quarantined`](OptimizationResult::quarantined) list instead of
+///   aborting the run.
+pub struct RunLedger<'a, O: ?Sized> {
+    objective: &'a O,
     threads: usize,
+    control: &'a RunControl,
+    history: Vec<EvalRecord>,
+    quarantined: Vec<Vec<u8>>,
+    stop: Option<StopReason>,
 }
 
-impl BatchEvaluator {
-    /// An engine fanning work across `threads` workers (clamped to ≥ 1).
-    pub fn new(threads: usize) -> BatchEvaluator {
-        BatchEvaluator {
-            threads: threads.max(1),
+impl<'a, O: SequenceObjective + ?Sized> RunLedger<'a, O> {
+    /// An empty ledger spending `objective`'s evaluations across
+    /// `threads` workers under `control`.
+    pub fn new(objective: &'a O, threads: usize, control: &'a RunControl) -> Self {
+        RunLedger {
+            objective,
+            threads,
+            control,
+            history: Vec::new(),
+            quarantined: Vec::new(),
+            stop: None,
         }
     }
 
-    /// Evaluates every sequence in `batch` under a [`RunControl`],
-    /// returning points in input order (see the type-level guarantees).
-    /// The control is polled before every evaluation (and between
-    /// synthesis passes by objectives that override
-    /// [`SequenceObjective::evaluate_tokens_controlled`]); once it fires,
-    /// no further evaluations start and the outcome reports which
-    /// positions resolved. A panicking evaluation is quarantined to the
-    /// [`QUARANTINE_QOR`] sentinel and listed in
-    /// [`BatchOutcome::quarantined`]. With a default control every
-    /// position resolves.
-    pub fn evaluate<O: SequenceObjective + ?Sized>(
-        &self,
-        objective: &O,
-        batch: &[Vec<u8>],
-        control: &RunControl,
-    ) -> BatchOutcome {
-        self.run_batch(objective, batch, false, control)
+    /// Evaluates `batch`, appends its resolved prefix to the history and
+    /// returns those records. They are fewer than the batch only when the
+    /// control interrupted it.
+    pub fn evaluate(&mut self, batch: &[Vec<u8>]) -> &[EvalRecord] {
+        self.record(batch, false)
     }
 
-    /// [`BatchEvaluator::evaluate`] with **prefix-aware scheduling**: the
+    /// [`RunLedger::evaluate`] with **prefix-aware scheduling**: the
     /// pending (not-yet-memoised) sequences are sorted lexicographically
     /// and each worker receives one contiguous run of that order, which it
     /// evaluates in sorted order.
@@ -375,160 +518,72 @@ impl BatchEvaluator {
     /// straddle a chunk boundary) and is evaluated back-to-back — by the
     /// time the later candidate runs, the earlier one has already published
     /// its intermediate AIGs to the evaluator's prefix cache
-    /// ([`crate::prefix::PrefixCache`]). Under [`BatchEvaluator::evaluate`]
+    /// ([`crate::prefix::PrefixCache`]). Under [`RunLedger::evaluate`]
     /// the same two candidates may land on different workers, where the
     /// prefix hit depends on a race (whichever worker finishes first
     /// inserts); here the intra-batch hit is guaranteed.
     ///
-    /// Everything observable is unchanged: results come back in input
-    /// order, values are bit-identical to [`BatchEvaluator::evaluate`]
+    /// Everything observable is unchanged: records come back in input
+    /// order, values are bit-identical to [`RunLedger::evaluate`]
     /// (evaluation is a pure function of the tokens), and the objective's
     /// unique-evaluation count advances identically. Only wall-clock time
     /// and [`prefix_stats`](crate::QorEvaluator::prefix_stats) can differ.
-    pub fn evaluate_grouped<O: SequenceObjective + ?Sized>(
-        &self,
-        objective: &O,
-        batch: &[Vec<u8>],
-        control: &RunControl,
-    ) -> BatchOutcome {
-        self.run_batch(objective, batch, true, control)
+    pub fn evaluate_grouped(&mut self, batch: &[Vec<u8>]) -> &[EvalRecord] {
+        self.record(batch, true)
     }
 
-    fn run_batch<O: SequenceObjective + ?Sized>(
-        &self,
-        objective: &O,
-        batch: &[Vec<u8>],
-        prefix_aware: bool,
-        control: &RunControl,
-    ) -> BatchOutcome {
-        // Map each batch position onto its first occurrence so duplicate
-        // candidates are computed once (exactly what a serial loop's cache
-        // would do, minus the redundant probes).
-        let mut first_occurrence: HashMap<&[u8], usize> = HashMap::with_capacity(batch.len());
-        let mut unique: Vec<&[u8]> = Vec::with_capacity(batch.len());
-        let unique_of: Vec<usize> = batch
+    fn record(&mut self, batch: &[Vec<u8>], prefix_aware: bool) -> &[EvalRecord] {
+        let outcome = run_batch(
+            self.objective,
+            batch,
+            self.threads,
+            prefix_aware,
+            self.control,
+        );
+        let start = self.history.len();
+        let resolved = outcome
+            .points
             .iter()
-            .map(|tokens| {
-                *first_occurrence
-                    .entry(tokens.as_slice())
-                    .or_insert_with(|| {
-                        unique.push(tokens.as_slice());
-                        unique.len() - 1
-                    })
-            })
-            .collect();
-
-        // Resolve memoised sequences up front; only the rest is work.
-        let mut points: Vec<Option<QorPoint>> = unique
-            .iter()
-            .map(|tokens| objective.lookup(tokens))
-            .collect();
-        let mut pending: Vec<usize> = (0..unique.len()).filter(|&i| points[i].is_none()).collect();
-        if prefix_aware {
-            // Lexicographic order clusters shared prefixes contiguously;
-            // workers take contiguous chunks below, and evaluate them in
-            // this order, so intra-chunk prefix reuse is sequential (the
-            // earlier candidate's intermediates are cached before the later
-            // candidate needs them) instead of racy.
-            pending.sort_by_key(|&i| unique[i]);
-        }
-
-        let mut quarantined: Vec<Vec<u8>> = Vec::new();
-        let mut stopped: Option<StopReason> = None;
-        let workers = self.threads.min(pending.len());
-        if workers <= 1 {
-            for &i in &pending {
-                match evaluate_one(objective, unique[i], control) {
-                    EvalOutcome::Point(point) => points[i] = Some(point),
-                    EvalOutcome::Quarantined => {
-                        points[i] = Some(QorPoint::quarantined());
-                        quarantined.push(unique[i].to_vec());
-                    }
-                    EvalOutcome::Interrupted(reason) => {
-                        stopped = Some(reason);
-                        break;
-                    }
-                }
-            }
-        } else {
-            // Contiguous chunks, one scoped worker per chunk. Each worker
-            // reports (unique index, point) pairs; joining in spawn order
-            // keeps the merge deterministic (not that it matters for
-            // values — evaluation is pure — but it keeps accounting and
-            // instrumentation reproducible too). Prefix-aware scheduling
-            // additionally snaps chunk boundaries to minimal-common-prefix
-            // positions so a shared-prefix run never straddles workers.
-            let ranges: Vec<std::ops::Range<usize>> = if prefix_aware {
-                let seqs: Vec<&[u8]> = pending.iter().map(|&i| unique[i]).collect();
-                prefix_chunk_ranges(&seqs, workers)
-            } else {
-                let chunk_len = pending.len().div_ceil(workers);
-                (0..pending.len())
-                    .step_by(chunk_len)
-                    .map(|start| start..(start + chunk_len).min(pending.len()))
-                    .collect()
-            };
-            let unique = &unique;
-            let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .map(|range| {
-                        let ids = &pending[range];
-                        scope.spawn(move || {
-                            let mut report = WorkerReport::default();
-                            for &i in ids {
-                                match evaluate_one(objective, unique[i], control) {
-                                    EvalOutcome::Point(point) => report.computed.push((i, point)),
-                                    EvalOutcome::Quarantined => {
-                                        report.computed.push((i, QorPoint::quarantined()));
-                                        report.quarantined.push(unique[i].to_vec());
-                                    }
-                                    EvalOutcome::Interrupted(reason) => {
-                                        report.stopped = Some(reason);
-                                        break;
-                                    }
-                                }
-                            }
-                            report
-                        })
-                    })
-                    .collect();
-                // Join *every* worker before deciding anything: a panic
-                // escaping one worker (an engine bug — per-evaluation
-                // panics are quarantined above) must not discard sibling
-                // workers' completed results, which are merged (and live
-                // in the objective's cache) before the panic resumes.
-                let mut reports = Vec::new();
-                let mut engine_panic = None;
-                for handle in handles {
-                    match handle.join() {
-                        Ok(report) => reports.push(report),
-                        Err(payload) => {
-                            if engine_panic.is_none() {
-                                engine_panic = Some(payload);
-                            }
-                        }
-                    }
-                }
-                if let Some(payload) = engine_panic {
-                    std::panic::resume_unwind(payload);
-                }
-                reports
+            .zip(batch)
+            .map_while(|(point, tokens)| {
+                point.map(|point| EvalRecord {
+                    tokens: tokens.clone(),
+                    point,
+                })
             });
-            for report in reports {
-                for (i, point) in report.computed {
-                    points[i] = Some(point);
-                }
-                quarantined.extend(report.quarantined);
-                stopped = stopped.or(report.stopped);
-            }
-        }
+        self.history.extend(resolved);
+        self.quarantined.extend(outcome.quarantined);
+        self.stop = self.stop.or(outcome.stopped);
+        &self.history[start..]
+    }
 
-        BatchOutcome {
-            points: unique_of.iter().map(|&u| points[u]).collect(),
-            stopped,
-            quarantined,
+    /// Every record so far, in evaluation order.
+    pub fn history(&self) -> &[EvalRecord] {
+        &self.history
+    }
+
+    /// Why the run stopped early, if it has: an interrupted batch, or the
+    /// control, polled here for the loops that check it between batches.
+    pub fn stopped(&mut self) -> Option<StopReason> {
+        if self.stop.is_none() {
+            self.stop = self.control.stop_reason();
         }
+        self.stop
+    }
+
+    /// The run's result over `space`: its history, the termination its
+    /// stop reason implies, the quarantine list and the objective's name.
+    /// `None` when nothing resolved.
+    pub fn finish(self, space: &SequenceSpace) -> Option<OptimizationResult> {
+        if self.history.is_empty() {
+            return None;
+        }
+        let termination = self.stop.map(Termination::from).unwrap_or_default();
+        let mut result =
+            OptimizationResult::from_history_terminated(space, self.history, termination);
+        result.quarantined = self.quarantined;
+        result.objective = self.objective.cost_name();
+        Some(result)
     }
 }
 
@@ -601,9 +656,11 @@ mod tests {
         let expected: Vec<QorPoint> = batch_of(40).iter().map(|t| fake_point(t)).collect();
         for threads in [1, 2, 3, 8, 64] {
             let objective = FakeObjective::default();
-            let got = BatchEvaluator::new(threads).evaluate(
+            let got = run_batch(
                 &objective,
                 &batch_of(40),
+                threads,
+                false,
                 &RunControl::new(),
             );
             assert_eq!(resolved(got), expected, "threads = {threads}");
@@ -616,7 +673,7 @@ mod tests {
         let batch: Vec<Vec<u8>> = (0..30).map(|i| vec![(i % 10) as u8]).collect();
         for threads in [1, 4, 16] {
             let objective = FakeObjective::default();
-            BatchEvaluator::new(threads).evaluate(&objective, &batch, &RunControl::new());
+            run_batch(&objective, &batch, threads, false, &RunControl::new());
             assert_eq!(objective.num_evaluations(), 10, "threads = {threads}");
         }
     }
@@ -624,12 +681,11 @@ mod tests {
     #[test]
     fn memoised_sequences_are_not_recomputed() {
         let objective = FakeObjective::default();
-        let engine = BatchEvaluator::new(4);
         let control = RunControl::new();
-        engine.evaluate(&objective, &batch_of(12), &control);
+        run_batch(&objective, &batch_of(12), 4, false, &control);
         assert_eq!(objective.num_evaluations(), 12);
         // Re-evaluating the same batch costs zero new evaluations …
-        let again = engine.evaluate(&objective, &batch_of(12), &control);
+        let again = run_batch(&objective, &batch_of(12), 4, false, &control);
         assert_eq!(objective.num_evaluations(), 12);
         assert_eq!(
             resolved(again),
@@ -646,8 +702,7 @@ mod tests {
     fn duplicates_within_a_batch_are_computed_once() {
         let objective = FakeObjective::default();
         let batch = vec![vec![1u8, 2], vec![1u8, 2], vec![3u8], vec![1u8, 2]];
-        let points =
-            resolved(BatchEvaluator::new(8).evaluate(&objective, &batch, &RunControl::new()));
+        let points = resolved(run_batch(&objective, &batch, 8, false, &RunControl::new()));
         assert_eq!(objective.num_evaluations(), 2);
         assert_eq!(points[0], points[1]);
         assert_eq!(points[1], points[3]);
@@ -658,10 +713,10 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let objective = FakeObjective::default();
         let control = RunControl::new();
-        let outcome = BatchEvaluator::new(8).evaluate(&objective, &[], &control);
+        let outcome = run_batch(&objective, &[], 8, false, &control);
         assert!(resolved(outcome).is_empty());
         assert_eq!(objective.num_evaluations(), 0);
-        let outcome = BatchEvaluator::new(8).evaluate_grouped(&objective, &[], &control);
+        let outcome = run_batch(&objective, &[], 8, true, &control);
         assert!(resolved(outcome).is_empty());
     }
 
@@ -677,8 +732,8 @@ mod tests {
             let plain = FakeObjective::default();
             let grouped = FakeObjective::default();
             let control = RunControl::new();
-            let a = BatchEvaluator::new(threads).evaluate(&plain, &batch, &control);
-            let b = BatchEvaluator::new(threads).evaluate_grouped(&grouped, &batch, &control);
+            let a = run_batch(&plain, &batch, threads, false, &control);
+            let b = run_batch(&grouped, &batch, threads, true, &control);
             assert_eq!(resolved(a), resolved(b), "threads = {threads}");
             assert_eq!(
                 plain.num_evaluations(),
@@ -691,11 +746,10 @@ mod tests {
     #[test]
     fn grouped_skips_memoised_sequences_too() {
         let objective = FakeObjective::default();
-        let engine = BatchEvaluator::new(4);
         let control = RunControl::new();
-        engine.evaluate_grouped(&objective, &batch_of(12), &control);
+        run_batch(&objective, &batch_of(12), 4, true, &control);
         assert_eq!(objective.num_evaluations(), 12);
-        let again = engine.evaluate_grouped(&objective, &batch_of(12), &control);
+        let again = run_batch(&objective, &batch_of(12), 4, true, &control);
         assert_eq!(objective.num_evaluations(), 12);
         assert_eq!(
             resolved(again),
@@ -778,11 +832,7 @@ mod tests {
         let expected: Vec<QorPoint> = batch.iter().map(|t| fake_point(t)).collect();
         for threads in [1, 2, 3, 4, 16] {
             let objective = FakeObjective::default();
-            let got = BatchEvaluator::new(threads).evaluate_grouped(
-                &objective,
-                &batch,
-                &RunControl::new(),
-            );
+            let got = run_batch(&objective, &batch, threads, true, &RunControl::new());
             assert_eq!(resolved(got), expected, "threads = {threads}");
             assert_eq!(
                 objective.num_evaluations(),
@@ -830,8 +880,7 @@ mod tests {
                 inner: FakeObjective::default(),
                 poison: poison.clone(),
             };
-            let outcome =
-                BatchEvaluator::new(threads).evaluate(&objective, &batch, &RunControl::new());
+            let outcome = run_batch(&objective, &batch, threads, false, &RunControl::new());
             assert_eq!(outcome.stopped, None, "threads = {threads}");
             assert_eq!(outcome.quarantined, vec![poison.clone()]);
             for (i, (tokens, point)) in batch.iter().zip(&outcome.points).enumerate() {
@@ -854,12 +903,12 @@ mod tests {
             let objective = FakeObjective::default();
             let control = RunControl::new();
             control.cancel();
-            let outcome =
-                BatchEvaluator::new(threads).evaluate(&objective, &batch_of(10), &control);
+            let outcome = run_batch(&objective, &batch_of(10), threads, false, &control);
             assert_eq!(outcome.stopped, Some(StopReason::Cancelled));
             assert!(outcome.points.iter().all(Option::is_none));
             assert_eq!(objective.num_evaluations(), 0, "threads = {threads}");
-            assert!(outcome.resolved_prefix(&batch_of(10)).is_empty());
+            let mut ledger = RunLedger::new(&objective, threads, &control);
+            assert!(ledger.evaluate(&batch_of(10)).is_empty());
         }
     }
 
@@ -868,23 +917,75 @@ mod tests {
         // Sequences already memoised resolve via lookup even under a fired
         // control; the resolved prefix is still contiguous from the front.
         let objective = FakeObjective::default();
-        let engine = BatchEvaluator::new(2);
         let batch = batch_of(6);
-        engine.evaluate(&objective, &batch[..3], &RunControl::new());
+        run_batch(&objective, &batch[..3], 2, false, &RunControl::new());
         let control = RunControl::new();
         control.cancel();
-        let outcome = engine.evaluate(&objective, &batch, &control);
-        assert_eq!(outcome.stopped, Some(StopReason::Cancelled));
-        let resolved = outcome.resolved_prefix(&batch);
+        let mut ledger = RunLedger::new(&objective, 2, &control);
+        let resolved = ledger.evaluate(&batch);
         assert_eq!(resolved.len(), 3);
-        for (tokens, point) in &resolved {
-            assert_eq!(*point, fake_point(tokens));
+        for record in resolved {
+            assert_eq!(record.point, fake_point(&record.tokens));
         }
+        let result = ledger.finish(&SequenceSpace::new(3, 11)).expect("resolved");
+        assert_eq!(result.termination, Termination::Cancelled);
         assert_eq!(
             objective.num_evaluations(),
             3,
             "no new work under a fired control"
         );
+    }
+
+    #[test]
+    fn ledger_records_every_batch_and_assembles_the_result() {
+        let batch = batch_of(12);
+        let poison = batch[4].clone();
+        for threads in [1, 2, 8] {
+            let objective = PanickyObjective {
+                inner: FakeObjective::default(),
+                poison: poison.clone(),
+            };
+            let control = RunControl::new();
+            let mut ledger = RunLedger::new(&objective, threads, &control);
+            let first = ledger.evaluate(&batch[..7]).to_vec();
+            let second = ledger.evaluate_grouped(&batch[7..]).to_vec();
+            assert_eq!((first.len(), second.len()), (7, 5), "threads = {threads}");
+            assert_eq!(ledger.history().len(), 12);
+            for (record, tokens) in ledger.history().iter().zip(&batch) {
+                assert_eq!(&record.tokens, tokens, "threads = {threads}");
+            }
+            assert_eq!(second[0].tokens, batch[7]);
+            assert_eq!(ledger.stopped(), None);
+            let result = ledger.finish(&SequenceSpace::new(3, 11)).expect("resolved");
+            assert_eq!(result.termination, Termination::BudgetExhausted);
+            assert_eq!(result.quarantined, vec![poison.clone()]);
+            assert_eq!(result.history[4].point.qor, QUARANTINE_QOR);
+            assert_eq!(result.best_point, fake_point(&batch[0]));
+            assert_eq!(result.objective, "qor");
+        }
+    }
+
+    #[test]
+    fn ledger_polls_the_control_only_when_asked() {
+        let space = SequenceSpace::new(3, 11);
+        let objective = FakeObjective::default();
+        let control = RunControl::new();
+        let mut unpolled = RunLedger::new(&objective, 2, &control);
+        unpolled.evaluate(&batch_of(3));
+        let mut polled = RunLedger::new(&objective, 2, &control);
+        polled.evaluate(&batch_of(3));
+        control.cancel();
+        // A control that fires after the last batch leaves a run nobody
+        // polled budget-exhausted …
+        let result = unpolled.finish(&space).expect("resolved");
+        assert_eq!(result.termination, Termination::BudgetExhausted);
+        // … while polling records the stop.
+        assert_eq!(polled.stopped(), Some(StopReason::Cancelled));
+        let result = polled.finish(&space).expect("resolved");
+        assert_eq!(result.termination, Termination::Cancelled);
+        // Nothing resolved, no result.
+        let empty = RunLedger::new(&objective, 2, &control);
+        assert!(empty.finish(&space).is_none());
     }
 
     #[test]

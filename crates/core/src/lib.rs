@@ -9,9 +9,9 @@
 //! sum) from one objective-independent memo table, the
 //! [`SequenceSpace`] abstraction, the [`Sbo`] standard-BO baseline
 //! (configured by the same [`BoilsConfig`]), and the shared parallel
-//! evaluation engine ([`SequenceObjective`] / [`BatchEvaluator`] /
-//! [`ShardedCache`]) that every optimiser — here and in `boils-baselines`
-//! / `boils-bench` — spends its budget through.
+//! evaluation engine ([`SequenceObjective`] / [`ShardedCache`]) with the
+//! [`RunLedger`] that every optimiser — here and in `boils-baselines` —
+//! spends its budget through.
 //!
 //! ## Example
 //!
@@ -51,9 +51,7 @@ mod space;
 
 pub use crate::boils::{Acquisition, Boils, BoilsConfig, RunBoilsError, RunDiagnostics, WarmStart};
 pub use crate::control::{RunControl, StopReason};
-pub use crate::eval::{
-    BatchEvaluator, BatchOutcome, SequenceObjective, ShardedCache, QUARANTINE_QOR,
-};
+pub use crate::eval::{RunLedger, SequenceObjective, ShardedCache, QUARANTINE_QOR};
 pub use crate::fault::{FaultInjector, FaultKind, FaultOp, FaultPlan, FAULT_PLAN_ENV};
 pub use crate::job::{EvaluatorPool, JobId, Priority, QueueFull, WorkerPool};
 pub use crate::prefix::{

@@ -10,7 +10,7 @@
 //! resumes from the longest cached prefix and only replays the suffix.
 //!
 //! The cache is sharded behind `RwLock`s (worker threads of the
-//! [`BatchEvaluator`](crate::BatchEvaluator) share it through the
+//! [`RunLedger`](crate::RunLedger) share it through the
 //! evaluator), bounded by an entry capacity with least-recently-touched
 //! eviction so memory stays flat on long sweeps, and purely an
 //! accelerator: every transform is a deterministic function of its input

@@ -183,7 +183,7 @@ impl std::error::Error for DegenerateReferenceError {}
 /// black-box evaluations — the sample-complexity measure of the paper.
 ///
 /// The cache is a thread-safe [`ShardedCache`], so one evaluator can be
-/// shared across the [`BatchEvaluator`](crate::BatchEvaluator)'s worker
+/// shared across the [`RunLedger`](crate::RunLedger)'s worker
 /// threads; this is the [`SequenceObjective`] implementation every
 /// optimiser in the workspace evaluates through.
 ///
@@ -467,7 +467,7 @@ impl QorEvaluator {
     /// With the prefix cache enabled, the replay resumes from the longest
     /// cached token prefix and each newly reached intermediate AIG is
     /// stored for later candidates (shared across the
-    /// [`BatchEvaluator`](crate::BatchEvaluator)'s worker threads). An
+    /// [`RunLedger`](crate::RunLedger)'s worker threads). An
     /// attached [`PersistentPrefixStore`] acts as a second tier: memory is
     /// consulted first, then disk for strictly longer prefixes, and newly
     /// reached intermediates are written through to both. Every transform

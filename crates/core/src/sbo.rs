@@ -43,10 +43,8 @@ impl Sbo {
     }
 
     /// Runs standard BO against any [`SequenceObjective`] under a
-    /// [`RunControl`] — same contract as
-    /// [`Boils::run_with_control`](crate::Boils::run_with_control): an
-    /// interrupted run returns best-so-far (an exact prefix of the
-    /// uncancelled trajectory) with the matching [`Termination`](crate::Termination).
+    /// [`RunControl`], checked before every batch; cancellation and
+    /// quarantine follow [`RunLedger`](crate::RunLedger).
     ///
     /// # Errors
     ///

@@ -112,21 +112,11 @@ impl SequenceSpace {
         out
     }
 
-    /// One uniformly random Hamming-1 neighbour of `seq`. A one-symbol
-    /// space has no Hamming-1 neighbours, so `seq` itself is returned (see
-    /// [`SequenceSpace::sample_in_ball`] for the same contract).
-    pub fn random_neighbor<R: Rng>(&self, seq: &[u8], rng: &mut R) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.random_neighbor_into(seq, &mut out, rng);
-        out
-    }
-
     /// Writes a uniformly random Hamming-1 neighbour of `seq` into `out`,
-    /// reusing its allocation — the allocation-free form for inner loops
-    /// that probe thousands of neighbours (acquisition hill climbing).
-    /// Consumes exactly the same RNG draws as [`SequenceSpace::random_neighbor`];
-    /// for a one-symbol alphabet `out` is a copy of `seq` (no neighbour
-    /// exists at distance 1).
+    /// reusing its allocation — inner loops probe thousands of neighbours
+    /// (acquisition hill climbing). For a one-symbol alphabet `out` is a
+    /// copy of `seq` (no neighbour exists at distance 1; see
+    /// [`SequenceSpace::sample_in_ball`] for the same contract).
     pub fn random_neighbor_into<R: Rng>(&self, seq: &[u8], out: &mut Vec<u8>, rng: &mut R) {
         out.clear();
         out.extend_from_slice(seq);
@@ -253,8 +243,9 @@ mod tests {
         let s = SequenceSpace::new(8, 11);
         let mut rng = StdRng::seed_from_u64(3);
         let seq = s.sample(&mut rng);
+        let mut n = Vec::new();
         for _ in 0..100 {
-            let n = s.random_neighbor(&seq, &mut rng);
+            s.random_neighbor_into(&seq, &mut n, &mut rng);
             assert_eq!(s.hamming(&seq, &n), 1);
         }
     }
@@ -301,12 +292,14 @@ mod tests {
         // alphabet 1: no Hamming-1 neighbour exists; the input comes back.
         let s1 = SequenceSpace::new(4, 1);
         let seq = vec![0u8; 4];
-        assert_eq!(s1.random_neighbor(&seq, &mut rng), seq);
+        let mut n = vec![1u8; 7];
+        s1.random_neighbor_into(&seq, &mut n, &mut rng);
+        assert_eq!(n, seq);
         // alphabet 2: the neighbour always toggles exactly one position.
         let s2 = SequenceSpace::new(4, 2);
         let seq = s2.sample(&mut rng);
         for _ in 0..50 {
-            let n = s2.random_neighbor(&seq, &mut rng);
+            s2.random_neighbor_into(&seq, &mut n, &mut rng);
             assert_eq!(s2.hamming(&seq, &n), 1);
             assert!(n.iter().all(|&t| t < 2));
         }

@@ -77,24 +77,6 @@ fn boils_config(space: SequenceSpace, budget: usize, seed: u64, threads: usize) 
     }
 }
 
-fn sbo_config(space: SequenceSpace, budget: usize, seed: u64, threads: usize) -> BoilsConfig {
-    BoilsConfig {
-        max_evaluations: budget,
-        initial_samples: 4,
-        space,
-        threads,
-        acq_restarts: 2,
-        acq_steps: 3,
-        acq_neighbors: 8,
-        train: TrainConfig {
-            steps: 3,
-            ..TrainConfig::default()
-        },
-        seed,
-        ..BoilsConfig::default()
-    }
-}
-
 /// Asserts `cancelled` is an exact (tokens and bit-level QoR) prefix of
 /// `full`, and returns its length.
 fn assert_exact_prefix(cancelled: &[EvalRecord], full: &[EvalRecord]) -> usize {
@@ -153,13 +135,13 @@ fn check_sbo_prefix(aig: &boils_aig::Aig, budget: usize, seed: u64, threads: usi
         Ok(e) => e,
         Err(_) => return,
     };
-    let full = Sbo::new(sbo_config(space, budget, seed, threads))
+    let full = Sbo::new(boils_config(space, budget, seed, threads))
         .run(&full_eval, &RunControl::new())
         .expect("uncancelled run");
 
     let cancel_eval = QorEvaluator::new(aig).expect("same circuit");
     let wrapper = CancelAfter::new(&cancel_eval, k);
-    let mut sbo = Sbo::new(sbo_config(space, budget, seed, threads));
+    let mut sbo = Sbo::new(boils_config(space, budget, seed, threads));
     match sbo.run(&wrapper, &wrapper.control) {
         Ok(result) => {
             let len = assert_exact_prefix(&result.history, &full.history);

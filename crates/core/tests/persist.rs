@@ -9,7 +9,7 @@
 //!   pre-warmed store are bit-identical to their cold runs, and the warm
 //!   run demonstrably used the disk tier (`prefix_stats().disk_hits > 0`).
 //! * **Concurrency** — two evaluators (each driving a multi-threaded
-//!   `BatchEvaluator`) share one store directory at the same time.
+//!   `RunLedger`) share one store directory at the same time.
 //! * **Corruption tolerance** — truncated entries, bit-rotted payloads and
 //!   stale index files are skipped and recomputed, never trusted.
 //! * **Bounded size** — the byte budget holds after eviction, and evicted
@@ -27,8 +27,8 @@ use std::sync::Arc;
 use boils_baselines::greedy;
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
-    BatchEvaluator, Boils, BoilsConfig, EvalRecord, PersistentPrefixStore, QorEvaluator,
-    RunControl, Sbo, SequenceSpace,
+    Boils, BoilsConfig, EvalRecord, PersistentPrefixStore, QorEvaluator, QorPoint, RunControl,
+    RunLedger, Sbo, SequenceSpace,
 };
 use boils_gp::TrainConfig;
 use boils_sat::{check_equivalence_with, EquivConfig, EquivResult, EquivStats};
@@ -389,12 +389,21 @@ fn two_batch_evaluators_share_one_store_directory_concurrently() {
     let reference = QorEvaluator::new(&aig).expect("ok");
     let expect_a: Vec<_> = batch_a
         .iter()
-        .map(|t| Some(reference.evaluate_tokens(t)))
+        .map(|t| reference.evaluate_tokens(t))
         .collect();
     let expect_b: Vec<_> = batch_b
         .iter()
-        .map(|t| Some(reference.evaluate_tokens(t)))
+        .map(|t| reference.evaluate_tokens(t))
         .collect();
+    let points = |evaluator: &QorEvaluator, batch: &[Vec<u8>]| -> Vec<QorPoint> {
+        let control = RunControl::new();
+        let mut ledger = RunLedger::new(evaluator, 2, &control);
+        ledger
+            .evaluate_grouped(batch)
+            .iter()
+            .map(|r| r.point)
+            .collect()
+    };
 
     let eval_a = Arc::new(
         QorEvaluator::new(&aig)
@@ -413,20 +422,12 @@ fn two_batch_evaluators_share_one_store_directory_concurrently() {
         let a = scope.spawn({
             let eval_a = Arc::clone(&eval_a);
             let batch_a = batch_a.clone();
-            move || {
-                BatchEvaluator::new(2)
-                    .evaluate_grouped(&*eval_a, &batch_a, &RunControl::new())
-                    .points
-            }
+            move || points(&eval_a, &batch_a)
         });
         let b = scope.spawn({
             let eval_b = Arc::clone(&eval_b);
             let batch_b = batch_b.clone();
-            move || {
-                BatchEvaluator::new(2)
-                    .evaluate_grouped(&*eval_b, &batch_b, &RunControl::new())
-                    .points
-            }
+            move || points(&eval_b, &batch_b)
         });
         (a.join().expect("worker a"), b.join().expect("worker b"))
     });

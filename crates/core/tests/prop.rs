@@ -3,8 +3,8 @@
 
 use boils_aig::random_aig;
 use boils_core::{
-    BatchEvaluator, Boils, BoilsConfig, EvalRecord, OptimizationResult, QorEvaluator, QorPoint,
-    RunControl, Sbo, SequenceSpace, Termination,
+    Boils, BoilsConfig, EvalRecord, OptimizationResult, QorEvaluator, QorPoint, RunControl,
+    RunLedger, Sbo, SequenceSpace, Termination,
 };
 use boils_gp::TrainConfig;
 use boils_synth::Transform;
@@ -137,12 +137,15 @@ proptest! {
         let aig = random_aig(seed + 20_000, 8, 250, 3);
         let Ok(batched) = QorEvaluator::new(&aig) else { return Ok(()); };
         let pointwise = QorEvaluator::new(&aig).expect("same circuit");
-        let outcome = BatchEvaluator::new(threads).evaluate(&batched, &batch, &RunControl::new());
-        prop_assert_eq!(outcome.stopped, None);
-        prop_assert_eq!(outcome.points.len(), batch.len());
-        for (tokens, point) in batch.iter().zip(&outcome.points) {
-            prop_assert_eq!(*point, Some(pointwise.evaluate_tokens(tokens)), "{:?}", tokens);
+        let control = RunControl::new();
+        let mut ledger = RunLedger::new(&batched, threads, &control);
+        let records = ledger.evaluate(&batch);
+        prop_assert_eq!(records.len(), batch.len());
+        for (tokens, record) in batch.iter().zip(records) {
+            prop_assert_eq!(&record.tokens, tokens);
+            prop_assert_eq!(record.point, pointwise.evaluate_tokens(tokens), "{:?}", tokens);
         }
+        prop_assert_eq!(ledger.stopped(), None);
         // Unique-evaluation accounting matches a serial evaluation loop.
         prop_assert_eq!(batched.num_evaluations(), pointwise.num_evaluations());
     }
@@ -158,12 +161,17 @@ proptest! {
         let aig = random_aig(seed + 20_000, 8, 250, 3);
         let Ok(grouped) = QorEvaluator::new(&aig) else { return Ok(()); };
         let plain = QorEvaluator::new(&aig).expect("same circuit");
-        let engine = BatchEvaluator::new(threads);
         let control = RunControl::new();
-        let a = engine.evaluate_grouped(&grouped, &batch, &control);
-        let b = engine.evaluate(&plain, &batch, &control);
-        prop_assert_eq!(a.stopped, None);
-        prop_assert_eq!(a.points, b.points);
+        let mut a = RunLedger::new(&grouped, threads, &control);
+        let mut b = RunLedger::new(&plain, threads, &control);
+        a.evaluate_grouped(&batch);
+        b.evaluate(&batch);
+        prop_assert_eq!(a.history().len(), batch.len());
+        let points = |ledger: &RunLedger<QorEvaluator>| -> Vec<QorPoint> {
+            ledger.history().iter().map(|r| r.point).collect()
+        };
+        prop_assert_eq!(points(&a), points(&b));
+        prop_assert_eq!(a.stopped(), None);
         prop_assert_eq!(grouped.num_evaluations(), plain.num_evaluations());
     }
 
