@@ -243,11 +243,6 @@ impl Aig {
         !self.and(!a, !b)
     }
 
-    /// Builds the NAND of two literals.
-    pub fn nand(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.and(a, b)
-    }
-
     /// Builds the NOR of two literals.
     pub fn nor(&mut self, a: Lit, b: Lit) -> Lit {
         self.and(!a, !b)

@@ -121,39 +121,6 @@ impl Aig {
         Ok(aig)
     }
 
-    /// Renders the AIG as a Graphviz DOT digraph (dashed edges are
-    /// complemented).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph aig {\n  rankdir=BT;\n");
-        for idx in 0..self.num_pis() {
-            let var = 1 + idx;
-            writeln!(out, "  n{var} [shape=box,label=\"i{idx}\"];").expect("string write");
-        }
-        for var in self.ands() {
-            writeln!(out, "  n{var} [shape=circle,label=\"∧\"];").expect("string write");
-            for f in [self.fanin0(var), self.fanin1(var)] {
-                let style = if f.is_complement() {
-                    " [style=dashed]"
-                } else {
-                    ""
-                };
-                writeln!(out, "  n{} -> n{}{};", f.var(), var, style).expect("string write");
-            }
-        }
-        for (k, po) in self.pos().iter().enumerate() {
-            writeln!(out, "  o{k} [shape=invtriangle,label=\"o{k}\"];").expect("string write");
-            let style = if po.is_complement() {
-                " [style=dashed]"
-            } else {
-                ""
-            };
-            writeln!(out, "  n{} -> o{k}{};", po.var(), style).expect("string write");
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Emits the AIG as structural Verilog (one `assign` per gate).
     ///
     /// # Errors
@@ -303,17 +270,6 @@ mod tests {
             let back = read_delta(&mut buf.as_slice()).expect("read");
             assert_eq!(back, v);
         }
-    }
-
-    #[test]
-    fn dot_output_mentions_every_node() {
-        let aig = random_aig(5, 4, 20, 2);
-        let dot = aig.to_dot();
-        assert!(dot.starts_with("digraph"));
-        for var in aig.ands() {
-            assert!(dot.contains(&format!("n{var} ")), "missing node {var}");
-        }
-        assert!(dot.contains("o0"));
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl Lit {
         Lit(self.0 ^ complement as u32)
     }
 
-    /// Returns the non-complemented literal for the same node.
-    #[inline]
-    pub fn regular(self) -> Lit {
-        Lit(self.0 & !1)
-    }
-
     /// Whether this literal is one of the two constants.
     #[inline]
     pub fn is_const(self) -> bool {
@@ -135,7 +129,6 @@ mod tests {
         assert_eq!(!!l, l);
         assert_eq!(l.xor_complement(true), !l);
         assert_eq!(l.xor_complement(false), l);
-        assert_eq!((!l).regular(), l);
     }
 
     #[test]

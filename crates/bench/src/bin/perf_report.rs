@@ -35,7 +35,9 @@ use boils_core::{
     Boils, BoilsConfig, Objective, PersistentPrefixStore, QorEvaluator, RunControl, RunLedger,
     SequenceSpace,
 };
-use boils_gp::{hypervolume_2d, Gp, SskKernel, Surrogate, SurrogateConfig, TrainConfig};
+use boils_gp::{
+    hypervolume_2d, hypervolume_reference, Gp, SskKernel, Surrogate, SurrogateConfig, TrainConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -429,8 +431,8 @@ const BATCH_SIZE: usize = 4;
 /// Batched q-EI acquisition on the greedy-comparable BOiLS configuration
 /// (K = 20, budget = K·11 = 220, matching the greedy sweep's workload):
 /// the sequential q = 1 loop vs a constant-liar batch of [`BATCH_SIZE`]
-/// candidates per iteration evaluated through the prefix-aware grouped
-/// engine at `threads` workers.
+/// candidates per iteration, each batch evaluated across `threads`
+/// workers.
 ///
 /// Unlike the other sections, q > 1 legitimately changes the trajectory
 /// (batched proposals see a staler surrogate), so the checked invariants
@@ -1110,9 +1112,7 @@ fn objectives_section(aig: &boils_aig::Aig, smoke: bool) -> String {
         .filter(|r| !r.point.is_quarantined())
         .map(|r| (r.point.area as f64, r.point.delay as f64))
         .collect();
-    let reference = points.iter().fold((0.0f64, 0.0f64), |acc, p| {
-        (acc.0.max(p.0 * 1.1 + 1e-9), acc.1.max(p.1 * 1.1 + 1e-9))
-    });
+    let reference = hypervolume_reference(points.iter().copied());
     let trace: Vec<f64> = (1..=points.len())
         .map(|n| hypervolume_2d(&points[..n], reference))
         .collect();

@@ -6,7 +6,8 @@ use std::fmt::Write as _;
 
 use boils_circuits::Benchmark;
 use boils_gp::{
-    hypervolume_2d, sample_gaussian, Gp, Kernel, Matrix, SquaredExponential, SskKernel,
+    dominates, hypervolume_2d, hypervolume_reference, sample_gaussian, Gp, Kernel, Matrix,
+    SquaredExponential, SskKernel,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -201,19 +202,15 @@ pub fn pareto_report(sweep: &Sweep, circuit: Benchmark, budget: usize) -> String
         let (area, delay) = run.best_point_at(b);
         points.push((run.method, run.seed, area, delay));
     }
-    // Pareto front over all points: p dominates q if ≤ on both and < on one.
+    // Pareto front over all points.
+    let cost = |&(_, _, a, d): &(Method, u64, usize, u32)| [a as f64, f64::from(d)];
     let on_front: Vec<bool> = points
         .iter()
-        .map(|&(_, _, a, d)| {
-            !points
-                .iter()
-                .any(|&(_, _, a2, d2)| (a2 <= a && d2 < d) || (a2 < a && d2 <= d))
-        })
+        .map(|p| !points.iter().any(|q| dominates(&cost(q), &cost(p))))
         .collect();
-    // A shared hypervolume reference (componentwise 1.1× the worst point,
-    // matching the MO loop's convention) makes the per-method volumes
-    // comparable within the circuit.
-    let reference = hv_reference(points.iter().map(|&(_, _, a, d)| (a as f64, d as f64)));
+    // A shared hypervolume reference (the MO loop's convention) makes the
+    // per-method volumes comparable within the circuit.
+    let reference = hypervolume_reference(points.iter().map(|&(_, _, a, d)| (a as f64, d as f64)));
     let mut out = format!("# {} — best solutions at N={budget}\n", circuit.name());
     out.push_str("method,seed,area,delay,pareto,hypervolume\n");
     for (p, f) in points.iter().zip(&on_front) {
@@ -257,19 +254,6 @@ pub fn pareto_report(sweep: &Sweep, circuit: Benchmark, budget: usize) -> String
     out
 }
 
-/// The shared hypervolume reference for a point cloud: componentwise 1.1×
-/// the worst (largest) observed cost, mirroring the multi-objective loop's
-/// fixed-reference convention. Quarantined sentinels (`area == delay == 0`
-/// with worst-case QoR) are excluded by their callers.
-fn hv_reference(points: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
-    let mut reference = (0.0f64, 0.0f64);
-    for (a, d) in points {
-        reference.0 = reference.0.max(a);
-        reference.1 = reference.1.max(d);
-    }
-    (reference.0 * 1.1 + 1e-9, reference.1 * 1.1 + 1e-9)
-}
-
 /// The multi-objective convergence trace: after each evaluation, the 2-D
 /// hypervolume the run's nondominated `(area, delay)` archive dominates
 /// with respect to the circuit's shared reference — the quantity the MO
@@ -277,7 +261,7 @@ fn hv_reference(points: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
 pub fn hypervolume_trace(sweep: &Sweep, circuit: Benchmark, budget: usize) -> String {
     let runs: Vec<&crate::suite::RunRecord> =
         sweep.runs.iter().filter(|r| r.circuit == circuit).collect();
-    let reference = hv_reference(
+    let reference = hypervolume_reference(
         runs.iter()
             .flat_map(|r| r.trace.iter().take(budget))
             .filter(|&&(q, _, _)| q < boils_core::QUARANTINE_QOR)

@@ -11,12 +11,11 @@
 //!
 //! The rest is shared: the Latin-hypercube design with warm-start seeds,
 //! the scalar or ParEGO surrogate, constant-liar batches, the freshness
-//! guard, and evaluation through a prefix-aware [`RunLedger`] under a
-//! [`RunControl`].
+//! guard, and evaluation through a [`RunLedger`] under a [`RunControl`].
 
 use boils_gp::{
-    expected_improvement, hypervolume_improvement_2d, ConstantLiar, Gp, Kernel, Scalarisation,
-    Surrogate, SurrogateConfig,
+    expected_improvement, hypervolume_improvement_2d, hypervolume_reference, ConstantLiar, Gp,
+    Kernel, Scalarisation, Surrogate, SurrogateConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,9 +92,9 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
         let mut ledger = RunLedger::new(objective, cfg.threads, control);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-        // -- Initial design (line 3), evaluated as one prefix-aware batch.
+        // -- Initial design (line 3), evaluated as one batch.
         let initial = self.design(&mut rng);
-        if ledger.evaluate_grouped(&initial).is_empty() {
+        if ledger.evaluate(&initial).is_empty() {
             return Err(RunBoilsError::Interrupted(
                 ledger.stopped().unwrap_or(StopReason::Cancelled),
             ));
@@ -230,7 +229,7 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
             // -- Evaluate and update data (line 9): the lies are gone, so
             // the model sees only real outcomes.
             let batch_start = history.len();
-            let records = ledger.evaluate_grouped(&batch);
+            let records = ledger.evaluate(&batch);
             let interrupted = records.len() < batch.len();
             model.observe(objective, records);
             if interrupted {
@@ -311,16 +310,17 @@ impl<K: Kernel<Vec<u8>> + Clone> BoLoop<'_, K> {
         Ok(result)
     }
 
-    /// The initial design: a deduplicated Latin hypercube over categories,
-    /// whose leading rows warm-start seeds then overwrite (at most half of
-    /// them). The hypercube is drawn first, so the RNG consumes exactly the
-    /// draws an unseeded run would, and every seed is re-evaluated on this
-    /// circuit with the rest of the design.
+    /// The initial design: a deduplicated Latin hypercube over categories
+    /// of at least one sequence, whose leading rows warm-start seeds then
+    /// overwrite (at most half of them). The hypercube is drawn first, so
+    /// the RNG consumes exactly the draws an unseeded run would, and every
+    /// seed is re-evaluated on this circuit with the rest of the design.
     fn design(&self, rng: &mut StdRng) -> Vec<Vec<u8>> {
         let cfg = self.config;
         let space = cfg.space;
-        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
-        for tokens in space.latin_hypercube(cfg.initial_samples, rng) {
+        let samples = cfg.initial_samples.max(1);
+        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(samples);
+        for tokens in space.latin_hypercube(samples, rng) {
             if initial.len() >= cfg.max_evaluations {
                 break;
             }
@@ -384,17 +384,14 @@ fn mo_vector<O: SequenceObjective>(objective: &O, record: &EvalRecord) -> Vec<f6
         .unwrap_or_else(|| vec![record.point.area as f64, record.point.delay as f64])
 }
 
-/// A hypervolume reference: componentwise 1.1× the worst
-/// non-quarantined cost.
+/// The hypervolume reference of the non-quarantined costs, or the
+/// sentinel itself when every cost is quarantined.
 fn mo_reference(vectors: &[Vec<f64>]) -> (f64, f64) {
     let points = mo_points(vectors);
     if points.is_empty() {
         return (QUARANTINE_QOR, QUARANTINE_QOR);
     }
-    let worst = points
-        .iter()
-        .fold((0.0f64, 0.0f64), |w, p| (w.0.max(p.0), w.1.max(p.1)));
-    (worst.0 * 1.1 + 1e-9, worst.1 * 1.1 + 1e-9)
+    hypervolume_reference(points)
 }
 
 /// The 2-D projections of the non-quarantined cost vectors in `vectors`.

@@ -99,7 +99,8 @@ impl WarmStart {
 pub struct BoilsConfig {
     /// Total black-box evaluation budget `Nmax` (including initial samples).
     pub max_evaluations: usize,
-    /// Initial Latin-hypercube design size `Ninit`.
+    /// Initial Latin-hypercube design size `Ninit`. The design holds at
+    /// least one sequence, so `0` runs as `1`.
     pub initial_samples: usize,
     /// The sequence space `Alg^K`.
     pub space: SequenceSpace,
@@ -136,8 +137,8 @@ pub struct BoilsConfig {
     /// heuristic (each accepted candidate's outcome is hallucinated as the
     /// incumbent on a scratch copy of the GP, EI is re-maximised against
     /// the lied model, and the lies are discarded before the surrogate sees
-    /// real data) and evaluate them as a single prefix-aware parallel batch
-    /// ([`RunLedger::evaluate_grouped`](crate::RunLedger::evaluate_grouped)).
+    /// real data) and evaluate them as one parallel batch
+    /// ([`RunLedger::evaluate`](crate::RunLedger::evaluate)).
     /// The budget is still spent as whole evaluations — the final batch
     /// shrinks to the remaining budget — and each batch advances the
     /// trust-region schedule by one step.
@@ -184,9 +185,9 @@ pub struct BoilsConfig {
     /// it.
     pub warm_start: Option<WarmStart>,
     /// Worker threads for batched black-box evaluations (the initial
-    /// design). The search trajectory is thread-count invariant: the same
-    /// seed yields the same best sequence and evaluation count at any
-    /// setting.
+    /// design and each q-batch). The search trajectory is thread-count
+    /// invariant: the same seed yields the same best sequence and
+    /// evaluation count at any setting.
     pub threads: usize,
     /// RNG seed.
     pub seed: u64,
@@ -553,6 +554,25 @@ mod tests {
             boils.run(&evaluator),
             Err(RunBoilsError::BudgetTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn an_empty_initial_design_still_spends_the_budget() {
+        let aig = random_aig(71, 8, 300, 3);
+        let config = BoilsConfig {
+            initial_samples: 0,
+            ..small_config(6)
+        };
+        let evaluator = QorEvaluator::new(&aig).expect("ok");
+        let boils = Boils::new(config.clone()).run(&evaluator).expect("run");
+        let evaluator = QorEvaluator::new(&aig).expect("ok");
+        let sbo = crate::Sbo::new(config)
+            .run(&evaluator, &RunControl::new())
+            .expect("run");
+        for result in [boils, sbo] {
+            assert_eq!(result.num_evaluations(), 6);
+            assert_eq!(result.termination, Termination::BudgetExhausted);
+        }
     }
 
     #[test]

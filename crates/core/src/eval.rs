@@ -11,16 +11,14 @@
 //! * [`ShardedCache`] — a thread-safe memo table (`RwLock`-sharded hash
 //!   map) replacing the old single-threaded `RefCell` cache, with hit
 //!   accounting.
-//! * [`RunLedger`] — the one place a run spends its budget. It evaluates
-//!   each batch of candidate sequences across `std::thread::scope` workers
-//!   with deterministic results: records come back in input order,
-//!   within-batch duplicates are computed once, and the unique-evaluation
-//!   count (the paper's sample-efficiency x-axis) is independent of the
-//!   thread count. The [`evaluate_grouped`](RunLedger::evaluate_grouped)
-//!   path additionally schedules shared-prefix candidates onto the same
-//!   worker so intra-batch prefix-cache reuse is guaranteed rather than
-//!   racy. The ledger keeps the run's history, quarantine list and stop
-//!   reason, and assembles its result.
+//! * [`RunLedger`] — the one place a run spends its budget. It splits
+//!   each batch's pending sequences into contiguous input-order chunks,
+//!   one per `std::thread::scope` worker, with deterministic results:
+//!   records come back in input order, within-batch duplicates are
+//!   computed once, and the unique-evaluation count (the paper's
+//!   sample-efficiency x-axis) is independent of the thread count. The
+//!   ledger keeps the run's history, quarantine list and stop reason, and
+//!   assembles its result.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -110,52 +108,6 @@ const SHARD_COUNT: usize = 16;
 /// ([`crate::prefix::PrefixCache`]).
 pub(crate) fn shard_index(key: &[u8], shards: usize) -> usize {
     (boils_aig::splitmix64(boils_aig::fnv1a64(key)) as usize) % shards
-}
-
-/// Length of the longest common token prefix of two sequences.
-fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
-/// Worker-chunk ranges over `seqs` (which must be sorted
-/// lexicographically), snapped to minimal-common-prefix positions.
-///
-/// Equal-size splits of the sorted order can cut a shared-prefix run in
-/// two, sending its halves to different workers and losing the
-/// intra-batch prefix reuse [`RunLedger::evaluate_grouped`] exists
-/// to guarantee. Each boundary therefore slides — within half a chunk of
-/// its equal-split target, so no worker's share more than doubles — to
-/// the adjacent pair with the *shortest* common prefix (ties broken
-/// toward the equal split). A boundary between sequences sharing no
-/// prefix costs nothing; one inside a run costs the run's shared passes.
-pub(crate) fn prefix_chunk_ranges(seqs: &[&[u8]], workers: usize) -> Vec<std::ops::Range<usize>> {
-    let n = seqs.len();
-    let workers = workers.clamp(1, n.max(1));
-    let chunk = n.div_ceil(workers);
-    let mut bounds = Vec::with_capacity(workers + 1);
-    bounds.push(0usize);
-    for k in 1..workers {
-        let target = k * chunk;
-        if target >= n {
-            break;
-        }
-        let prev = *bounds.last().expect("bounds start non-empty");
-        let slack = chunk / 2;
-        let lo = target.saturating_sub(slack).max(prev + 1);
-        let hi = (target + slack).min(n - 1);
-        let mut best = target;
-        let mut best_key = (usize::MAX, usize::MAX);
-        for p in lo..=hi {
-            let key = (common_prefix_len(seqs[p - 1], seqs[p]), p.abs_diff(target));
-            if key < best_key {
-                best = p;
-                best_key = key;
-            }
-        }
-        bounds.push(best);
-    }
-    bounds.push(n);
-    bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
 /// A thread-safe memoisation table for sequence evaluations.
@@ -249,8 +201,11 @@ impl<V: Copy> ShardedCache<V> {
 }
 
 /// The worst-case sentinel recorded for a quarantined (panicked)
-/// evaluation. Large enough that no real sequence can beat it (real QoR
-/// values sit near 2), finite so GP fits and `partial_cmp` stay sound.
+/// evaluation. Large enough that no real sequence can beat it under the
+/// normalised objectives (real QoR values sit near 2), finite so GP fits
+/// and `partial_cmp` stay sound. The unnormalised `lut` cost can exceed
+/// it, so a run's best point is chosen by its quarantine list
+/// ([`OptimizationResult::from_history_terminated`]), never by this value.
 pub const QUARANTINE_QOR: f64 = 1.0e3;
 
 /// The outcome of one scheduled batch.
@@ -309,15 +264,38 @@ struct WorkerReport {
     stopped: Option<StopReason>,
 }
 
-/// The scheduler behind [`RunLedger::evaluate`] and
-/// [`RunLedger::evaluate_grouped`] (`prefix_aware`): evaluates every
-/// pending sequence of `batch` across up to `threads` scoped workers and
-/// returns the points in input order.
+/// Evaluates the unique sequences `ids` in order, stopping at the first
+/// interruption: one worker's share of a batch.
+fn evaluate_chunk<O: SequenceObjective + ?Sized>(
+    objective: &O,
+    unique: &[&[u8]],
+    ids: &[usize],
+    control: &RunControl,
+) -> WorkerReport {
+    let mut report = WorkerReport::default();
+    for &i in ids {
+        match evaluate_one(objective, unique[i], control) {
+            EvalOutcome::Point(point) => report.computed.push((i, point)),
+            EvalOutcome::Quarantined => {
+                report.computed.push((i, QorPoint::quarantined()));
+                report.quarantined.push(unique[i].to_vec());
+            }
+            EvalOutcome::Interrupted(reason) => {
+                report.stopped = Some(reason);
+                break;
+            }
+        }
+    }
+    report
+}
+
+/// The scheduler behind [`RunLedger::evaluate`]: evaluates every pending
+/// sequence of `batch` across up to `threads` scoped workers and returns
+/// the points in input order.
 fn run_batch<O: SequenceObjective + ?Sized>(
     objective: &O,
     batch: &[Vec<u8>],
     threads: usize,
-    prefix_aware: bool,
     control: &RunControl,
 ) -> BatchOutcome {
     // Map each batch position onto its first occurrence so duplicate
@@ -342,79 +320,27 @@ fn run_batch<O: SequenceObjective + ?Sized>(
         .iter()
         .map(|tokens| objective.lookup(tokens))
         .collect();
-    let mut pending: Vec<usize> = (0..unique.len()).filter(|&i| points[i].is_none()).collect();
-    if prefix_aware {
-        // Lexicographic order clusters shared prefixes contiguously;
-        // workers take contiguous chunks below, and evaluate them in
-        // this order, so intra-chunk prefix reuse is sequential (the
-        // earlier candidate's intermediates are cached before the later
-        // candidate needs them) instead of racy.
-        pending.sort_by_key(|&i| unique[i]);
-    }
+    let pending: Vec<usize> = (0..unique.len()).filter(|&i| points[i].is_none()).collect();
 
-    let mut quarantined: Vec<Vec<u8>> = Vec::new();
-    let mut stopped: Option<StopReason> = None;
-    let workers = threads.min(pending.len());
-    if workers <= 1 {
-        for &i in &pending {
-            match evaluate_one(objective, unique[i], control) {
-                EvalOutcome::Point(point) => points[i] = Some(point),
-                EvalOutcome::Quarantined => {
-                    points[i] = Some(QorPoint::quarantined());
-                    quarantined.push(unique[i].to_vec());
-                }
-                EvalOutcome::Interrupted(reason) => {
-                    stopped = Some(reason);
-                    break;
-                }
-            }
-        }
+    // At most `threads` contiguous input-order chunks of equal length (the
+    // last may be shorter), one per worker; a single chunk runs inline.
+    // Joining in spawn order keeps the merge deterministic (not that it
+    // matters for values — evaluation is pure — but it keeps accounting
+    // and instrumentation reproducible too).
+    let chunks = pending.chunks(pending.len().div_ceil(threads.max(1)).max(1));
+    let unique = &unique;
+    let reports: Vec<WorkerReport> = if chunks.len() <= 1 {
+        chunks
+            .map(|ids| evaluate_chunk(objective, unique, ids, control))
+            .collect()
     } else {
-        // Contiguous chunks, one scoped worker per chunk. Each worker
-        // reports (unique index, point) pairs; joining in spawn order
-        // keeps the merge deterministic (not that it matters for
-        // values — evaluation is pure — but it keeps accounting and
-        // instrumentation reproducible too). Prefix-aware scheduling
-        // additionally snaps chunk boundaries to minimal-common-prefix
-        // positions so a shared-prefix run never straddles workers.
-        let ranges: Vec<std::ops::Range<usize>> = if prefix_aware {
-            let seqs: Vec<&[u8]> = pending.iter().map(|&i| unique[i]).collect();
-            prefix_chunk_ranges(&seqs, workers)
-        } else {
-            let chunk_len = pending.len().div_ceil(workers);
-            (0..pending.len())
-                .step_by(chunk_len)
-                .map(|start| start..(start + chunk_len).min(pending.len()))
-                .collect()
-        };
-        let unique = &unique;
-        let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    let ids = &pending[range];
-                    scope.spawn(move || {
-                        let mut report = WorkerReport::default();
-                        for &i in ids {
-                            match evaluate_one(objective, unique[i], control) {
-                                EvalOutcome::Point(point) => report.computed.push((i, point)),
-                                EvalOutcome::Quarantined => {
-                                    report.computed.push((i, QorPoint::quarantined()));
-                                    report.quarantined.push(unique[i].to_vec());
-                                }
-                                EvalOutcome::Interrupted(reason) => {
-                                    report.stopped = Some(reason);
-                                    break;
-                                }
-                            }
-                        }
-                        report
-                    })
-                })
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .map(|ids| scope.spawn(move || evaluate_chunk(objective, unique, ids, control)))
                 .collect();
             // Join *every* worker before deciding anything: a panic
             // escaping one worker (an engine bug — per-evaluation
-            // panics are quarantined above) must not discard sibling
+            // panics are quarantined) must not discard sibling
             // workers' completed results, which are merged (and live
             // in the objective's cache) before the panic resumes.
             let mut reports = Vec::new();
@@ -433,14 +359,17 @@ fn run_batch<O: SequenceObjective + ?Sized>(
                 std::panic::resume_unwind(payload);
             }
             reports
-        });
-        for report in reports {
-            for (i, point) in report.computed {
-                points[i] = Some(point);
-            }
-            quarantined.extend(report.quarantined);
-            stopped = stopped.or(report.stopped);
+        })
+    };
+
+    let mut quarantined: Vec<Vec<u8>> = Vec::new();
+    let mut stopped: Option<StopReason> = None;
+    for report in reports {
+        for (i, point) in report.computed {
+            points[i] = Some(point);
         }
+        quarantined.extend(report.quarantined);
+        stopped = stopped.or(report.stopped);
     }
 
     BatchOutcome {
@@ -505,41 +434,7 @@ impl<'a, O: SequenceObjective + ?Sized> RunLedger<'a, O> {
     /// returns those records. They are fewer than the batch only when the
     /// control interrupted it.
     pub fn evaluate(&mut self, batch: &[Vec<u8>]) -> &[EvalRecord] {
-        self.record(batch, false)
-    }
-
-    /// [`RunLedger::evaluate`] with **prefix-aware scheduling**: the
-    /// pending (not-yet-memoised) sequences are sorted lexicographically
-    /// and each worker receives one contiguous run of that order, which it
-    /// evaluates in sorted order.
-    ///
-    /// Candidates sharing a token prefix are lexicographic neighbours, so
-    /// a shared-prefix run lands on one worker (at most `threads − 1` runs
-    /// straddle a chunk boundary) and is evaluated back-to-back — by the
-    /// time the later candidate runs, the earlier one has already published
-    /// its intermediate AIGs to the evaluator's prefix cache
-    /// ([`crate::prefix::PrefixCache`]). Under [`RunLedger::evaluate`]
-    /// the same two candidates may land on different workers, where the
-    /// prefix hit depends on a race (whichever worker finishes first
-    /// inserts); here the intra-batch hit is guaranteed.
-    ///
-    /// Everything observable is unchanged: records come back in input
-    /// order, values are bit-identical to [`RunLedger::evaluate`]
-    /// (evaluation is a pure function of the tokens), and the objective's
-    /// unique-evaluation count advances identically. Only wall-clock time
-    /// and [`prefix_stats`](crate::QorEvaluator::prefix_stats) can differ.
-    pub fn evaluate_grouped(&mut self, batch: &[Vec<u8>]) -> &[EvalRecord] {
-        self.record(batch, true)
-    }
-
-    fn record(&mut self, batch: &[Vec<u8>], prefix_aware: bool) -> &[EvalRecord] {
-        let outcome = run_batch(
-            self.objective,
-            batch,
-            self.threads,
-            prefix_aware,
-            self.control,
-        );
+        let outcome = run_batch(self.objective, batch, self.threads, self.control);
         let start = self.history.len();
         let resolved = outcome
             .points
@@ -579,9 +474,12 @@ impl<'a, O: SequenceObjective + ?Sized> RunLedger<'a, O> {
             return None;
         }
         let termination = self.stop.map(Termination::from).unwrap_or_default();
-        let mut result =
-            OptimizationResult::from_history_terminated(space, self.history, termination);
-        result.quarantined = self.quarantined;
+        let mut result = OptimizationResult::from_history_terminated(
+            space,
+            self.history,
+            termination,
+            self.quarantined,
+        );
         result.objective = self.objective.cost_name();
         Some(result)
     }
@@ -656,13 +554,7 @@ mod tests {
         let expected: Vec<QorPoint> = batch_of(40).iter().map(|t| fake_point(t)).collect();
         for threads in [1, 2, 3, 8, 64] {
             let objective = FakeObjective::default();
-            let got = run_batch(
-                &objective,
-                &batch_of(40),
-                threads,
-                false,
-                &RunControl::new(),
-            );
+            let got = run_batch(&objective, &batch_of(40), threads, &RunControl::new());
             assert_eq!(resolved(got), expected, "threads = {threads}");
         }
     }
@@ -673,7 +565,7 @@ mod tests {
         let batch: Vec<Vec<u8>> = (0..30).map(|i| vec![(i % 10) as u8]).collect();
         for threads in [1, 4, 16] {
             let objective = FakeObjective::default();
-            run_batch(&objective, &batch, threads, false, &RunControl::new());
+            run_batch(&objective, &batch, threads, &RunControl::new());
             assert_eq!(objective.num_evaluations(), 10, "threads = {threads}");
         }
     }
@@ -682,10 +574,10 @@ mod tests {
     fn memoised_sequences_are_not_recomputed() {
         let objective = FakeObjective::default();
         let control = RunControl::new();
-        run_batch(&objective, &batch_of(12), 4, false, &control);
+        run_batch(&objective, &batch_of(12), 4, &control);
         assert_eq!(objective.num_evaluations(), 12);
         // Re-evaluating the same batch costs zero new evaluations …
-        let again = run_batch(&objective, &batch_of(12), 4, false, &control);
+        let again = run_batch(&objective, &batch_of(12), 4, &control);
         assert_eq!(objective.num_evaluations(), 12);
         assert_eq!(
             resolved(again),
@@ -702,7 +594,7 @@ mod tests {
     fn duplicates_within_a_batch_are_computed_once() {
         let objective = FakeObjective::default();
         let batch = vec![vec![1u8, 2], vec![1u8, 2], vec![3u8], vec![1u8, 2]];
-        let points = resolved(run_batch(&objective, &batch, 8, false, &RunControl::new()));
+        let points = resolved(run_batch(&objective, &batch, 8, &RunControl::new()));
         assert_eq!(objective.num_evaluations(), 2);
         assert_eq!(points[0], points[1]);
         assert_eq!(points[1], points[3]);
@@ -713,133 +605,9 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let objective = FakeObjective::default();
         let control = RunControl::new();
-        let outcome = run_batch(&objective, &[], 8, false, &control);
+        let outcome = run_batch(&objective, &[], 8, &control);
         assert!(resolved(outcome).is_empty());
         assert_eq!(objective.num_evaluations(), 0);
-        let outcome = run_batch(&objective, &[], 8, true, &control);
-        assert!(resolved(outcome).is_empty());
-    }
-
-    #[test]
-    fn grouped_agrees_pointwise_with_evaluate_at_any_thread_count() {
-        // Prefix-aware scheduling reorders *work*, never results: for the
-        // same batch it must return the same input-ordered points and
-        // advance the unique-evaluation count identically.
-        let mut batch = batch_of(37);
-        batch.extend(batch_of(11)); // within-batch duplicates
-        batch.reverse(); // far from lexicographic order
-        for threads in [1, 2, 3, 8, 64] {
-            let plain = FakeObjective::default();
-            let grouped = FakeObjective::default();
-            let control = RunControl::new();
-            let a = run_batch(&plain, &batch, threads, false, &control);
-            let b = run_batch(&grouped, &batch, threads, true, &control);
-            assert_eq!(resolved(a), resolved(b), "threads = {threads}");
-            assert_eq!(
-                plain.num_evaluations(),
-                grouped.num_evaluations(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn grouped_skips_memoised_sequences_too() {
-        let objective = FakeObjective::default();
-        let control = RunControl::new();
-        run_batch(&objective, &batch_of(12), 4, true, &control);
-        assert_eq!(objective.num_evaluations(), 12);
-        let again = run_batch(&objective, &batch_of(12), 4, true, &control);
-        assert_eq!(objective.num_evaluations(), 12);
-        assert_eq!(
-            resolved(again),
-            batch_of(12)
-                .iter()
-                .map(|t| fake_point(t))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn chunk_boundaries_snap_to_group_edges() {
-        // Eight groups of four sequences; within a group everything shares
-        // a 3-token prefix, across groups nothing is shared. The equal
-        // split at 4 workers (chunk 8) happens to land on group edges, so
-        // use 3 workers (chunk 11), whose naive boundaries at 11 and 22
-        // would cut groups 2 and 5 mid-run.
-        let mut seqs: Vec<Vec<u8>> = Vec::new();
-        for group in 0..8u8 {
-            for variant in 0..4u8 {
-                seqs.push(vec![group, group, group, variant]);
-            }
-        }
-        let views: Vec<&[u8]> = seqs.iter().map(Vec::as_slice).collect();
-        let ranges = prefix_chunk_ranges(&views, 3);
-        assert_eq!(ranges.len(), 3);
-        assert_eq!(ranges.first().expect("non-empty").start, 0);
-        assert_eq!(ranges.last().expect("non-empty").end, seqs.len());
-        for window in ranges.windows(2) {
-            let boundary = window[0].end;
-            assert_eq!(boundary, window[1].start, "ranges must be contiguous");
-            assert_eq!(
-                boundary % 4,
-                0,
-                "boundary {boundary} splits a shared-prefix group"
-            );
-            assert_eq!(
-                common_prefix_len(views[boundary - 1], views[boundary]),
-                0,
-                "boundary {boundary} sits inside a shared-prefix run"
-            );
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_every_index_exactly_once() {
-        // Adversarial shapes: group sizes that never divide the chunk
-        // length, more workers than items, one item, empty input.
-        for (n, workers) in [(37usize, 5usize), (3, 8), (1, 4), (16, 1), (25, 4)] {
-            let seqs: Vec<Vec<u8>> = (0..n).map(|i| vec![(i / 3) as u8, i as u8]).collect();
-            let views: Vec<&[u8]> = seqs.iter().map(Vec::as_slice).collect();
-            let ranges = prefix_chunk_ranges(&views, workers);
-            let mut covered = Vec::new();
-            for r in &ranges {
-                assert!(!r.is_empty(), "empty chunk for n={n} workers={workers}");
-                covered.extend(r.clone());
-            }
-            assert_eq!(
-                covered,
-                (0..n).collect::<Vec<_>>(),
-                "n={n} workers={workers}"
-            );
-            assert!(ranges.len() <= workers.max(1));
-        }
-        // Empty input: whatever comes back must cover nothing.
-        assert!(prefix_chunk_ranges(&[], 4).iter().all(|r| r.is_empty()));
-    }
-
-    #[test]
-    fn snapped_scheduling_keeps_values_and_accounting() {
-        // Shared-prefix groups deliberately misaligned with the equal
-        // split: grouped evaluation must return identical points and an
-        // identical unique-evaluation count at every thread count.
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        for group in 0..5u8 {
-            for variant in 0..7u8 {
-                batch.push(vec![group, 9, group, variant]);
-            }
-        }
-        let expected: Vec<QorPoint> = batch.iter().map(|t| fake_point(t)).collect();
-        for threads in [1, 2, 3, 4, 16] {
-            let objective = FakeObjective::default();
-            let got = run_batch(&objective, &batch, threads, true, &RunControl::new());
-            assert_eq!(resolved(got), expected, "threads = {threads}");
-            assert_eq!(
-                objective.num_evaluations(),
-                batch.len(),
-                "threads = {threads}"
-            );
-        }
     }
 
     /// A fake objective that panics on one poison sequence.
@@ -880,7 +648,7 @@ mod tests {
                 inner: FakeObjective::default(),
                 poison: poison.clone(),
             };
-            let outcome = run_batch(&objective, &batch, threads, false, &RunControl::new());
+            let outcome = run_batch(&objective, &batch, threads, &RunControl::new());
             assert_eq!(outcome.stopped, None, "threads = {threads}");
             assert_eq!(outcome.quarantined, vec![poison.clone()]);
             for (i, (tokens, point)) in batch.iter().zip(&outcome.points).enumerate() {
@@ -903,7 +671,7 @@ mod tests {
             let objective = FakeObjective::default();
             let control = RunControl::new();
             control.cancel();
-            let outcome = run_batch(&objective, &batch_of(10), threads, false, &control);
+            let outcome = run_batch(&objective, &batch_of(10), threads, &control);
             assert_eq!(outcome.stopped, Some(StopReason::Cancelled));
             assert!(outcome.points.iter().all(Option::is_none));
             assert_eq!(objective.num_evaluations(), 0, "threads = {threads}");
@@ -918,7 +686,7 @@ mod tests {
         // control; the resolved prefix is still contiguous from the front.
         let objective = FakeObjective::default();
         let batch = batch_of(6);
-        run_batch(&objective, &batch[..3], 2, false, &RunControl::new());
+        run_batch(&objective, &batch[..3], 2, &RunControl::new());
         let control = RunControl::new();
         control.cancel();
         let mut ledger = RunLedger::new(&objective, 2, &control);
@@ -948,7 +716,7 @@ mod tests {
             let control = RunControl::new();
             let mut ledger = RunLedger::new(&objective, threads, &control);
             let first = ledger.evaluate(&batch[..7]).to_vec();
-            let second = ledger.evaluate_grouped(&batch[7..]).to_vec();
+            let second = ledger.evaluate(&batch[7..]).to_vec();
             assert_eq!((first.len(), second.len()), (7, 5), "threads = {threads}");
             assert_eq!(ledger.history().len(), 12);
             for (record, tokens) in ledger.history().iter().zip(&batch) {
@@ -963,6 +731,35 @@ mod tests {
             assert_eq!(result.best_point, fake_point(&batch[0]));
             assert_eq!(result.objective, "qor");
         }
+    }
+
+    #[test]
+    fn a_quarantined_sentinel_is_never_the_best_point() {
+        // 10,000-token sequences cost over 1,000, as real `lut` costs can,
+        // so the sentinel is the lowest value in the history.
+        let batch: Vec<Vec<u8>> = (0..4u8)
+            .map(|first| {
+                let mut tokens = vec![10u8; 10_000];
+                tokens[0] = first;
+                tokens
+            })
+            .collect();
+        let objective = PanickyObjective {
+            inner: FakeObjective::default(),
+            poison: batch[0].clone(),
+        };
+        let control = RunControl::new();
+        let mut ledger = RunLedger::new(&objective, 2, &control);
+        ledger.evaluate(&batch);
+        let result = ledger
+            .finish(&SequenceSpace::new(10_000, 11))
+            .expect("resolved");
+        // Compared with `assert!`: a failing `assert_eq!` would print
+        // 10,000-token vectors.
+        assert!(result.quarantined == [batch[0].clone()]);
+        assert_eq!(result.history[0].point, QorPoint::quarantined());
+        assert_eq!(result.best_point, fake_point(&batch[1]));
+        assert!(result.best_tokens == batch[1]);
     }
 
     #[test]

@@ -137,10 +137,10 @@ impl QorPoint {
     }
 
     /// The worst-case sentinel recorded for a quarantined (panicked)
-    /// evaluation: a finite QoR no real sequence can beat
+    /// evaluation: a finite QoR
     /// ([`QUARANTINE_QOR`](crate::eval::QUARANTINE_QOR)), so surrogate
-    /// fits and comparisons stay sound while the sequence can never be
-    /// selected as a best point.
+    /// fits and comparisons stay sound. A run's result never selects it as
+    /// the best point while a real record exists.
     pub fn quarantined() -> QorPoint {
         QorPoint {
             qor: crate::eval::QUARANTINE_QOR,

@@ -81,10 +81,12 @@ pub struct OptimizationResult {
     pub surrogate: Option<SurrogateDiagnostics>,
 }
 
-/// Whether point `a` Pareto-dominates point `b` on `(area, delay)`:
-/// no worse in both coordinates and strictly better in at least one.
+/// Whether point `a` Pareto-dominates point `b` on `(area, delay)`.
 fn dominates(a: &QorPoint, b: &QorPoint) -> bool {
-    a.area <= b.area && a.delay <= b.delay && (a.area < b.area || a.delay < b.delay)
+    boils_gp::dominates(
+        &[a.area as f64, f64::from(a.delay)],
+        &[b.area as f64, f64::from(b.delay)],
+    )
 }
 
 /// The nondominated subset of a history on `(area, delay)`, in evaluation
@@ -109,7 +111,16 @@ fn pareto_front(history: &[EvalRecord]) -> Vec<EvalRecord> {
 }
 
 impl OptimizationResult {
-    /// Assembles a result from a (possibly interrupted) evaluation trace.
+    /// Assembles a result from a (possibly interrupted) evaluation trace
+    /// and the sequences it quarantined.
+    ///
+    /// The best point is the lowest-cost record that is not a quarantine
+    /// sentinel, whenever one exists: under an unnormalised objective
+    /// (`lut`) real costs can exceed [`QUARANTINE_QOR`](crate::QUARANTINE_QOR).
+    /// A record counts as quarantined when its sequence is listed and it
+    /// holds the sentinel point, so a listed sequence that later evaluated
+    /// cleanly keeps its real record, and a real cost equal to the
+    /// sentinel's is never mistaken for one.
     ///
     /// # Panics
     ///
@@ -120,14 +131,16 @@ impl OptimizationResult {
         space: &SequenceSpace,
         history: Vec<EvalRecord>,
         termination: Termination,
+        quarantined: Vec<Vec<u8>>,
     ) -> OptimizationResult {
         assert!(!history.is_empty(), "optimiser produced no evaluations");
+        let sentinel =
+            |r: &EvalRecord| r.point == QorPoint::quarantined() && quarantined.contains(&r.tokens);
         let best = history
             .iter()
             .min_by(|a, b| {
-                a.point
-                    .qor
-                    .partial_cmp(&b.point.qor)
+                (sentinel(a), a.point.qor)
+                    .partial_cmp(&(sentinel(b), b.point.qor))
                     .expect("QoR values are finite")
             })
             .expect("non-empty history");
@@ -139,7 +152,7 @@ impl OptimizationResult {
             pareto_front: pareto_front(&history),
             history,
             termination,
-            quarantined: Vec::new(),
+            quarantined,
             objective: String::from("qor"),
             surrogate: None,
         }
@@ -190,6 +203,7 @@ mod tests {
                 record(vec![3, 3], 1.8),
             ],
             Termination::BudgetExhausted,
+            Vec::new(),
         );
         assert_eq!(result.best_tokens, vec![1, 2]);
         assert_eq!(result.best_qor, 1.4);
@@ -230,6 +244,7 @@ mod tests {
                 point_record(vec![4, 4], 39, 14), // dominates [0,0]
             ],
             Termination::BudgetExhausted,
+            Vec::new(),
         );
         let front: Vec<&[u8]> = result
             .pareto_front
@@ -261,6 +276,7 @@ mod tests {
             &space,
             vec![record(vec![0, 0], 2.0)],
             Termination::from(StopReason::DeadlineExceeded),
+            Vec::new(),
         );
         assert_eq!(result.termination, Termination::DeadlineExceeded);
         assert_eq!(

@@ -398,11 +398,7 @@ fn two_batch_evaluators_share_one_store_directory_concurrently() {
     let points = |evaluator: &QorEvaluator, batch: &[Vec<u8>]| -> Vec<QorPoint> {
         let control = RunControl::new();
         let mut ledger = RunLedger::new(evaluator, 2, &control);
-        ledger
-            .evaluate_grouped(batch)
-            .iter()
-            .map(|r| r.point)
-            .collect()
+        ledger.evaluate(batch).iter().map(|r| r.point).collect()
     };
 
     let eval_a = Arc::new(

@@ -151,31 +151,6 @@ proptest! {
     }
 
     #[test]
-    fn grouped_evaluation_agrees_with_plain_evaluation(
-        seed in 0u64..100,
-        batch in prop::collection::vec(prop::collection::vec(0u8..11, 0..6), 1..12),
-        threads in 1usize..9,
-    ) {
-        // Prefix-aware scheduling reorders work across workers; values,
-        // input ordering and unique-evaluation accounting must not move.
-        let aig = random_aig(seed + 20_000, 8, 250, 3);
-        let Ok(grouped) = QorEvaluator::new(&aig) else { return Ok(()); };
-        let plain = QorEvaluator::new(&aig).expect("same circuit");
-        let control = RunControl::new();
-        let mut a = RunLedger::new(&grouped, threads, &control);
-        let mut b = RunLedger::new(&plain, threads, &control);
-        a.evaluate_grouped(&batch);
-        b.evaluate(&batch);
-        prop_assert_eq!(a.history().len(), batch.len());
-        let points = |ledger: &RunLedger<QorEvaluator>| -> Vec<QorPoint> {
-            ledger.history().iter().map(|r| r.point).collect()
-        };
-        prop_assert_eq!(points(&a), points(&b));
-        prop_assert_eq!(a.stopped(), None);
-        prop_assert_eq!(grouped.num_evaluations(), plain.num_evaluations());
-    }
-
-    #[test]
     fn stats_derived_qor_matches_the_point_arithmetic(
         seed in 0u64..150,
         tokens in prop::collection::vec(0u8..11, 0..8),
@@ -216,6 +191,7 @@ proptest! {
             &space,
             history.clone(),
             Termination::BudgetExhausted,
+            Vec::new(),
         );
         let dominates = |a: &QorPoint, b: &QorPoint| {
             a.area <= b.area && a.delay <= b.delay && (a.area < b.area || a.delay < b.delay)

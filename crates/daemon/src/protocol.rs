@@ -631,6 +631,7 @@ mod tests {
                     },
                 }],
                 boils_core::Termination::DeadlineExceeded,
+                Vec::new(),
             )),
         };
         let line = event.to_json().to_json();

@@ -40,7 +40,7 @@ pub use crate::gp::{sample_gaussian, standard_normal, Gp, TrainConfig, UpdateOut
 pub use crate::kernel::{Kernel, SquaredExponential};
 pub use crate::linalg::{Cholesky, Matrix, NotPositiveDefiniteError};
 pub use crate::pareto::{
-    dominates, hypervolume_2d, hypervolume_improvement_2d, nondominated_indices, Scalarisation,
+    dominates, hypervolume_2d, hypervolume_improvement_2d, hypervolume_reference, Scalarisation,
 };
 pub use crate::qei::ConstantLiar;
 pub use crate::ssk::SskKernel;

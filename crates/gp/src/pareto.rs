@@ -23,15 +23,6 @@ pub struct Scalarisation {
 }
 
 impl Scalarisation {
-    /// Uniform weights — the balanced scalarisation.
-    pub fn uniform(dim: usize) -> Scalarisation {
-        let dim = dim.max(1);
-        Scalarisation {
-            weights: vec![1.0 / dim as f64; dim],
-            rho: 0.05,
-        }
-    }
-
     /// Draws random weights uniformly from the `dim`-simplex.
     pub fn sample<R: Rng>(dim: usize, rng: &mut R) -> Scalarisation {
         let dim = dim.max(1);
@@ -70,13 +61,15 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
 }
 
-/// Indices of the nondominated points of `points` (minimisation), in
-/// input order. Duplicate vectors are all kept — they dominate nothing
-/// and are dominated by nothing.
-pub fn nondominated_indices(points: &[Vec<f64>]) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| !points.iter().any(|other| dominates(other, &points[i])))
-        .collect()
+/// The hypervolume reference of a 2-D point cloud: componentwise 1.1×
+/// the worst (largest) cost plus `1e-9`, so every point, the worst
+/// included, dominates some volume. The cloud holds nonnegative costs;
+/// an empty one gets `(1e-9, 1e-9)`.
+pub fn hypervolume_reference(points: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+    let worst = points
+        .into_iter()
+        .fold((0.0f64, 0.0f64), |w, p| (w.0.max(p.0), w.1.max(p.1)));
+    (worst.0 * 1.1 + 1e-9, worst.1 * 1.1 + 1e-9)
 }
 
 /// The 2-D hypervolume (minimisation) a point set dominates with respect
@@ -142,21 +135,10 @@ mod tests {
             // the augmentation term must strictly prefer it.
             assert!(s.scalarise(&[0.4, 0.5]) < s.scalarise(&[0.5, 0.6]));
         }
-        let u = Scalarisation::uniform(2);
-        assert!((u.weights.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(u.scalarise(&[1.0, 1.0]) > 0.0);
     }
 
     #[test]
     fn nondominated_filter_matches_hand_computation() {
-        let points = vec![
-            vec![1.0, 3.0], // kept
-            vec![2.0, 2.0], // kept
-            vec![2.0, 3.0], // dominated by both
-            vec![3.0, 1.0], // kept
-            vec![1.0, 3.0], // duplicate: kept
-        ];
-        assert_eq!(nondominated_indices(&points), vec![0, 1, 3, 4]);
         assert!(dominates(&[1.0, 3.0], &[2.0, 3.0]));
         assert!(!dominates(&[1.0, 3.0], &[1.0, 3.0]));
     }
